@@ -172,6 +172,10 @@ CORRUPTION_MODES = (
     # of rank + 1, as an inclusive/exclusive mix-up in the segmented
     # nu-count pass would:
     "nu-off-by-one",
+    # pipelined kernel (numpy reject pass): reject deliveries with
+    # nu <= count + 1 instead of nu <= count, dropping arrivals the
+    # Step 13 quota would admit, as an off-by-one in the filter would:
+    "reject-filter-off-by-one",
 )
 
 

@@ -4,8 +4,8 @@ This module vectorizes the paper's actual algorithm: where the
 relaxation kernel (:mod:`repro.perf.columnar`) covers the Bellman-Ford
 baselines, :class:`_PipelinedKernel` executes
 :class:`~repro.core.pipelined.PipelinedSSPProgram` networks -- the hot
-path behind every Table I experiment and every serve-layer shard build
--- without per-message Python objects.
+path behind every Table I experiment and every serve-layer oracle
+build -- without per-message Python objects.
 
 What is bulk and what is not
 ----------------------------
@@ -43,6 +43,28 @@ sequentially in ascending-source order -- bit-identically to the
 reference's sorted inbox -- while everything around that fold
 (scheduling, expansion, key computation, accounting) is batched.
 
+Reject-first rounds
+-------------------
+Most arrivals change nothing: on dense APSP instances ~85% are neither
+a flag-d* promotion nor admitted by the Step 13 quota.  Under numpy,
+each round therefore runs one vectorized *reject pass* before the fold.
+It reads a per-(node, source) snapshot -- the best ``(d, l, parent)``,
+the per-source entry count and the largest per-source key
+``(kappa, d)``, one float64 row per cell -- and drops every delivery
+that is not a promotion against the snapshot best, whose ``nu`` is at
+most the count, and whose key is at or above the largest key: the
+fold would reject it anyway (the comment in :meth:`_round_numpy`
+proves why a snapshot from any earlier moment of the run is safe).
+The fold runs over what the pass keeps, and the rows of the cells a
+round changed are rewritten afterwards.  Accounting is taken before
+the pass, on every delivery.
+
+Scheduling touches only what moved: a sender whose list the round left
+unchanged fires next at its following index (the schedule
+``ceil(kappa_i + i + 1)`` strictly increases in ``i``), only receivers
+whose list changed are re-bisected, and every other node keeps its
+slot.
+
 Exactness contract
 ------------------
 Same as the relaxation kernel: load / compute / store.  ``run()``
@@ -54,7 +76,8 @@ in a ``finally`` -- so outputs, round numbers, resumption, checkpoints
 and post-mortems observe exactly the state the per-message backends
 would have produced, and ``tests/backend_conformance.py`` pins the
 equality differentially (including deliberate-corruption runs via the
-``send-rank-off-by-one`` / ``nu-off-by-one`` modes this module honors).
+``send-rank-off-by-one`` / ``nu-off-by-one`` /
+``reject-filter-off-by-one`` modes this module honors).
 
 Keys are recomputed as the same single multiply-add on ``(d, l)`` as
 the scalar path -- under numpy via a float64 vector op, which is
@@ -80,6 +103,10 @@ _Key = Tuple[float, int, int]
 #: Words per pipelined payload ``(d, l, x, flag_sp, nu)`` -- five
 #: scalars (repro.congest.message.payload_words).
 _PAYLOAD_WORDS = 5
+
+#: Reject-pass snapshot row of a (node, source) cell without entries:
+#: an unset best, so every delivery to it is kept (each one promotes).
+_EMPTY_ROW = (_INF, _INF, -1.0, 0.0, -_INF, -_INF)
 
 
 class _PipelinedKernel:
@@ -164,6 +191,13 @@ class _PipelinedKernel:
         self.cutoff: Optional[int] = p0.cutoff_round
         self.budget: Optional[int] = p0.budget
         self.directed: bool = p0.directed_broadcast
+        #: Served sources and each one's column in the snapshot rows
+        #: (cell ``v * k + xi``; -1 for non-sources, never a payload x).
+        self.sources: Tuple[int, ...] = tuple(dict.fromkeys(p0.sources))
+        self.k = len(self.sources)
+        self._xi = [-1] * self.n
+        for xi, x in enumerate(self.sources):
+            self._xi[x] = xi
         # CSR of the broadcast targets, node ranges in increasing node
         # order.  Directed mode broadcasts over out-edges; undirected
         # mode over comm_neighbors, where the *relaxation* weight is the
@@ -211,6 +245,8 @@ class _PipelinedKernel:
             self._np_indptr = np.asarray(self._indptr, dtype=np.int64)
             self._np_heads = np.asarray(self._heads, dtype=np.int64)
             self._np_weights = np.asarray(self._weights, dtype=np.int64)
+            self._np_wok = np.asarray(self._wok, dtype=bool)
+            self._np_xi = np.asarray(self._xi, dtype=np.int64)
             self._np_edge_msgs = np.zeros(len(self._heads), dtype=np.int64)
             self._np_ready = True
 
@@ -270,6 +306,40 @@ class _PipelinedKernel:
             self.MAXSRC[v] = st["max_per_source"]
             self.LASTSP[v] = st["last_sp_round"]
             self.SENDS[v] = st["sends"]
+        if self._use_np:
+            self._load_snapshot()
+
+    def _load_snapshot(self) -> None:
+        """Build the reject pass's inputs: the snapshot rows (one per
+        (node, source) cell, see :meth:`_snap_row`) and the set of nodes
+        whose receive stats lag their lists (a source right after
+        ``on_start``, or restored state) -- the reference refreshes those
+        stats in every ``on_receive``, including one whose arrivals are
+        all rejected, so :meth:`_round_numpy` still runs the epilogue for
+        them."""
+        np = _cmod._numpy()
+        snap = np.empty((self.n * self.k, 6))
+        snap[:] = _EMPTY_ROW
+        cells = [v * self.k + self._xi[x]
+                 for v in range(self.n) for x in self.SKEYS[v]]
+        if cells:
+            snap[cells] = [self._snap_row(c) for c in cells]
+        self._snap = snap
+        self._lag = {v for v in range(self.n)
+                     if self.MAXLEN[v] < len(self.KEYS[v])
+                     or self.MAXSRC[v] < self.CMAX[v]}
+
+    def _snap_row(self, cell: int) -> Tuple[float, ...]:
+        """Cell ``v * k + xi``'s snapshot row ``(best d, best l, best
+        parent or -1, entry count, largest key kappa, largest key d)``,
+        all read at one moment."""
+        v, xi = divmod(cell, self.k)
+        x = self.sources[xi]
+        b = self.BEST[v][x]
+        sk = self.SKEYS[v][x]
+        top = sk[-1]
+        return (b[0], b[1], -1 if b[2] is None else b[2], len(sk),
+                top[0], top[1])
 
     def _store(self) -> None:
         """Columns -> program state (in place, preserving the object
@@ -345,7 +415,7 @@ class _PipelinedKernel:
         cached by the caller: the schedule is strictly increasing, so
         the entry found here is exactly the one that fires in that
         round, and any list mutation before then re-runs this bisection
-        (the node is necessarily *touched* by the mutating round)."""
+        (every round re-bisects the lists it changed)."""
         off = 0 if _cmod._CORRUPTION == "send-rank-off-by-one" else 1
         hit = next_send_after(keys, r, pos_offset=off)
         if hit is None:
@@ -377,7 +447,6 @@ class _PipelinedKernel:
         SENDS = self.SENDS
         SKEYS = self.SKEYS
         LCOL = self.LCOL
-        FCOL = self.FCOL
         node_sends = metrics.node_sends
         indptr = self._indptr
         nu_pad = 2 if _cmod._CORRUPTION == "nu-off-by-one" else 1
@@ -426,11 +495,11 @@ class _PipelinedKernel:
                 # matching the fast backend's pop order) and their
                 # payload columns.  The firing entry is the cached index;
                 # nu is two bisects (global run start + per-source rank).
+                # flag_sp is not collected: no receiver reads it.
                 senders: List[int] = []
                 send_d: List[int] = []
                 send_l: List[int] = []
                 send_x: List[int] = []
-                send_f: List[bool] = []
                 send_nu: List[int] = []
                 while heap and heap[0][0] == r:
                     _, v = heappop(heap)
@@ -448,14 +517,13 @@ class _PipelinedKernel:
                     send_d.append(key[1])
                     send_l.append(LCOL[v][i])
                     send_x.append(x)
-                    send_f.append(FCOL[v][i])
                     send_nu.append(nu)
                     SENDS[v] += 1
 
                 # Steps 2-13: expand deliveries through the CSR, fold
                 # per-destination candidates in ascending-source order.
-                total, receivers = round_fn(
-                    r, senders, send_d, send_l, send_x, send_f, send_nu)
+                total, changed = round_fn(
+                    r, senders, send_d, send_l, send_x, send_nu)
 
                 if total:
                     msg_count += total
@@ -467,19 +535,33 @@ class _PipelinedKernel:
                         if indptr[v + 1] > indptr[v]:
                             node_sends[v] += 1
 
-                # Reschedule every touched node (senders consumed their
-                # slot; receivers' lists may have shifted positions).
-                # The bisection is _next_fire inlined -- this is the
-                # hottest loop after the arrival fold itself.
-                touched = dict.fromkeys(senders)
-                touched.update(dict.fromkeys(receivers))
-                for v in touched:
+                # Reschedule what moved.  A sender whose list the round
+                # left unchanged fires next at its following index: the
+                # schedule ceil(kappa_i + i + off) strictly increases in
+                # i, so that index is the first one due after r.  Only
+                # changed lists are re-bisected; every other node keeps
+                # its slot (its positions did not shift).
+                for v in senders:
+                    if v in changed:
+                        continue
+                    i = firei[v] + 1
+                    keys_v = KEYS[v]
+                    if i < len(keys_v):
+                        nr = ceil(keys_v[i][0] + i + pos_off)
+                        if cutoff is None or nr <= cutoff:
+                            firei[v] = i
+                            sched[v] = nr
+                            heappush(heap, (nr, v))
+                # The bisection is _next_fire inlined, testing
+                # kappa + i + off <= r (equal to ceil(...) <= r for an
+                # integer r) -- this is the hottest loop after the fold.
+                for v in changed:
                     keys_v = KEYS[v]
                     nk = len(keys_v)
                     lo, hi = 0, nk
                     while lo < hi:
                         mid = (lo + hi) >> 1
-                        if ceil(keys_v[mid][0] + mid + pos_off) <= r:
+                        if keys_v[mid][0] + mid + pos_off <= r:
                             lo = mid + 1
                         else:
                             hi = mid
@@ -512,12 +594,11 @@ class _PipelinedKernel:
 
     # -- one round: delivery expansion -------------------------------------
 
-    def _round_python(self, r, senders, send_d, send_l, send_x, send_f,
-                      send_nu):
+    def _round_python(self, r, senders, send_d, send_l, send_x, send_nu):
         """CSR expansion + per-destination fold, batched pure Python (no
         Envelope or payload objects; per-edge tallies into the flat
-        counter).  Returns ``(messages_sent, receivers)`` with
-        *receivers* ascending."""
+        counter).  Returns ``(messages_sent, changed)``: *changed* holds
+        the receivers whose lists the fold changed, ascending."""
         indptr, heads, weights = self._indptr, self._heads, self._weights
         wok = self._wok
         edge_msgs = self._edge_msgs
@@ -553,75 +634,111 @@ class _PipelinedKernel:
                     inboxes[u] = [rec]
                 else:
                     box.append(rec)
-        receivers = sorted(inboxes)
         arrival = self._arrival
-        for u in receivers:
+        changed: Dict[int, None] = {}
+        for u in sorted(inboxes):
+            hit = False
             for (y, d, l, kappa, x, nu_in) in inboxes[u]:
-                arrival(u, r, y, d, l, kappa, x, nu_in)
+                hit |= arrival(u, r, y, d, l, kappa, x, nu_in)
             self._finish_receiver(u)
-        return total, receivers
+            if hit:
+                changed[u] = None
+        return total, changed
 
-    def _round_numpy(self, r, senders, send_d, send_l, send_x, send_f,
-                     send_nu):
-        """The vectorized expansion: one CSR gather for the round's
-        whole edge batch, candidate ``(d', l', kappa')`` as three vector
-        ops, stable sort by destination, then the same sequential
-        per-destination fold on the flattened batch."""
+    def _round_numpy(self, r, senders, send_d, send_l, send_x, send_nu):
+        """The vectorized round: one CSR gather for the whole edge
+        batch, candidate ``(d', l', kappa')`` as vector ops, the reject
+        pass against the snapshot, then the sequential per-destination
+        fold over the deliveries the pass keeps.  Returns
+        ``(messages_sent, changed)`` like :meth:`_round_python`."""
         np = _cmod._numpy()
         sv = np.asarray(senders, dtype=np.int64)
         starts = self._np_indptr[sv]
         counts = self._np_indptr[sv + 1] - starts
         total = int(counts.sum())
         if total == 0:
-            return 0, []
+            return 0, {}
         offs = np.repeat(starts - np.concatenate(
             ([0], np.cumsum(counts)[:-1])), counts)
         edges = np.arange(total, dtype=np.int64) + offs
         dsts = self._np_heads[edges]
+        # Accounting first: every delivery is counted, kept or not.
         self._np_edge_msgs[edges] += 1
         # Per-message sender-slot index (into the send_* columns).
         slots = np.repeat(np.arange(len(senders), dtype=np.int64), counts)
+        ys = sv[slots]
+        xs = np.asarray(send_x, dtype=np.int64)[slots]
+        nus = np.asarray(send_nu, dtype=np.int64)[slots]
         cand_d = np.asarray(send_d, dtype=np.int64)[slots] \
             + self._np_weights[edges]
         cand_l = np.asarray(send_l, dtype=np.int64)[slots] + 1
         # The same multiply-add as the scalar key_of, vectorized --
         # bit-identical for word-sized integers.
         kappa = cand_d.astype(np.float64) * self.gamma + cand_l
-        order = np.argsort(dsts, kind="stable")
-        o_dst = dsts[order].tolist()
-        o_edge = edges[order].tolist()
-        o_slot = slots[order].tolist()
-        o_d = cand_d[order].tolist()
-        o_l = cand_l[order].tolist()
-        o_k = kappa[order].tolist()
-        wok = self._wok
-        all_wok = self._all_wok
+        cells = dsts * self.k + self._np_xi[xs]
+
+        # The reject pass.  Within one run(), every (node, source) cell
+        # obeys two rules:
+        #   * its best (d, l, parent) only falls in lexicographic order;
+        #   * for any key K, the number of its entries <= K never drops:
+        #     an insert at per-source index j only ever evicts an entry
+        #     above j (strictly larger key), and the equal-key twin swap
+        #     is net zero.
+        # So a delivery that is no promotion against a snapshot best is
+        # no promotion now; and if its key is at or above the snapshot's
+        # largest key, at least `count` entries sit at or below it now,
+        # so nu <= count fails the Step 13 quota now.  Any snapshot from
+        # earlier in the same run therefore never drops a delivery the
+        # fold would keep; refresh frequency only changes how much is
+        # dropped.  A row's values must come from one moment, so rows
+        # are only ever written whole (_snap_row).
+        bd, bl, bp, cnt, kk, kd = self._snap[cells].T
+        reject = (cand_d > bd) | ((cand_d == bd) & (
+            (cand_l > bl) | ((cand_l == bl) & (ys >= bp))))
+        pad = _cmod._CORRUPTION == "reject-filter-off-by-one"
+        reject &= nus <= cnt + pad
+        reject &= (kappa > kk) | ((kappa == kk) & (cand_d >= kd))
+        if not self._all_wok:
+            # channel exists only for the reverse edge: delivered and
+            # counted above, nothing to relax
+            reject |= ~self._np_wok[edges]
+        (kept,) = np.nonzero(~reject)
+        kept = kept[np.argsort(dsts[kept], kind="stable")]
+
         arrival = self._arrival
+        changed: Dict[int, None] = {}
+        changed_cells = set()
+        for u, y, d, l, kap, x, nu, c in zip(
+                dsts[kept].tolist(), ys[kept].tolist(),
+                cand_d[kept].tolist(), cand_l[kept].tolist(),
+                kappa[kept].tolist(), xs[kept].tolist(),
+                nus[kept].tolist(), cells[kept].tolist()):
+            if arrival(u, r, y, d, l, kap, x, nu):
+                changed[u] = None
+                changed_cells.add(c)
+        if changed_cells:
+            idx = list(changed_cells)
+            self._snap[idx] = [self._snap_row(c) for c in idx]
+
+        # Receiver epilogue: the stats only move for lists that changed,
+        # and for delivered-to nodes whose stats lag their list.
         finish = self._finish_receiver
-        receivers: List[int] = []
-        prev_u = -1
-        for t in range(total):
-            u = o_dst[t]
-            if u != prev_u:
-                if prev_u >= 0:
-                    finish(prev_u)
-                receivers.append(u)
-                prev_u = u
-            if all_wok or wok[o_edge[t]]:
-                slot = o_slot[t]
-                arrival(u, r, senders[slot], o_d[t], o_l[t], o_k[t],
-                        send_x[slot], send_nu[slot])
-        if prev_u >= 0:
-            finish(prev_u)
-        return total, receivers
+        for u in changed:
+            finish(u)
+        lag = self._lag
+        if lag:
+            for u in lag.intersection(dsts.tolist()):
+                finish(u)
+                lag.discard(u)
+        return total, changed
 
     # -- one arrival (Steps 8-13 on the columns) ---------------------------
 
     def _arrival(self, v: int, r: int, y: int, d: int, l: int,
-                 kappa: float, x: int, nu_in: int) -> None:
+                 kappa: float, x: int, nu_in: int) -> bool:
         """Fold one candidate into node *v*'s columns -- the exact
         Steps 8-13 of the reference ``on_receive``, on columns instead
-        of Entry objects."""
+        of Entry objects.  Returns whether the lists changed."""
         b = self.BEST[v][x]
         bd = b[0]
         bl = b[1]
@@ -635,8 +752,11 @@ class _PipelinedKernel:
                 bp = b[2]
                 promote = y < (-1 if bp is None else bp)
         key = (kappa, d, x)
-        keys = self.KEYS[v]
         skeys = self.SKEYS[v]
+        sk = skeys.get(x)
+        if not promote and (bisect_right(sk, key) if sk else 0) >= nu_in:
+            return False  # Step 13: the non-SP quota gate rejects it
+        keys = self.KEYS[v]
         sflags = self.SFLAGS[v]
         lcol = self.LCOL[v]
         pcol = self.PCOL[v]
@@ -649,7 +769,6 @@ class _PipelinedKernel:
             lcol.insert(gi, l)
             pcol.insert(gi, y)
             fcol.insert(gi, True)
-            sk = skeys.get(x)
             if sk is None:
                 sk = skeys[x] = []
                 sflags[x] = []
@@ -700,31 +819,27 @@ class _PipelinedKernel:
                 self.LASTSP[v] = r
             if r >= _ceil(kappa + pos):  # Invariant 1 (Lemma II.12)
                 self._inv1_fail(v, r, d, l, kappa, x, y, True, pos)
-        else:
-            # Step 13: non-SP quota gate, then Insert with eviction of
-            # the closest non-SP same-source entry above.
-            sk = skeys.get(x)
-            below = bisect_right(sk, key) if sk else 0
-            if below < nu_in:
-                gi = bisect_right(keys, key)
-                keys.insert(gi, key)
-                lcol.insert(gi, l)
-                pcol.insert(gi, y)
-                fcol.insert(gi, False)
-                if sk is None:
-                    sk = skeys[x] = []
-                    sflags[x] = []
-                sf = sflags[x]
-                j = bisect_right(sk, key)
-                sk.insert(j, key)
-                sf.insert(j, False)
-                self._hist_link(v, len(sk))
-                bud = self.budget
-                if bud is None or len(sk) > bud:
-                    self._evict_above(v, x, j)
-                pos = gi + 1
-                if r >= _ceil(kappa + pos):  # Invariant 1 (Lemma II.12)
-                    self._inv1_fail(v, r, d, l, kappa, x, y, False, pos)
+            return True
+        # Step 13 admitted it: Insert with eviction of the closest
+        # non-SP same-source entry above.  (A non-SP arrival passes the
+        # quota only with a finite best, so its source has entries.)
+        gi = bisect_right(keys, key)
+        keys.insert(gi, key)
+        lcol.insert(gi, l)
+        pcol.insert(gi, y)
+        fcol.insert(gi, False)
+        sf = sflags[x]
+        j = bisect_right(sk, key)
+        sk.insert(j, key)
+        sf.insert(j, False)
+        self._hist_link(v, len(sk))
+        bud = self.budget
+        if bud is None or len(sk) > bud:
+            self._evict_above(v, x, j)
+        pos = gi + 1
+        if r >= _ceil(kappa + pos):  # Invariant 1 (Lemma II.12)
+            self._inv1_fail(v, r, d, l, kappa, x, y, False, pos)
+        return True
 
     def _evict_above(self, v: int, x: int, src_index: int) -> None:
         """Remove the closest non-SP entry for source *x* strictly above

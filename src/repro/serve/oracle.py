@@ -1,13 +1,11 @@
 """The distance oracle: pipelined APSP tables behind a query surface.
 
 :class:`DistanceOracle` is the product the paper's algorithms exist
-for.  It materializes full distance + next-hop tables by running the
-pipelined k-SSP algorithms **shard by shard** (the source set is
-partitioned round-robin and each partition runs as its own k-source
-computation -- the paper's k-source decomposition, and the same shape
-as nx-parallel's per-source fan-out), wraps each shard in a
-:class:`~repro.core.RoutingTable`, and answers ``distance(u, v)`` /
-``path(u, v)`` point queries out of them.
+for.  It materializes full distance + next-hop tables with **one**
+k-source pipeline over every served source, slices the rows into
+round-robin **shards** (the unit a refresh rebuilds and swaps), wraps
+each shard in a :class:`~repro.core.RoutingTable`, and answers
+``distance(u, v)`` / ``path(u, v)`` point queries out of them.
 
 Epoch-versioned tables
 ----------------------
@@ -103,12 +101,14 @@ class DistanceOracle:
     sources:
         Query origins to materialize (default: every node = APSP).
     num_shards:
-        Source partitions; each builds as its own k-source run and
-        swaps independently on refresh (default: ~sqrt(k), capped so a
-        shard never goes empty).
+        Source partitions; each is rebuilt and swapped independently on
+        refresh (default: ~sqrt(k), capped so a shard never goes
+        empty).  The initial build is one run over all sources either
+        way.
     method / backend:
-        Passed to :func:`repro.core.api.k_ssp` per shard -- the fast
-        backend serves strictly fresher tables for the same wall-clock.
+        Passed to :func:`repro.core.api.k_ssp` (``"auto"`` is resolved
+        once, for the whole source set) -- the fast backend serves
+        strictly fresher tables for the same wall-clock.
     cache_size:
         LRU route-cache capacity (0 disables caching).
     registry:
@@ -165,19 +165,22 @@ class DistanceOracle:
     # -- table materialization ----------------------------------------
 
     def _materialize(self) -> TableView:
-        """Run the k-source pipeline once per partition and wrap the
-        results into epoch-0 shards."""
+        """Run the k-source pipeline once over every served source and
+        slice its rows into the epoch-0 shards.  One pipeline, not one
+        per shard: Theorem I.1(iii)'s ``2 sqrt(Delta k n) + n + k``
+        rounds grow less than linearly in k, so ~sqrt(k) separate runs
+        would pay several times the rounds."""
         from ..core.api import k_ssp
+        res = k_ssp(self.graph, list(self.sources), method=self.method,
+                    backend=self.backend)
+        self._build_rounds += res.metrics.rounds
         shards: List[TableShard] = []
         shard_of: Dict[int, int] = {}
         for i, part in enumerate(self._partitions):
-            res = k_ssp(self.graph, list(part), method=self.method,
-                        backend=self.backend)
             table = RoutingTable(
                 self.graph,
                 {s: res.dist[s] for s in part},
                 {s: res.parent[s] for s in part})
-            self._build_rounds += res.metrics.rounds
             shards.append(TableShard(i, part, table, epoch=0))
             for s in part:
                 shard_of[s] = i

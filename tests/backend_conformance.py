@@ -48,6 +48,7 @@ from differential import (
     assert_networks_equivalent,
     metrics_summary,
     post_mortem_summary,
+    program_states,
 )
 from repro.congest import (
     Envelope,
@@ -58,12 +59,14 @@ from repro.congest import (
 )
 from repro.core import run_apsp, run_apsp_blocker, run_hk_ssp, run_short_range
 from repro.core.bellman_ford import BellmanFordProgram, run_bellman_ford
-from repro.core.pipelined import PipelinedSSPProgram
+from repro.core.keys import gamma_for
+from repro.core.pipelined import PipelinedSSPProgram, theorem11_round_bound
 from repro.core.unweighted import UnweightedAPSPProgram
 from repro.faults import FaultPlan
 from repro.faults.monitor import oracle_monitor
 from repro.graphs import io as gio
-from repro.graphs import path_graph, random_graph
+from repro.graphs import WeightedDigraph, path_graph, random_graph
+from repro.graphs.reference import weak_delta_bound
 from repro.obs import Tracer
 from repro.perf import ColumnarNetwork, make_network, use_backend
 from repro.perf import columnar as columnar_mod
@@ -139,6 +142,23 @@ def test_bellman_ford_hop_limited_differential(backend, data):
                                  backend=backend)
 
 
+def assert_pipelined_states_equivalent(g, sources, h, backend):
+    """Every program's ``export_kernel_state()`` -- list columns, bests,
+    ``max_list_len``, ``max_per_source``, ``last_sp_round``, ``sends``
+    -- equals the reference's after an Algorithm 1 run, built as
+    :func:`run_hk_ssp` builds it (same Delta, gamma and cutoff round)
+    but at network level, where every program can be read."""
+    sources = tuple(sources)
+    k = len(sources)
+    delta = weak_delta_bound(g, sources, h)
+    gamma = gamma_for(h, k, delta)
+    cutoff = theorem11_round_bound(h, k, delta)
+    return assert_networks_equivalent(
+        g, lambda v: PipelinedSSPProgram(v, sources, h, gamma,
+                                         cutoff_round=cutoff),
+        max_rounds=cutoff, backend=backend, states=True)
+
+
 @backends
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -151,6 +171,7 @@ def test_pipelined_hk_ssp_differential(backend, data):
     assert_entrypoint_equivalent(run_hk_ssp, g, sources, h,
                                  compare=("dist", "sources", "delta"),
                                  backend=backend)
+    assert_pipelined_states_equivalent(g, sources, h, backend)
 
 
 @backends
@@ -278,11 +299,12 @@ def test_composite_fault_differential(backend, data):
 # --- resumption conformance: interrupt, post-mortem, resume ----------
 
 
-def _run_resumed(network_cls, g, source, budgets, factory=None):
+def _run_resumed(network_cls, g, source, budgets, factory=None,
+                 states=False):
     """Drive one network through a ``run`` per budget (absolute round
     numbers, reference resumption contract), capturing each leg's
     outcome -- including the round-limit post-mortem -- and the final
-    state."""
+    state (with ``states=True``, every program's kernel state too)."""
     if factory is None:
         factory = lambda v: BellmanFordProgram(v, source)
     net = network_cls(g, factory)
@@ -299,6 +321,7 @@ def _run_resumed(network_cls, g, source, budgets, factory=None):
         "outputs": net.outputs(),
         "metrics": metrics_summary(net.metrics),
         "round": net._round,
+        "states": program_states(net) if states else None,
     }
 
 
@@ -524,17 +547,34 @@ def test_columnar_bulk_implementations_agree(columnar_impl):
 
 def test_columnar_pipelined_bulk_implementations_agree(columnar_impl):
     """The pipelined bulk kernel matches the reference under the forced
-    implementation (numpy or pure-Python) -- entry point and
-    resumption, both list kernels' state rebuilt in place."""
+    implementation (numpy or pure-Python) -- entry point, per-program
+    state, and resumption, both list kernels' state rebuilt in place."""
     g = random_graph(14, p=0.35, w_max=6, zero_fraction=0.3, seed=7,
                      directed=True)
     assert_entrypoint_equivalent(run_hk_ssp, g, [0, 4, 9], 5,
                                  compare=("dist", "sources", "delta"),
                                  backend="columnar")
+    assert_pipelined_states_equivalent(g, [0, 4, 9], 5, "columnar")
     factory = lambda v: PipelinedSSPProgram(v, (0, 4, 9), h=5, gamma=1.5)
-    ref = _run_resumed(Network, g, 0, (5, 10 ** 5), factory=factory)
-    got = _run_resumed(ColumnarNetwork, g, 0, (5, 10 ** 5), factory=factory)
+    ref = _run_resumed(Network, g, 0, (5, 10 ** 5), factory=factory,
+                       states=True)
+    got = _run_resumed(ColumnarNetwork, g, 0, (5, 10 ** 5),
+                       factory=factory, states=True)
     assert got == ref
+
+
+def test_columnar_pipelined_state_two_node_cycle(columnar_impl):
+    """Graph 0 <-> 1 (weight 3), sources {0}.  Node 0's only arrival,
+    its own distance echoed back by node 1, changes nothing -- yet the
+    reference's receive epilogue still raises node 0's
+    ``max_list_len_seen`` from 0 (the source entry was inserted by
+    ``on_start``, which updates no stats) to 1.  A kernel that skips the
+    epilogue for receivers whose every arrival is rejected drifts here,
+    and checkpoints capture the drift."""
+    g = WeightedDigraph.from_edges(2, [(0, 1, 3), (1, 0, 3)])
+    _ref, alt = assert_pipelined_states_equivalent(g, [0], 1, "columnar")
+    assert alt._columnar_kernel() is not None
+    assert alt.programs[0].max_list_len_seen == 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -543,8 +583,8 @@ def test_columnar_pipelined_numpy_python_agree(data):
     """REPRO_COLUMNAR_NUMPY agreement corpus for the pipelined kernel:
     the numpy and pure-Python bulk implementations produce identical
     executions (outputs AND full metrics) on the Hypothesis graph
-    strategy -- so implementation selection can never change an
-    observable."""
+    strategy, and each leaves every program in the reference's state
+    -- so implementation selection can never change an observable."""
     if columnar_mod._numpy() is None:
         pytest.skip("numpy not importable")
     g = data.draw(small_graphs)
@@ -557,10 +597,11 @@ def test_columnar_pipelined_numpy_python_agree(data):
         prev = columnar_mod.set_numpy_enabled(use_np)
         try:
             res = run_hk_ssp(g, sources, h, backend="columnar")
+            runs[use_np] = (res.dist, res.sources, res.delta,
+                            metrics_summary(res.metrics))
+            assert_pipelined_states_equivalent(g, sources, h, "columnar")
         finally:
             columnar_mod.set_numpy_enabled(prev)
-        runs[use_np] = (res.dist, res.sources, res.delta,
-                        metrics_summary(res.metrics))
     assert runs[True] == runs[False]
 
 
@@ -646,7 +687,11 @@ def test_columnar_numpy_flag_validation(monkeypatch):
 #: below keeps these in sync with the registry, so a future mode cannot
 #: silently go mutation-untested).
 _BF_CORRUPTION_MODES = ("evict-off-by-one", "stale-count")
-_PIPELINED_CORRUPTION_MODES = ("send-rank-off-by-one", "nu-off-by-one")
+_PIPELINED_CORRUPTION_MODES = ("send-rank-off-by-one", "nu-off-by-one",
+                               "reject-filter-off-by-one")
+#: Modes living in the numpy reject pass, which the pure-Python
+#: implementation does not have.
+_NUMPY_ONLY_CORRUPTION_MODES = ("reject-filter-off-by-one",)
 
 
 class TestConformanceCatchesCorruption:
@@ -664,7 +709,7 @@ class TestConformanceCatchesCorruption:
     def _pipelined_corpus(self):
         """Deterministic replays of the Hypothesis pipelined strategy
         (multi-source random graphs with zero-weight edges, plus the
-        canonical path): instances on which both pipelined corruption
+        canonical path): instances on which the pipelined corruption
         modes provably perturb the execution."""
         return [
             (random_graph(12, p=0.4, w_max=5, zero_fraction=0.2, seed=0),
@@ -694,12 +739,29 @@ class TestConformanceCatchesCorruption:
     def test_corrupted_pipelined_round_is_caught(self, mode, columnar_impl):
         """A corrupted send-schedule rank (entries firing a round early)
         and a corrupted nu-count (one entry of padding too many) must
-        both be caught on *every* corpus instance."""
+        both be caught on *every* corpus instance.
+
+        A corrupted reject pass (dropping deliveries whose nu is one
+        above the count, which the quota admits) lives in the numpy
+        implementation only, and drops only non-promotions, which the
+        single-source path never receives -- so it must be caught on
+        every multi-source instance.  What it drops is padding, so the
+        corrupted run either diverges or trips the kernel's inline
+        Invariant 1 check on an insert the padding would have pushed
+        later; the reference run of each instance is clean (see the
+        uncorrupted control)."""
+        corpus = self._pipelined_corpus()
+        caught = "columnar backend diverged"
+        if mode in _NUMPY_ONLY_CORRUPTION_MODES:
+            if columnar_impl != "numpy":
+                pytest.skip("the reject pass runs in the numpy "
+                            "implementation only")
+            corpus = [c for c in corpus if len(c[1]) > 1]
+            caught += "|Invariant 1 violated"
         prev = columnar_mod.set_corruption(mode)
         try:
-            for g, srcs, h in self._pipelined_corpus():
-                with pytest.raises(AssertionError,
-                                   match="columnar backend diverged"):
+            for g, srcs, h in corpus:
+                with pytest.raises(AssertionError, match=caught):
                     assert_entrypoint_equivalent(
                         run_hk_ssp, g, srcs, h,
                         compare=("dist", "sources", "delta"),
@@ -717,6 +779,7 @@ class TestConformanceCatchesCorruption:
             assert_entrypoint_equivalent(
                 run_hk_ssp, g, srcs, h,
                 compare=("dist", "sources", "delta"), backend="columnar")
+            assert_pipelined_states_equivalent(g, srcs, h, "columnar")
 
     def test_unknown_corruption_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown corruption mode"):

@@ -34,7 +34,7 @@ always the other side of the comparison.  Three entry points:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.congest import Network, RoundLimitExceeded, RunMetrics
 from repro.faults.monitor import InvariantViolation
@@ -101,11 +101,20 @@ def post_mortem_summary(pm) -> Optional[Dict[str, Any]]:
     }
 
 
+def program_states(net) -> List[Dict[str, Any]]:
+    """Every program's ``export_kernel_state()``: the per-node Algorithm 1
+    state (list columns, bests, ``max_list_len``, ``max_per_source``,
+    ``last_sp_round``, ``sends``) that outputs and metrics do not show
+    but checkpoints capture."""
+    return [p.export_kernel_state() for p in net.programs]
+
+
 def assert_networks_equivalent(graph, program_factory, *, max_rounds: int,
-                               backend: str = "fast",
+                               backend: str = "fast", states: bool = False,
                                **kwargs) -> Tuple[Network, Any]:
     """Run the same program on the reference backend and on *backend*;
-    assert equal outputs and equal metrics summaries.
+    assert equal outputs and equal metrics summaries -- and, with
+    ``states=True`` (pipelined programs), equal :func:`program_states`.
     ``program_factory`` is called once per node per backend, so it must
     build fresh program state each call (every factory in this repo
     does).  Returns both networks for follow-up assertions."""
@@ -116,6 +125,14 @@ def assert_networks_equivalent(graph, program_factory, *, max_rounds: int,
     assert alt.outputs() == ref.outputs(), \
         f"{backend} backend diverged from reference on node outputs"
     assert_metrics_equal(m_alt, m_ref, backend=backend)
+    if states:
+        for v, (got, want) in enumerate(zip(program_states(alt),
+                                            program_states(ref))):
+            assert got == want, (
+                f"{backend} backend diverged from reference on node {v}'s "
+                f"program state: "
+                + "; ".join(f"{k}: {backend}={got[k]!r} ref={want[k]!r}"
+                            for k in want if got[k] != want[k]))
     return ref, alt
 
 

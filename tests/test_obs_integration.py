@@ -79,15 +79,26 @@ class TestPassivity:
 
 
 class TestProfiling:
-    def test_hot_loops_report_timers(self, g):
+    # Explicit backends: the ambient one (REPRO_BACKEND) may be the
+    # columnar engine, whose bulk kernel records its own round timer.
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_hot_loops_report_timers(self, g, backend):
         with ProfileSession() as prof:
-            run_apsp(g)
+            run_apsp(g, backend=backend)
         names = set(prof.timers)
         assert {"network.round", "node.send_many",
                 "node_list.fire_at", "node_list.next_fire_after"} <= names
         assert prof.wall_seconds > 0
         assert "network.round" in prof.report()
         assert HOT.session is None  # deactivated on exit
+
+    def test_columnar_kernel_reports_round_timer(self, g):
+        """The pipelined bulk kernel's round timer records samples --
+        the signal perfbench's FALLBACK detection reads."""
+        with ProfileSession() as prof:
+            run_apsp(g, backend="columnar")
+        assert prof.timers["columnar.pipelined.round"].count > 0
+        assert HOT.session is None
 
     def test_sessions_do_not_nest(self):
         with ProfileSession():

@@ -273,6 +273,21 @@ class TestOracleQueries:
         assert sorted(seen) == list(range(graph.n))
         assert len(o.view.shards) == 3
 
+    @pytest.mark.parametrize("backend", ["reference", "columnar"])
+    def test_build_is_one_pipeline_over_all_sources(self, graph, backend):
+        """The shards are slices of ONE k_ssp over every served source,
+        and the build costs exactly that run's rounds."""
+        from repro.core.api import k_ssp
+        sources = [0, 3, 5, 8, 13, 19]
+        o = DistanceOracle(graph, sources=sources, num_shards=3,
+                           method="pipelined", backend=backend)
+        res = k_ssp(graph, sources, method="pipelined", backend=backend)
+        assert o.build_rounds == res.metrics.rounds
+        for shard in o.view.shards:
+            for s in shard.sources:
+                assert shard.table.dist[s] == res.dist[s]
+                assert shard.table.parent[s] == res.parent[s]
+
     def test_metrics_published(self, graph):
         reg = MetricsRegistry()
         o = DistanceOracle(graph, num_shards=2, method="bellman-ford",
