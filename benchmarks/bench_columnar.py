@@ -6,9 +6,7 @@ columnar backend -- the message-volume-dominated regime the columnar
 engine's bulk array rounds target -- and differentially re-checks every
 timed pair (distances, hops, parents, rounds, messages, words,
 per-channel and per-node counters), so a "speedup" can never hide a
-divergence.  Each size is measured once per bulk implementation (numpy
-and the pure-Python fallback) because both must stay fast enough to be
-worth selecting.
+divergence.
 
 Two entry points:
 
@@ -16,9 +14,9 @@ Two entry points:
   shared last-run report store alongside the other experiments;
 * ``python benchmarks/bench_columnar.py --min-speedup 2.0``, the CI
   gate: persists the measurements into the BenchStore
-  (``BENCH_columnar.json``) and exits non-zero if the numpy (or, absent
-  numpy, pure-Python) speedup over the fast backend at the largest size
-  is below the threshold.  CI runs it in the bench-smoke job.
+  (``BENCH_columnar.json``) and exits non-zero if the speedup over the
+  fast backend at the largest size is below the threshold.  CI runs it
+  in the bench-smoke job.
 """
 
 import argparse
@@ -29,15 +27,8 @@ from repro.analysis import render_report
 from repro.analysis.sweep import sweep_columnar
 
 
-def _largest(rep, impl):
-    rows = [m for m in rep.rows if m.params["impl"] == impl]
-    return max(rows, key=lambda m: m.params["n"]) if rows else None
-
-
-def _primary_impl(rep):
-    """The implementation the gate applies to: numpy when available
-    (it is what ambient selection uses), else the pure-Python fallback."""
-    return "numpy" if _largest(rep, "numpy") is not None else "python"
+def _largest(rep):
+    return max(rep.rows, key=lambda m: m.params["n"])
 
 
 def test_columnar_speedup(benchmark, report_sink):
@@ -48,10 +39,10 @@ def test_columnar_speedup(benchmark, report_sink):
     # The hard gate (>=2x at the largest size) is the CI __main__ below
     # (best-of-3 on a quiet runner); here we only pin the direction so a
     # busy dev machine cannot flake the suite.
-    largest = _largest(rep, _primary_impl(rep))
+    largest = _largest(rep)
     assert largest.measured > 1.0, (
-        f"columnar backend slower than fast at n={largest.params['n']} "
-        f"(impl={largest.params['impl']}): {largest.measured}x")
+        f"columnar backend slower than fast at n={largest.params['n']}: "
+        f"{largest.measured}x")
 
 
 def main(argv=None) -> int:
@@ -62,9 +53,8 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=3,
                     help="best-of-N timing repeats per backend")
     ap.add_argument("--min-speedup", type=float, default=2.0,
-                    help="fail (exit 1) if the primary-implementation "
-                         "speedup over the fast backend at the largest "
-                         "size is below this")
+                    help="fail (exit 1) if the speedup over the fast "
+                         "backend at the largest size is below this")
     ap.add_argument("--store", default=str(Path(__file__).parent),
                     help="BenchStore directory for the persisted record")
     ap.add_argument("--name", default="columnar",
@@ -79,21 +69,14 @@ def main(argv=None) -> int:
     path = BenchStore(args.store).save(args.name, [rep])
     print(f"\nwrote {path}")
 
-    impl = _primary_impl(rep)
-    largest = _largest(rep, impl)
+    largest = _largest(rep)
     if largest.measured < args.min_speedup:
         print(f"FAIL: columnar speedup {largest.measured}x at "
-              f"n={largest.params['n']} (impl={impl}) is below the "
+              f"n={largest.params['n']} is below the "
               f"{args.min_speedup}x gate", file=sys.stderr)
         return 1
-    print(f"OK ({impl}): {largest.measured}x >= {args.min_speedup}x at "
+    print(f"OK: {largest.measured}x >= {args.min_speedup}x at "
           f"n={largest.params['n']}")
-    # The fallback is informational, not gated: it must merely never
-    # be a slowdown (direction-only, same as the pytest smoke above).
-    fallback = _largest(rep, "python")
-    if impl != "python" and fallback is not None:
-        print(f"fallback (python): {fallback.measured}x at "
-              f"n={fallback.params['n']}")
     return 0
 
 

@@ -6,8 +6,7 @@ graphs with spread sources -- on the fast backend and on the columnar
 backend's pipelined bulk kernel (repro.perf.columnar_pipelined), and
 differentially re-checks every timed pair (distances, source set,
 Delta, rounds, messages, words, per-channel and per-node counters), so
-a "speedup" can never hide a divergence.  Each size is measured once
-per bulk implementation (numpy and the pure-Python fallback).
+a "speedup" can never hide a divergence.
 
 Two entry points:
 
@@ -15,12 +14,9 @@ Two entry points:
   shared last-run report store alongside the other experiments;
 * ``python benchmarks/bench_columnar_pipelined.py --min-speedup 2.0``,
   the CI gate: persists the measurements into the BenchStore
-  (``BENCH_columnar_pipelined.json``) and exits non-zero if the numpy
-  (or, absent numpy, pure-Python) speedup over the fast backend at the
-  largest size is below the threshold, **or** if the pure-Python
-  fallback is not itself faster than the fast backend (the fallback
-  ships the same bulk semantics without numpy and must never rot into
-  a slowdown).  CI runs it in the bench-smoke job.
+  (``BENCH_columnar_pipelined.json``) and exits non-zero if the
+  speedup over the fast backend at the largest size is below the
+  threshold.  CI runs it in the bench-smoke job.
 """
 
 import argparse
@@ -31,16 +27,8 @@ from repro.analysis import render_report
 from repro.analysis.sweep import sweep_columnar_pipelined
 
 
-def _largest(rep, impl):
-    rows = [m for m in rep.rows if m.params["impl"] == impl]
-    return max(rows, key=lambda m: m.params["n"]) if rows else None
-
-
-def _primary_impl(rep):
-    """The implementation the >= min-speedup gate applies to: numpy
-    when available (it is what ambient selection uses), else the
-    pure-Python fallback."""
-    return "numpy" if _largest(rep, "numpy") is not None else "python"
+def _largest(rep):
+    return max(rep.rows, key=lambda m: m.params["n"])
 
 
 def test_columnar_pipelined_speedup(benchmark, report_sink):
@@ -49,14 +37,13 @@ def test_columnar_pipelined_speedup(benchmark, report_sink):
             sizes=((96, 0.12, 12, 10), (128, 0.10, 16, 12)), repeats=3),
         rounds=1, iterations=1)
     report_sink(rep)
-    # The hard gate (>=2x at the largest size, fallback above 1x) is
-    # the CI __main__ below (best-of-3 on a quiet runner); here we only
-    # pin the direction so a busy dev machine cannot flake the suite.
-    largest = _largest(rep, _primary_impl(rep))
+    # The hard gate (>=2x at the largest size) is the CI __main__ below
+    # (best-of-3 on a quiet runner); here we only pin the direction so a
+    # busy dev machine cannot flake the suite.
+    largest = _largest(rep)
     assert largest.measured > 1.0, (
         f"columnar pipelined kernel slower than fast at "
-        f"n={largest.params['n']} (impl={largest.params['impl']}): "
-        f"{largest.measured}x")
+        f"n={largest.params['n']}: {largest.measured}x")
 
 
 def main(argv=None) -> int:
@@ -69,13 +56,8 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=3,
                     help="best-of-N timing repeats per backend")
     ap.add_argument("--min-speedup", type=float, default=2.0,
-                    help="fail (exit 1) if the primary-implementation "
-                         "speedup over the fast backend at the largest "
-                         "size is below this")
-    ap.add_argument("--min-fallback", type=float, default=1.0,
-                    help="fail (exit 1) if the pure-Python fallback "
-                         "speedup at the largest size is at or below "
-                         "this")
+                    help="fail (exit 1) if the speedup over the fast "
+                         "backend at the largest size is below this")
     ap.add_argument("--store", default=str(Path(__file__).parent),
                     help="BenchStore directory for the persisted record")
     ap.add_argument("--name", default="columnar_pipelined",
@@ -92,27 +74,14 @@ def main(argv=None) -> int:
     path = BenchStore(args.store).save(args.name, [rep])
     print(f"\nwrote {path}")
 
-    impl = _primary_impl(rep)
-    largest = _largest(rep, impl)
+    largest = _largest(rep)
     if largest.measured < args.min_speedup:
         print(f"FAIL: columnar pipelined speedup {largest.measured}x at "
-              f"n={largest.params['n']} (impl={impl}) is below the "
+              f"n={largest.params['n']} is below the "
               f"{args.min_speedup}x gate", file=sys.stderr)
         return 1
-    print(f"OK ({impl}): {largest.measured}x >= {args.min_speedup}x at "
+    print(f"OK: {largest.measured}x >= {args.min_speedup}x at "
           f"n={largest.params['n']}")
-    # Unlike E23, the fallback is gated, not informational: the
-    # acceptance contract is that the pure-Python bulk path also beats
-    # the fast backend, so numpy can never become load-bearing.
-    fallback = _largest(rep, "python")
-    if impl != "python" and fallback is not None:
-        if fallback.measured <= args.min_fallback:
-            print(f"FAIL: pure-Python fallback {fallback.measured}x at "
-                  f"n={fallback.params['n']} is not above the "
-                  f"{args.min_fallback}x floor", file=sys.stderr)
-            return 1
-        print(f"fallback (python): {fallback.measured}x at "
-              f"n={fallback.params['n']}")
     return 0
 
 

@@ -401,11 +401,6 @@ def sweep_columnar(*, sides: Sequence[int] = (30, 60, 100), w_max: int = 6,
     messages, words, per-channel and per-node counters), so a speedup
     can never come from the backends quietly computing different things.
 
-    Each size produces one row per available bulk implementation
-    (``impl="numpy"`` and, always, ``impl="python"`` -- the pure-Python
-    fallback ships the same bulk semantics without numpy and gets its
-    own number so the fallback cannot silently rot into a slowdown).
-
     ``timing=False`` switches to the deterministic mode used by the
     ``obs bench`` smoke suite and its committed baseline: no clocks --
     ``measured`` is the (deterministic) round count plus the
@@ -417,64 +412,54 @@ def sweep_columnar(*, sides: Sequence[int] = (30, 60, 100), w_max: int = 6,
     """
     from ..core.bellman_ford import run_bellman_ford
     from ..graphs import grid_graph
-    from ..perf import columnar as columnar_mod
 
     rep = report or ExperimentReport(
         "E23", "Columnar backend speedup: bulk-synchronous array rounds "
                "vs the fast backend's per-message delivery on grid "
                "Bellman-Ford (single source, random weights)")
-    impls = (("numpy", "python") if columnar_mod._numpy() is not None
-             else ("python",))
     for side in sides:
         g = grid_graph(side, side, w_max=w_max, zero_fraction=zero_fraction,
                        seed=seed)
-        for impl in impls:
 
-            def timed(backend):
-                t0 = time.perf_counter()
-                r = run_bellman_ford(g, 0, backend=backend)
-                return time.perf_counter() - t0, r
+        def timed(backend):
+            t0 = time.perf_counter()
+            r = run_bellman_ford(g, 0, backend=backend)
+            return time.perf_counter() - t0, r
 
-            prev = columnar_mod.set_numpy_enabled(impl == "numpy")
-            try:
-                fast_s = col_s = math.inf
-                fast_res = col_res = None
-                for _ in range(max(1, repeats if timing else 1)):
-                    dt, r = timed("fast")
-                    if dt < fast_s:
-                        fast_s, fast_res = dt, r
-                    dt, c = timed("columnar")
-                    if dt < col_s:
-                        col_s, col_res = dt, c
-            finally:
-                columnar_mod.set_numpy_enabled(prev)
-            if (fast_res.dist != col_res.dist
-                    or fast_res.hops != col_res.hops
-                    or fast_res.parent != col_res.parent):
-                raise AssertionError(
-                    f"E23 side={side} impl={impl}: backends disagree on "
-                    f"outputs -- speedup numbers would be meaningless "
-                    f"(conformance suite escape, see "
-                    f"tests/backend_conformance.py)")
-            mf, mc = fast_res.metrics, col_res.metrics
-            if (mf.rounds != mc.rounds or mf.messages != mc.messages
-                    or mf.words != mc.words
-                    or mf.channel_messages != mc.channel_messages
-                    or mf.node_sends != mc.node_sends):
-                raise AssertionError(
-                    f"E23 side={side} impl={impl}: backends disagree on "
-                    f"metrics (rounds {mf.rounds} vs {mc.rounds}, "
-                    f"messages {mf.messages} vs {mc.messages}, words "
-                    f"{mf.words} vs {mc.words})")
-            base = {"n": g.n, "rows": side, "cols": side, "impl": impl}
-            if timing:
-                rep.add(base, measured=round(fast_s / col_s, 2),
-                        fast_s=round(fast_s, 4),
-                        columnar_s=round(col_s, 4),
-                        rounds=mc.rounds, messages=mc.messages)
-            else:
-                rep.add(base, measured=mc.rounds, messages=mc.messages,
-                        words=mc.words, backends_agree=1)
+        fast_s = col_s = math.inf
+        fast_res = col_res = None
+        for _ in range(max(1, repeats if timing else 1)):
+            dt, r = timed("fast")
+            if dt < fast_s:
+                fast_s, fast_res = dt, r
+            dt, c = timed("columnar")
+            if dt < col_s:
+                col_s, col_res = dt, c
+        if (fast_res.dist != col_res.dist
+                or fast_res.hops != col_res.hops
+                or fast_res.parent != col_res.parent):
+            raise AssertionError(
+                f"E23 side={side}: backends disagree on outputs -- "
+                f"speedup numbers would be meaningless (conformance "
+                f"suite escape, see tests/backend_conformance.py)")
+        mf, mc = fast_res.metrics, col_res.metrics
+        if (mf.rounds != mc.rounds or mf.messages != mc.messages
+                or mf.words != mc.words
+                or mf.channel_messages != mc.channel_messages
+                or mf.node_sends != mc.node_sends):
+            raise AssertionError(
+                f"E23 side={side}: backends disagree on metrics (rounds "
+                f"{mf.rounds} vs {mc.rounds}, messages {mf.messages} vs "
+                f"{mc.messages}, words {mf.words} vs {mc.words})")
+        base = {"n": g.n, "rows": side, "cols": side}
+        if timing:
+            rep.add(base, measured=round(fast_s / col_s, 2),
+                    fast_s=round(fast_s, 4),
+                    columnar_s=round(col_s, 4),
+                    rounds=mc.rounds, messages=mc.messages)
+        else:
+            rep.add(base, measured=mc.rounds, messages=mc.messages,
+                    words=mc.words, backends_agree=1)
     return rep
 
 
@@ -503,10 +488,7 @@ def sweep_columnar_pipelined(*, sizes: Sequence[Tuple[int, float, int, int]]
     updates, list_v method calls) the fast backend pays is the dominant
     cost.  ``Delta`` is precomputed once per size via the sequential
     oracle and passed to **both** arms, so only the simulators are
-    timed; each ``(n, p, k, h)`` size runs once per available bulk
-    implementation (``impl="numpy"`` and, always, ``impl="python"`` --
-    the fallback must stay faster than the fast backend, not just
-    exist).
+    timed.
 
     Timing is interleaved best-of-``repeats`` as in E19/E20/E23, and
     every timed pair is differentially re-checked (distances, source
@@ -521,71 +503,59 @@ def sweep_columnar_pipelined(*, sizes: Sequence[Tuple[int, float, int, int]]
 
     ``measured`` (timing mode) is the speedup (fast seconds / columnar
     seconds); the CI gate lives in
-    ``benchmarks/bench_columnar_pipelined.py`` (fails below 2x for the
-    primary implementation at the largest size, or if the pure-Python
-    fallback drops to/below 1x).
+    ``benchmarks/bench_columnar_pipelined.py`` (fails below 2x at the
+    largest size).
     """
     from ..graphs.reference import weak_delta_bound
-    from ..perf import columnar as columnar_mod
 
     rep = report or ExperimentReport(
         "E24", "Columnar pipelined kernel speedup: Algorithm 1 as bulk "
                "column passes vs the fast backend's per-message loop on "
                "dense random (h, k)-SSP instances")
-    impls = (("numpy", "python") if columnar_mod._numpy() is not None
-             else ("python",))
     for n, p, k, h in sizes:
         g = random_graph(n, p=p, w_max=w_max, seed=seed, directed=True)
         srcs = list(range(0, n, max(1, n // k)))[:k]
         delta = weak_delta_bound(g, srcs, h)
-        for impl in impls:
 
-            def timed(backend):
-                t0 = time.perf_counter()
-                r = run_hk_ssp(g, srcs, h, delta, backend=backend)
-                return time.perf_counter() - t0, r
+        def timed(backend):
+            t0 = time.perf_counter()
+            r = run_hk_ssp(g, srcs, h, delta, backend=backend)
+            return time.perf_counter() - t0, r
 
-            prev = columnar_mod.set_numpy_enabled(impl == "numpy")
-            try:
-                fast_s = col_s = math.inf
-                fast_res = col_res = None
-                for _ in range(max(1, repeats if timing else 1)):
-                    dt, r = timed("fast")
-                    if dt < fast_s:
-                        fast_s, fast_res = dt, r
-                    dt, c = timed("columnar")
-                    if dt < col_s:
-                        col_s, col_res = dt, c
-            finally:
-                columnar_mod.set_numpy_enabled(prev)
-            if (fast_res.dist != col_res.dist
-                    or fast_res.sources != col_res.sources
-                    or fast_res.delta != col_res.delta):
-                raise AssertionError(
-                    f"E24 n={n} impl={impl}: backends disagree on "
-                    f"outputs -- speedup numbers would be meaningless "
-                    f"(conformance suite escape, see "
-                    f"tests/backend_conformance.py)")
-            mf, mc = fast_res.metrics, col_res.metrics
-            if (mf.rounds != mc.rounds or mf.messages != mc.messages
-                    or mf.words != mc.words
-                    or mf.channel_messages != mc.channel_messages
-                    or mf.node_sends != mc.node_sends):
-                raise AssertionError(
-                    f"E24 n={n} impl={impl}: backends disagree on "
-                    f"metrics (rounds {mf.rounds} vs {mc.rounds}, "
-                    f"messages {mf.messages} vs {mc.messages}, words "
-                    f"{mf.words} vs {mc.words})")
-            base = {"n": n, "p": p, "k": len(srcs), "h": h,
-                    "Delta": delta, "impl": impl}
-            if timing:
-                rep.add(base, measured=round(fast_s / col_s, 2),
-                        fast_s=round(fast_s, 4),
-                        columnar_s=round(col_s, 4),
-                        rounds=mc.rounds, messages=mc.messages)
-            else:
-                rep.add(base, measured=mc.rounds, messages=mc.messages,
-                        words=mc.words, backends_agree=1)
+        fast_s = col_s = math.inf
+        fast_res = col_res = None
+        for _ in range(max(1, repeats if timing else 1)):
+            dt, r = timed("fast")
+            if dt < fast_s:
+                fast_s, fast_res = dt, r
+            dt, c = timed("columnar")
+            if dt < col_s:
+                col_s, col_res = dt, c
+        if (fast_res.dist != col_res.dist
+                or fast_res.sources != col_res.sources
+                or fast_res.delta != col_res.delta):
+            raise AssertionError(
+                f"E24 n={n}: backends disagree on outputs -- speedup "
+                f"numbers would be meaningless (conformance suite "
+                f"escape, see tests/backend_conformance.py)")
+        mf, mc = fast_res.metrics, col_res.metrics
+        if (mf.rounds != mc.rounds or mf.messages != mc.messages
+                or mf.words != mc.words
+                or mf.channel_messages != mc.channel_messages
+                or mf.node_sends != mc.node_sends):
+            raise AssertionError(
+                f"E24 n={n}: backends disagree on metrics (rounds "
+                f"{mf.rounds} vs {mc.rounds}, messages {mf.messages} vs "
+                f"{mc.messages}, words {mf.words} vs {mc.words})")
+        base = {"n": n, "p": p, "k": len(srcs), "h": h, "Delta": delta}
+        if timing:
+            rep.add(base, measured=round(fast_s / col_s, 2),
+                    fast_s=round(fast_s, 4),
+                    columnar_s=round(col_s, 4),
+                    rounds=mc.rounds, messages=mc.messages)
+        else:
+            rep.add(base, measured=mc.rounds, messages=mc.messages,
+                    words=mc.words, backends_agree=1)
     return rep
 
 

@@ -1059,14 +1059,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    from .perf import BackendUnsupported, SweepWorkerError
+    from .perf import SweepWorkerError
     try:
         return args.func(args, out)
     except (FileNotFoundError, ValueError, KeyError,
-            BackendUnsupported, SweepWorkerError) as exc:
+            SweepWorkerError) as exc:
         # expected user errors (missing file, bad parameter, malformed
-        # graph, backend/hook contradiction, failed sweep worker): one
-        # clean message on stderr, exit 2 -- no traceback
+        # graph, failed sweep worker): one clean message on stderr,
+        # exit 2 -- no traceback
         from .graphs.digraph import GraphError  # noqa: F401 (subclass of ValueError)
         sys.stderr.write(f"error: {exc}\n")
         return 2

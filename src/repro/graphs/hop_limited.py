@@ -19,10 +19,9 @@ Two implementations are provided:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - numpy is optional at runtime
-    import numpy as np
+import numpy as np
 
 from .digraph import WeightedDigraph
 
@@ -99,12 +98,8 @@ def hop_limited_apsp_matrix(graph: WeightedDigraph, h: int) -> np.ndarray:
 
     ``out[x, v]`` is the h-hop distance from x to v (``np.inf`` when no
     path with <= h hops exists).  O(h * n * m) with NumPy inner loops over
-    edges batched per iteration.  The one numpy-requiring oracle in this
-    module, so the import is local: the scalar DPs (and the rest of the
-    package) stay usable on a numpy-less interpreter.
+    edges batched per iteration.
     """
-    import numpy as np
-
     n = graph.n
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)

@@ -22,6 +22,8 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from .digraph import WeightedDigraph
 
 INF = float("inf")
@@ -237,15 +239,13 @@ def path_from_parents(parent: Sequence[Optional[int]], source: int, v: int
     return path
 
 
-def apsp_matrix(graph: WeightedDigraph) -> "np.ndarray":
+def apsp_matrix(graph: WeightedDigraph) -> np.ndarray:
     """All-pairs distance matrix via vectorized min-plus squaring.
 
     ``O(n^3 log n)`` NumPy work -- far faster than n Python Dijkstras for
     n above ~50, which is what the large-scale differential tests use.
     Returns ``out[x, v] = delta(x, v)`` with ``np.inf`` for unreachable.
     """
-    import numpy as np
-
     n = graph.n
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)

@@ -11,14 +11,12 @@ correctness for wall-clock silently*:
   is differentially pinned to produce bit-identical outputs,
   :class:`~repro.congest.metrics.RunMetrics`, fault statistics, trace
   streams, and post-mortems (``tests/differential.py``).
-  :class:`BackendUnsupported` remains public API for future backend
-  limitations; nothing raises it today.
 * :class:`ColumnarNetwork` (``backend="columnar"`` /
   ``REPRO_BACKEND=columnar``) goes one step further for the relaxation
-  program family: flat numpy columns (pure-Python fallback behind
-  ``REPRO_COLUMNAR_NUMPY``) and whole-round bulk array operations
-  instead of per-message Python objects; every other program -- and
-  every hooked run -- executes on the inherited event-driven loop.
+  family and the pipelined (h, k)-SSP of Algorithm 1: flat numpy
+  columns and whole-round bulk array operations instead of
+  per-message Python objects; every other program -- and every hooked
+  run -- executes on the inherited event-driven loop.
   Pinned by ``tests/backend_conformance.py``, which parametrizes the
   differential suite over the :data:`BACKENDS` registry.
 * :class:`SweepExecutor` fans seed-major parameter sweeps across
@@ -31,7 +29,6 @@ See docs/PERFORMANCE.md for the contract and the measured speedups.
 
 from .backends import (
     BACKENDS,
-    BackendUnsupported,
     get_default_backend,
     make_network,
     set_default_backend,
@@ -52,7 +49,6 @@ from .sweep_executor import (
 
 __all__ = [
     "BACKENDS",
-    "BackendUnsupported",
     "ColumnarNetwork",
     "EXPERIMENT_SWEEPS",
     "FastNetwork",

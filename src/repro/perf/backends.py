@@ -9,26 +9,19 @@ Three interchangeable CONGEST simulator backends exist:
   bit-identical on outputs, :class:`~repro.congest.metrics.RunMetrics`,
   fault statistics, trace event streams, and post-mortems;
 * ``"columnar"`` -- :class:`repro.perf.columnar.ColumnarNetwork`, the
-  bulk-synchronous engine: flat numpy (or pure-Python, see
-  ``REPRO_COLUMNAR_NUMPY``) columns and per-round array operations for
-  the relaxation program family, the inherited event-driven loop for
-  everything else, pinned by the same differential machinery
-  (``tests/backend_conformance.py`` parametrizes the whole suite over
-  this registry).
+  bulk-synchronous engine: flat numpy columns and per-round array
+  operations for the relaxation family and the pipelined (h, k)-SSP
+  family, the inherited event-driven loop for everything else, pinned
+  by the same differential machinery (``tests/backend_conformance.py``
+  parametrizes the whole suite over this registry).
 
 All backends support the full hook surface (``fault_plan``,
 ``monitor``, ``tracer``, ``registry``, ``record_window``), so backend
 choice is purely a wall-clock decision: there is no hook combination
-that forces one backend, and the unsupported set is empty.  (Historical
-note: the fast backend originally refused the instrumentation hooks
-with :class:`~repro.perf.fast_network.BackendUnsupported`, and ambient
-selection silently fell back to the reference backend for instrumented
-calls.  Both the refusal and the fallback are gone; the exception class
-remains public API so any future backend limitation can keep the
-explicit-vs-ambient rule: an *explicit* ``backend=`` request that
-cannot be honored must raise, never silently degrade, while an
-*ambient* default may fall back only to a differentially-pinned
-equivalent.)
+that forces one backend.  The explicit-vs-ambient rule: an *explicit*
+``backend=`` request is always honored and never silently diverges
+from the reference, and a backend may fall back internally only to a
+differentially-pinned equivalent.
 
 Call sites in :mod:`repro.core` construct networks through
 :func:`make_network` instead of naming a class, and every ``run_*``
@@ -57,7 +50,7 @@ from typing import Any, Callable, Dict, Iterator, Optional
 from ..congest.network import Network
 from ..congest.node import Program
 from .columnar import ColumnarNetwork
-from .fast_network import BackendUnsupported, FastNetwork
+from .fast_network import FastNetwork
 
 #: Backend name -> network class.  All classes share the constructor
 #: signature and the ``run(max_rounds) -> RunMetrics`` contract.
@@ -149,7 +142,7 @@ def make_network(graph: Any, program_factory: Callable[[int], Program],
 
 
 __all__ = [
-    "BACKENDS", "BackendUnsupported", "ColumnarNetwork", "FastNetwork",
+    "BACKENDS", "ColumnarNetwork", "FastNetwork",
     "make_network", "set_default_backend", "get_default_backend",
     "use_backend",
 ]

@@ -60,91 +60,30 @@ tiers: the *static* facts (program family, uniform parameters, graph
 shape) are scanned once per network -- programs and topology are fixed
 at construction, so the O(n + m) verdict is memoized across ``run()``
 re-entries and resumptions -- while the cheap *dynamic* conditions
-(hooks attached after construction, wavefront alignment, the numpy
-gate, paranoid mode) are re-checked at every entry.
+(hooks attached after construction, wavefront alignment, paranoid
+mode) are re-checked at every entry.
 
-numpy is optional.  The bulk kernels have two interchangeable
-implementations -- vectorized numpy and a batched pure-Python fallback
-(no per-message objects either way) -- selected by the
-``REPRO_COLUMNAR_NUMPY`` feature flag (``auto`` when unset: use numpy
-iff importable; ``0`` forces the fallback, ``1`` requires numpy and
-raises if it is missing).  CI runs the conformance suite in a
-numpy-hidden job to keep the fallback honest.
+Both bulk kernels run on numpy, a declared dependency: the CSR
+gathers, candidate computation, scatter-mins and per-edge tallies are
+vector operations, and Python loops remain only where a fold is
+inherently sequential.
 """
 
 from __future__ import annotations
 
-import os
 from math import inf as _INF
 from time import perf_counter as _perf
 from typing import Any, List, Optional, Type
 
+import numpy as np
+
 from ..obs.profiling import HOT as _HOT
-from .fast_network import BackendUnsupported, FastNetwork, RoundLimitExceeded
-
-# ---------------------------------------------------------------------------
-# numpy feature gate
-
-_np = None
-_np_checked = False
-
-
-def _numpy():
-    """The numpy module, or ``None`` -- resolved once, lazily."""
-    global _np, _np_checked
-    if not _np_checked:
-        try:
-            import numpy
-            _np = numpy
-        except ImportError:
-            _np = None
-        _np_checked = True
-    return _np
-
-
-#: Tri-state numpy policy: ``None`` = follow ``REPRO_COLUMNAR_NUMPY``
-#: (then auto-detect); ``True``/``False`` = forced by
-#: :func:`set_numpy_enabled` (tests exercise the fallback this way).
-_numpy_override: Optional[bool] = None
+from .fast_network import FastNetwork, RoundLimitExceeded
 
 
 def numpy_enabled() -> bool:
-    """Whether the bulk kernels use numpy for this process.
-
-    Resolution order: the :func:`set_numpy_enabled` override, then the
-    ``REPRO_COLUMNAR_NUMPY`` environment variable, then auto-detection.
-    Forcing ``1`` without numpy installed raises at the first columnar
-    run rather than silently degrading (the explicit-request rule).
-    """
-    if _numpy_override is not None:
-        return _numpy_override
-    env = os.environ.get("REPRO_COLUMNAR_NUMPY", "auto").strip().lower()
-    if env in ("0", "false", "no", "off"):
-        return False
-    if env in ("1", "true", "yes", "on"):
-        if _numpy() is None:
-            # BackendUnsupported is a RuntimeError the CLI maps to a
-            # clean ``error: ...`` + exit 2 instead of a traceback
-            raise BackendUnsupported(
-                "REPRO_COLUMNAR_NUMPY=1 requires numpy, which is not "
-                "importable; unset it (or set 0) for the pure-Python "
-                "columnar fallback")
-        return True
-    if env not in ("auto", ""):
-        raise ValueError(
-            f"REPRO_COLUMNAR_NUMPY: unknown value {env!r}; expected "
-            f"auto, 0, or 1")
-    return _numpy() is not None
-
-
-def set_numpy_enabled(enabled: Optional[bool]) -> Optional[bool]:
-    """Force (or, with ``None``, un-force) the numpy bulk kernels;
-    returns the previous override.  Test hook mirroring
-    :func:`repro.core.node_list.set_paranoid`."""
-    global _numpy_override
-    prev = _numpy_override
-    _numpy_override = enabled if enabled is None else bool(enabled)
-    return prev
+    """Always ``True``; kept because ``perfbench/run.py`` prints it."""
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +111,7 @@ CORRUPTION_MODES = (
     # of rank + 1, as an inclusive/exclusive mix-up in the segmented
     # nu-count pass would:
     "nu-off-by-one",
-    # pipelined kernel (numpy reject pass): reject deliveries with
+    # pipelined kernel (reject pass): reject deliveries with
     # nu <= count + 1 instead of nu <= count, dropping arrivals the
     # Step 13 quota would admit, as an off-by-one in the filter would:
     "reject-filter-off-by-one",
@@ -189,6 +128,32 @@ def set_corruption(mode: Optional[str]) -> Optional[str]:
             f"{CORRUPTION_MODES}")
     prev, _CORRUPTION = _CORRUPTION, mode
     return prev
+
+
+# ---------------------------------------------------------------------------
+# shared accounting
+
+
+def _flush(kernel, msg_count: int, payload_words: int) -> None:
+    """A bulk kernel's accumulated accounting -> RunMetrics (idempotent:
+    the per-edge tallies are zeroed as they are drained).  Both kernels
+    keep the same CSR tally columns and differ only in words per
+    payload."""
+    metrics = kernel.net.metrics
+    if msg_count:
+        metrics.messages += msg_count
+        metrics.words += payload_words * msg_count
+        if metrics.max_message_words < payload_words:
+            metrics.max_message_words = payload_words
+    counts = kernel._np_edge_msgs
+    (nz,) = np.nonzero(counts)
+    if len(nz):
+        heads = kernel._heads
+        chmsg = metrics.channel_messages
+        srcs = np.searchsorted(kernel._np_indptr, nz, side="right") - 1
+        for e, u, c in zip(nz.tolist(), srcs.tolist(), counts[nz].tolist()):
+            chmsg[(u, heads[e])] += c
+        counts[nz] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +217,7 @@ class _RelaxationKernel:
         mid-flight under faults can restore staggered announce rounds
         onto a fault-free network; such a run takes the generic loop
         (that run only -- the bulk path returns once the stagger
-        drains).  Also re-syncs the numpy feature gate so flag flips
-        between runs are honored on a cached kernel."""
+        drains)."""
         wave_round = None
         for p in self.net.programs:
             a = p._announce
@@ -262,7 +226,6 @@ class _RelaxationKernel:
                     wave_round = a
                 elif a != wave_round:
                     return False
-        self._sync_impl()
         return True
 
     def __init__(self, net: "ColumnarNetwork") -> None:
@@ -270,7 +233,9 @@ class _RelaxationKernel:
         self.n = net.n
         self.max_hops = net.programs[0].max_hops
         # CSR of the outgoing directed edges (broadcast_out targets),
-        # node ranges in increasing node order.
+        # node ranges in increasing node order: Python lists for the
+        # per-element loops (node_sends, the flush), numpy mirrors for
+        # the vector round.
         indptr = [0]
         heads: List[int] = []
         weights: List[int] = []
@@ -281,28 +246,12 @@ class _RelaxationKernel:
             indptr.append(len(heads))
         self._indptr = indptr
         self._heads = heads
-        self._weights = weights
+        self._np_indptr = np.asarray(indptr, dtype=np.int64)
+        self._np_heads = np.asarray(heads, dtype=np.int64)
+        self._np_weights = np.asarray(weights, dtype=np.float64)
         #: Per-CSR-edge message tallies, flushed to the RunMetrics
         #: Counter once per run (bulk accounting, not per-message).
-        self._edge_msgs = [0] * len(heads)
-        self._use_np = False
-        self._np_ready = False
-        self._sync_impl()
-
-    def _sync_impl(self) -> None:
-        """Re-resolve the numpy feature gate and lazily build the numpy
-        mirrors of the CSR arrays.  Cheap; called at construction and at
-        every ``run()`` entry (via :meth:`revalidate`) so a memoized
-        kernel honors ``set_numpy_enabled`` / ``REPRO_COLUMNAR_NUMPY``
-        flips between runs."""
-        self._use_np = numpy_enabled()
-        if self._use_np and not self._np_ready:
-            np = _numpy()
-            self._np_indptr = np.asarray(self._indptr, dtype=np.int64)
-            self._np_heads = np.asarray(self._heads, dtype=np.int64)
-            self._np_weights = np.asarray(self._weights, dtype=np.float64)
-            self._np_edge_msgs = np.zeros(len(self._heads), dtype=np.int64)
-            self._np_ready = True
+        self._np_edge_msgs = np.zeros(len(heads), dtype=np.int64)
 
     # -- load / store ------------------------------------------------------
 
@@ -323,12 +272,9 @@ class _RelaxationKernel:
             if p._announce is not None:
                 wave_round = p._announce
                 wave.append(v)
-        if self._use_np:
-            np = _numpy()
-            d = np.asarray(d, dtype=np.float64)
-            hops = np.asarray(hops, dtype=np.float64)
-            parent = np.asarray(parent, dtype=np.int64)
-        return d, hops, parent, wave, wave_round
+        return (np.asarray(d, dtype=np.float64),
+                np.asarray(hops, dtype=np.float64),
+                np.asarray(parent, dtype=np.int64), wave, wave_round)
 
     def _store(self, d, hops, parent, wave, wave_round) -> None:
         """Columns -> program state, as plain Python scalars (the
@@ -346,38 +292,6 @@ class _RelaxationKernel:
             p.hops = hv if hv == _INF else int(hv)
             p.parent = None if pv < 0 else pv
             p._announce = wave_round if v in scheduled else None
-
-    def _flush(self, msg_count: int, words_total: int) -> None:
-        """Bulk-accumulated accounting -> RunMetrics (idempotent: the
-        per-edge tallies are zeroed as they are drained)."""
-        metrics = self.net.metrics
-        if msg_count:
-            metrics.messages += msg_count
-            metrics.words += words_total
-            if metrics.max_message_words < 1:
-                metrics.max_message_words = 1  # (d,) payloads: 1 word
-        heads = self._heads
-        indptr = self._indptr
-        chmsg = metrics.channel_messages
-        if self._use_np:
-            np = _numpy()
-            counts = self._np_edge_msgs
-            (nz,) = np.nonzero(counts)
-            if len(nz):
-                srcs = np.searchsorted(self._np_indptr, nz, side="right") - 1
-                for e, u, c in zip(nz.tolist(), srcs.tolist(),
-                                   counts[nz].tolist()):
-                    chmsg[(u, heads[e])] += c
-                counts[nz] = 0
-        else:
-            counts = self._edge_msgs
-            u = 0
-            for e, c in enumerate(counts):
-                if c:
-                    while indptr[u + 1] <= e:
-                        u += 1
-                    chmsg[(u, heads[e])] += c
-                    counts[e] = 0
 
     # -- the round loop ----------------------------------------------------
 
@@ -401,14 +315,12 @@ class _RelaxationKernel:
         hops_cap = self.max_hops
         prev_r = net._round
         msg_count = 0
-        words_total = 0
-        round_fn = self._round_numpy if self._use_np else self._round_python
         try:
             while wave:
                 r = wave_round
                 if r > max_rounds:
-                    self._flush(msg_count, words_total)
-                    msg_count = words_total = 0
+                    _flush(self, msg_count, 1)
+                    msg_count = 0
                     sched: List[Optional[int]] = [None] * self.n
                     for v in wave:
                         sched[v] = r
@@ -433,10 +345,9 @@ class _RelaxationKernel:
                     # but offers no load and wakes nobody.
                     wave, wave_round = [], None
                 else:
-                    sent, improved = round_fn(d, hops, parent, wave, r)
+                    sent, improved = self._round(d, hops, parent, wave, r)
                     if sent:
                         msg_count += sent
-                        words_total += sent  # (d,) payloads: 1 word each
                         metrics.active_rounds += 1
                         if r > metrics.rounds:
                             metrics.rounds = r
@@ -455,20 +366,19 @@ class _RelaxationKernel:
                         profile.record("columnar.round", dt)
         finally:
             self._store(d, hops, parent, wave, wave_round)
-            self._flush(msg_count, words_total)
+            _flush(self, msg_count, 1)  # (d,) payloads: 1 word each
             if registry is not None:
                 from ..obs.registry import publish_run_metrics
                 net._published = publish_run_metrics(
                     registry, metrics, state=net._published)
         return metrics
 
-    # -- one round, numpy --------------------------------------------------
+    # -- one round ---------------------------------------------------------
 
-    def _round_numpy(self, d, hops, parent, wave, r):
+    def _round(self, d, hops, parent, wave, r):
         """Round *r*'s sends + deliveries + relaxations as vector
         operations.  Returns ``(messages_sent, improved_nodes)`` with
         ``improved_nodes`` sorted ascending (the next wavefront)."""
-        np = _numpy()
         senders = np.asarray(wave, dtype=np.int64)
         starts = self._np_indptr[senders]
         counts = self._np_indptr[senders + 1] - starts
@@ -498,42 +408,6 @@ class _RelaxationKernel:
             hops[imp] = r
             parent[imp] = win_parent[imp]
         return total, imp.tolist()
-
-    # -- one round, pure Python -------------------------------------------
-
-    def _round_python(self, d, hops, parent, wave, r):
-        """The numpy-free bulk round: still batched (no Envelope or
-        payload objects, accounting into flat counters), just with
-        Python loops doing the gather and the scatter-min."""
-        indptr, heads, weights = self._indptr, self._heads, self._weights
-        edge_msgs = self._edge_msgs
-        total = 0
-        best = {}
-        for u in wave:
-            lo, hi = indptr[u], indptr[u + 1]
-            if lo == hi:
-                continue
-            du = d[u]
-            total += hi - lo
-            for e in range(lo, hi):
-                edge_msgs[e] += 1
-                v = heads[e]
-                cand = du + weights[e]
-                cur = best.get(v)
-                # strict <: an equal candidate from a later (larger)
-                # sender never displaces the earlier one, matching the
-                # sorted-inbox fold of the reference receive loop.
-                if cur is None or cand < cur[0]:
-                    best[v] = (cand, u)
-        improved = []
-        for v, (cand, u) in best.items():
-            if cand < d[v]:
-                d[v] = cand
-                hops[v] = r
-                parent[v] = u
-                improved.append(v)
-        improved.sort()
-        return total, improved
 
 
 #: Kernel registry: the columnar engine takes the bulk path iff some
@@ -620,5 +494,4 @@ __all__ = [
     "ColumnarNetwork",
     "numpy_enabled",
     "set_corruption",
-    "set_numpy_enabled",
 ]

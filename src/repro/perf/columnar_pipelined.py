@@ -25,7 +25,7 @@ On those columns:
 * **Step 2 (deliveries)** run through the CSR gather: one flat
   ``(src, dst, w)`` edge batch per round, candidate ``d' = d + w``,
   ``l' = l + 1`` and ``kappa' = d' * gamma + l'`` computed for the
-  whole batch (vectorized under numpy), per-edge message tallies
+  whole batch as numpy vector ops, per-edge message tallies
   accumulated in flat counters -- no Envelope, payload tuple, or
   Counter update per message;
 * **Steps 8-13 (insert_sp / eviction / nu-counting)** execute as
@@ -46,14 +46,14 @@ reference's sorted inbox -- while everything around that fold
 Reject-first rounds
 -------------------
 Most arrivals change nothing: on dense APSP instances ~85% are neither
-a flag-d* promotion nor admitted by the Step 13 quota.  Under numpy,
-each round therefore runs one vectorized *reject pass* before the fold.
+a flag-d* promotion nor admitted by the Step 13 quota.  Each round
+therefore runs one vectorized *reject pass* before the fold.
 It reads a per-(node, source) snapshot -- the best ``(d, l, parent)``,
 the per-source entry count and the largest per-source key
 ``(kappa, d)``, one float64 row per cell -- and drops every delivery
 that is not a promotion against the snapshot best, whose ``nu`` is at
 most the count, and whose key is at or above the largest key: the
-fold would reject it anyway (the comment in :meth:`_round_numpy`
+fold would reject it anyway (the comment in :meth:`_round`
 proves why a snapshot from any earlier moment of the run is safe).
 The fold runs over what the pass keeps, and the rows of the cells a
 round changed are rewritten afterwards.  Accounting is taken before
@@ -80,9 +80,9 @@ equality differentially (including deliberate-corruption runs via the
 ``reject-filter-off-by-one`` modes this module honors).
 
 Keys are recomputed as the same single multiply-add on ``(d, l)`` as
-the scalar path -- under numpy via a float64 vector op, which is
-bit-identical for the integer ranges the CONGEST word model admits --
-so list orders agree across backends to the last ulp.
+the scalar path -- a float64 vector op, bit-identical for the integer
+ranges the CONGEST word model admits -- so list orders agree across
+backends to the last ulp.
 """
 
 from __future__ import annotations
@@ -92,6 +92,8 @@ from heapq import heapify, heappop, heappush
 from math import ceil as _ceil, inf as _INF
 from time import perf_counter as _perf
 from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..core.keys import next_send_after
 from ..obs.profiling import HOT as _HOT
@@ -174,13 +176,9 @@ class _PipelinedKernel:
         """Per-run dynamic eligibility on the memoized kernel: paranoid
         mode may have been toggled since the static scan (it re-derives
         kernel queries through Entry objects the bulk path does not
-        keep), and the numpy gate is re-synced so flag flips between
-        runs are honored."""
+        keep)."""
         from ..core import node_list as _node_list
-        if _node_list.PARANOID:
-            return False
-        self._sync_impl()
-        return True
+        return not _node_list.PARANOID
 
     def __init__(self, net) -> None:
         self.net = net
@@ -204,7 +202,8 @@ class _PipelinedKernel:
         # receiver's weight_in(sender) -- the sender's out-edge weight
         # to that neighbour, absent (wok=False) when the channel exists
         # only for the reverse edge (the message is still delivered and
-        # counted; there is just nothing to relax).
+        # counted; there is just nothing to relax).  Python lists where
+        # a Python loop reads them per element, numpy for the round.
         indptr = [0]
         heads: List[int] = []
         weights: List[int] = []
@@ -226,29 +225,15 @@ class _PipelinedKernel:
             indptr.append(len(heads))
         self._indptr = indptr
         self._heads = heads
-        self._weights = weights
-        self._wok = wok
         self._all_wok = all(wok)
+        self._np_indptr = np.asarray(indptr, dtype=np.int64)
+        self._np_heads = np.asarray(heads, dtype=np.int64)
+        self._np_weights = np.asarray(weights, dtype=np.int64)
+        self._np_wok = np.asarray(wok, dtype=bool)
+        self._np_xi = np.asarray(self._xi, dtype=np.int64)
         #: Per-CSR-edge message tallies, flushed to the RunMetrics
         #: Counter once per run.
-        self._edge_msgs = [0] * len(heads)
-        self._use_np = False
-        self._np_ready = False
-        self._sync_impl()
-
-    def _sync_impl(self) -> None:
-        """Re-resolve the numpy feature gate; lazily build the numpy
-        CSR mirrors (see _RelaxationKernel._sync_impl)."""
-        self._use_np = _cmod.numpy_enabled()
-        if self._use_np and not self._np_ready:
-            np = _cmod._numpy()
-            self._np_indptr = np.asarray(self._indptr, dtype=np.int64)
-            self._np_heads = np.asarray(self._heads, dtype=np.int64)
-            self._np_weights = np.asarray(self._weights, dtype=np.int64)
-            self._np_wok = np.asarray(self._wok, dtype=bool)
-            self._np_xi = np.asarray(self._xi, dtype=np.int64)
-            self._np_edge_msgs = np.zeros(len(self._heads), dtype=np.int64)
-            self._np_ready = True
+        self._np_edge_msgs = np.zeros(len(heads), dtype=np.int64)
 
     # -- load / store ------------------------------------------------------
 
@@ -306,8 +291,7 @@ class _PipelinedKernel:
             self.MAXSRC[v] = st["max_per_source"]
             self.LASTSP[v] = st["last_sp_round"]
             self.SENDS[v] = st["sends"]
-        if self._use_np:
-            self._load_snapshot()
+        self._load_snapshot()
 
     def _load_snapshot(self) -> None:
         """Build the reject pass's inputs: the snapshot rows (one per
@@ -315,9 +299,8 @@ class _PipelinedKernel:
         whose receive stats lag their lists (a source right after
         ``on_start``, or restored state) -- the reference refreshes those
         stats in every ``on_receive``, including one whose arrivals are
-        all rejected, so :meth:`_round_numpy` still runs the epilogue for
+        all rejected, so :meth:`_round` still runs the epilogue for
         them."""
-        np = _cmod._numpy()
         snap = np.empty((self.n * self.k, 6))
         snap[:] = _EMPTY_ROW
         cells = [v * self.k + self._xi[x]
@@ -355,38 +338,6 @@ class _PipelinedKernel:
                 "last_sp_round": self.LASTSP[v],
                 "sends": self.SENDS[v],
             })
-
-    def _flush(self, msg_count: int, words_total: int) -> None:
-        """Bulk-accumulated accounting -> RunMetrics (idempotent: the
-        per-edge tallies are zeroed as they are drained)."""
-        metrics = self.net.metrics
-        if msg_count:
-            metrics.messages += msg_count
-            metrics.words += words_total
-            if metrics.max_message_words < _PAYLOAD_WORDS:
-                metrics.max_message_words = _PAYLOAD_WORDS
-        heads = self._heads
-        indptr = self._indptr
-        chmsg = metrics.channel_messages
-        if self._use_np:
-            np = _cmod._numpy()
-            counts = self._np_edge_msgs
-            (nz,) = np.nonzero(counts)
-            if len(nz):
-                srcs = np.searchsorted(self._np_indptr, nz, side="right") - 1
-                for e, u, c in zip(nz.tolist(), srcs.tolist(),
-                                   counts[nz].tolist()):
-                    chmsg[(u, heads[e])] += c
-                counts[nz] = 0
-        else:
-            counts = self._edge_msgs
-            u = 0
-            for e, c in enumerate(counts):
-                if c:
-                    while indptr[u + 1] <= e:
-                        u += 1
-                    chmsg[(u, heads[e])] += c
-                    counts[e] = 0
 
     # -- count-of-counts histogram (mirrors NodeList._link/_unlink) --------
 
@@ -467,8 +418,6 @@ class _PipelinedKernel:
         heapify(heap)
 
         msg_count = 0
-        words_total = 0
-        round_fn = self._round_numpy if self._use_np else self._round_python
         try:
             while True:
                 while heap and sched[heap[0][1]] != heap[0][0]:
@@ -477,8 +426,8 @@ class _PipelinedKernel:
                     break
                 r = heap[0][0]
                 if r > max_rounds:
-                    self._flush(msg_count, words_total)
-                    msg_count = words_total = 0
+                    _cmod._flush(self, msg_count, _PAYLOAD_WORDS)
+                    msg_count = 0
                     raise RoundLimitExceeded(
                         f"no quiescence by round {max_rounds}; "
                         f"next scheduled activity at round {r}",
@@ -522,12 +471,11 @@ class _PipelinedKernel:
 
                 # Steps 2-13: expand deliveries through the CSR, fold
                 # per-destination candidates in ascending-source order.
-                total, changed = round_fn(
+                total, changed = self._round(
                     r, senders, send_d, send_l, send_x, send_nu)
 
                 if total:
                     msg_count += total
-                    words_total += _PAYLOAD_WORDS * total
                     metrics.active_rounds += 1
                     if r > metrics.rounds:
                         metrics.rounds = r
@@ -585,7 +533,7 @@ class _PipelinedKernel:
                         profile.record("columnar.pipelined.round", dt)
         finally:
             self._store()
-            self._flush(msg_count, words_total)
+            _cmod._flush(self, msg_count, _PAYLOAD_WORDS)
             if registry is not None:
                 from ..obs.registry import publish_run_metrics
                 net._published = publish_run_metrics(
@@ -594,64 +542,13 @@ class _PipelinedKernel:
 
     # -- one round: delivery expansion -------------------------------------
 
-    def _round_python(self, r, senders, send_d, send_l, send_x, send_nu):
-        """CSR expansion + per-destination fold, batched pure Python (no
-        Envelope or payload objects; per-edge tallies into the flat
-        counter).  Returns ``(messages_sent, changed)``: *changed* holds
-        the receivers whose lists the fold changed, ascending."""
-        indptr, heads, weights = self._indptr, self._heads, self._weights
-        wok = self._wok
-        edge_msgs = self._edge_msgs
-        gamma = self.gamma
-        total = 0
-        inboxes: Dict[int, list] = {}
-        for si, v in enumerate(senders):
-            lo, hi = indptr[v], indptr[v + 1]
-            if lo == hi:
-                continue
-            total += hi - lo
-            d_in = send_d[si]
-            l_in = send_l[si]
-            x = send_x[si]
-            nu_in = send_nu[si]
-            l_cand = l_in + 1
-            for e in range(lo, hi):
-                edge_msgs[e] += 1
-                if not wok[e]:
-                    # channel exists only for the reverse edge: message
-                    # delivered and counted, nothing to relax -- but the
-                    # receiver still runs its round hooks (stats,
-                    # reschedule), so it must appear in the inbox map.
-                    u = heads[e]
-                    if u not in inboxes:
-                        inboxes[u] = []
-                    continue
-                d_cand = d_in + weights[e]
-                u = heads[e]
-                rec = (v, d_cand, l_cand, d_cand * gamma + l_cand, x, nu_in)
-                box = inboxes.get(u)
-                if box is None:
-                    inboxes[u] = [rec]
-                else:
-                    box.append(rec)
-        arrival = self._arrival
-        changed: Dict[int, None] = {}
-        for u in sorted(inboxes):
-            hit = False
-            for (y, d, l, kappa, x, nu_in) in inboxes[u]:
-                hit |= arrival(u, r, y, d, l, kappa, x, nu_in)
-            self._finish_receiver(u)
-            if hit:
-                changed[u] = None
-        return total, changed
-
-    def _round_numpy(self, r, senders, send_d, send_l, send_x, send_nu):
+    def _round(self, r, senders, send_d, send_l, send_x, send_nu):
         """The vectorized round: one CSR gather for the whole edge
         batch, candidate ``(d', l', kappa')`` as vector ops, the reject
         pass against the snapshot, then the sequential per-destination
         fold over the deliveries the pass keeps.  Returns
-        ``(messages_sent, changed)`` like :meth:`_round_python`."""
-        np = _cmod._numpy()
+        ``(messages_sent, changed)``: *changed* holds the receivers
+        whose lists the fold changed, ascending."""
         sv = np.asarray(senders, dtype=np.int64)
         starts = self._np_indptr[sv]
         counts = self._np_indptr[sv + 1] - starts

@@ -87,19 +87,6 @@ from ..obs.profiling import HOT as _HOT
 _SRC = attrgetter("src")
 
 
-class BackendUnsupported(RuntimeError):
-    """A hook combination a backend cannot honor was requested.
-
-    Since the fast backend gained full hook support there is no
-    combination it refuses -- nothing in the repo raises this today.
-    The class remains public API: callers (the CLI among them) catch it
-    so that any *future* backend limitation degrades into a clean error
-    instead of a silently uninstrumented run, which remains the
-    contract -- a backend must never quietly diverge from what the
-    requested instrumentation would have observed or injected.
-    """
-
-
 class FastNetwork:
     """Drop-in fast backend for :class:`repro.congest.network.Network`.
 

@@ -23,11 +23,11 @@ registry:
 * constructor-validation parity: the exact reference error texts;
 * registry selection: explicit ``backend=`` and the ambient default.
 
-The columnar backend gets two extra treatments: the whole battery runs
-once per bulk implementation (numpy and the pure-Python fallback, via
-the module-scope parametrization helpers), and the *mutation* tests at
-the bottom corrupt a columnar round on purpose to prove this suite
-would catch a broken bulk kernel (the paranoid-mode trick of
+The columnar backend gets two extra treatments: fixed cases that pin
+each bulk kernel (entry point, per-program state, resumption) and
+check that the bulk path is really taken, and the *mutation* tests at
+the bottom that corrupt a columnar round on purpose to prove this
+suite would catch a broken bulk kernel (the paranoid-mode trick of
 ``tests/test_node_list_kernels.py``).
 
 Collected through ``tests/test_backend_conformance.py`` (pytest only
@@ -77,20 +77,6 @@ from repro.perf.backends import BACKENDS
 CONFORMANCE_BACKENDS = sorted(b for b in BACKENDS if b != "reference")
 
 backends = pytest.mark.parametrize("backend", CONFORMANCE_BACKENDS)
-
-
-@pytest.fixture(params=["numpy", "python"])
-def columnar_impl(request):
-    """Force one of the two columnar bulk implementations for the test
-    body (restoring the ambient policy afterwards), so the pure-Python
-    fallback is conformance-tested even on numpy-equipped machines."""
-    if request.param == "numpy" and columnar_mod._numpy() is None:
-        pytest.skip("numpy not importable")
-    prev = columnar_mod.set_numpy_enabled(request.param == "numpy")
-    try:
-        yield request.param
-    finally:
-        columnar_mod.set_numpy_enabled(prev)
 
 
 # p=0.0 gives totally disconnected graphs, zero_fraction=1.0 all-zero
@@ -524,14 +510,13 @@ def test_golden_fixture_instrumented_differential(backend, name):
     )
 
 
-# --- columnar-specific: both bulk implementations, bulk-path
-# --- engagement, and mutation tests on the suite itself --------------
+# --- columnar-specific: each bulk kernel, bulk-path engagement, and
+# --- mutation tests on the suite itself ------------------------------
 
 
-def test_columnar_bulk_implementations_agree(columnar_impl):
-    """The whole observable surface matches the reference under the
-    forced implementation (numpy or pure-Python) -- entry point, raw
-    network, resumption."""
+def test_columnar_relaxation_kernel_agrees():
+    """The relaxation kernel's whole observable surface matches the
+    reference -- entry point, raw network, resumption."""
     g = random_graph(16, p=0.3, w_max=6, zero_fraction=0.3, seed=5,
                      directed=True)
     assert_entrypoint_equivalent(run_bellman_ford, g, 1,
@@ -545,10 +530,10 @@ def test_columnar_bulk_implementations_agree(columnar_impl):
     assert got == ref
 
 
-def test_columnar_pipelined_bulk_implementations_agree(columnar_impl):
-    """The pipelined bulk kernel matches the reference under the forced
-    implementation (numpy or pure-Python) -- entry point, per-program
-    state, and resumption, both list kernels' state rebuilt in place."""
+def test_columnar_pipelined_kernel_agrees():
+    """The pipelined bulk kernel matches the reference -- entry point,
+    per-program state, and resumption, both list kernels' state rebuilt
+    in place."""
     g = random_graph(14, p=0.35, w_max=6, zero_fraction=0.3, seed=7,
                      directed=True)
     assert_entrypoint_equivalent(run_hk_ssp, g, [0, 4, 9], 5,
@@ -563,7 +548,7 @@ def test_columnar_pipelined_bulk_implementations_agree(columnar_impl):
     assert got == ref
 
 
-def test_columnar_pipelined_state_two_node_cycle(columnar_impl):
+def test_columnar_pipelined_state_two_node_cycle():
     """Graph 0 <-> 1 (weight 3), sources {0}.  Node 0's only arrival,
     its own distance echoed back by node 1, changes nothing -- yet the
     reference's receive epilogue still raises node 0's
@@ -575,34 +560,6 @@ def test_columnar_pipelined_state_two_node_cycle(columnar_impl):
     _ref, alt = assert_pipelined_states_equivalent(g, [0], 1, "columnar")
     assert alt._columnar_kernel() is not None
     assert alt.programs[0].max_list_len_seen == 1
-
-
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_columnar_pipelined_numpy_python_agree(data):
-    """REPRO_COLUMNAR_NUMPY agreement corpus for the pipelined kernel:
-    the numpy and pure-Python bulk implementations produce identical
-    executions (outputs AND full metrics) on the Hypothesis graph
-    strategy, and each leaves every program in the reference's state
-    -- so implementation selection can never change an observable."""
-    if columnar_mod._numpy() is None:
-        pytest.skip("numpy not importable")
-    g = data.draw(small_graphs)
-    n = g.n
-    sources = sorted(data.draw(st.sets(st.integers(0, n - 1),
-                                       min_size=1, max_size=min(n, 4))))
-    h = data.draw(st.integers(1, max(1, n - 1)))
-    runs = {}
-    for use_np in (True, False):
-        prev = columnar_mod.set_numpy_enabled(use_np)
-        try:
-            res = run_hk_ssp(g, sources, h, backend="columnar")
-            runs[use_np] = (res.dist, res.sources, res.delta,
-                            metrics_summary(res.metrics))
-            assert_pipelined_states_equivalent(g, sources, h, "columnar")
-        finally:
-            columnar_mod.set_numpy_enabled(prev)
-    assert runs[True] == runs[False]
 
 
 def test_columnar_bulk_path_engaged():
@@ -675,23 +632,12 @@ def test_columnar_eligibility_scan_memoized():
     assert net._eligibility_scans == 1
 
 
-def test_columnar_numpy_flag_validation(monkeypatch):
-    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "sometimes")
-    with pytest.raises(ValueError, match="REPRO_COLUMNAR_NUMPY"):
-        columnar_mod.numpy_enabled()
-    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
-    assert columnar_mod.numpy_enabled() is False
-
-
 #: Which corruption mode perturbs which bulk kernel (the partition test
 #: below keeps these in sync with the registry, so a future mode cannot
 #: silently go mutation-untested).
 _BF_CORRUPTION_MODES = ("evict-off-by-one", "stale-count")
 _PIPELINED_CORRUPTION_MODES = ("send-rank-off-by-one", "nu-off-by-one",
                                "reject-filter-off-by-one")
-#: Modes living in the numpy reject pass, which the pure-Python
-#: implementation does not have.
-_NUMPY_ONLY_CORRUPTION_MODES = ("reject-filter-off-by-one",)
 
 
 class TestConformanceCatchesCorruption:
@@ -724,7 +670,7 @@ class TestConformanceCatchesCorruption:
             == sorted(columnar_mod.CORRUPTION_MODES)
 
     @pytest.mark.parametrize("mode", _BF_CORRUPTION_MODES)
-    def test_corrupted_round_is_caught(self, mode, columnar_impl):
+    def test_corrupted_round_is_caught(self, mode):
         prev = columnar_mod.set_corruption(mode)
         try:
             with pytest.raises(AssertionError,
@@ -736,26 +682,22 @@ class TestConformanceCatchesCorruption:
             columnar_mod.set_corruption(prev)
 
     @pytest.mark.parametrize("mode", _PIPELINED_CORRUPTION_MODES)
-    def test_corrupted_pipelined_round_is_caught(self, mode, columnar_impl):
+    def test_corrupted_pipelined_round_is_caught(self, mode):
         """A corrupted send-schedule rank (entries firing a round early)
         and a corrupted nu-count (one entry of padding too many) must
         both be caught on *every* corpus instance.
 
         A corrupted reject pass (dropping deliveries whose nu is one
-        above the count, which the quota admits) lives in the numpy
-        implementation only, and drops only non-promotions, which the
-        single-source path never receives -- so it must be caught on
-        every multi-source instance.  What it drops is padding, so the
+        above the count, which the quota admits) drops only
+        non-promotions, which the single-source path never receives --
+        so it must be caught on every multi-source instance.  What it drops is padding, so the
         corrupted run either diverges or trips the kernel's inline
         Invariant 1 check on an insert the padding would have pushed
         later; the reference run of each instance is clean (see the
         uncorrupted control)."""
         corpus = self._pipelined_corpus()
         caught = "columnar backend diverged"
-        if mode in _NUMPY_ONLY_CORRUPTION_MODES:
-            if columnar_impl != "numpy":
-                pytest.skip("the reject pass runs in the numpy "
-                            "implementation only")
+        if mode == "reject-filter-off-by-one":
             corpus = [c for c in corpus if len(c[1]) > 1]
             caught += "|Invariant 1 violated"
         prev = columnar_mod.set_corruption(mode)
@@ -769,7 +711,7 @@ class TestConformanceCatchesCorruption:
         finally:
             columnar_mod.set_corruption(prev)
 
-    def test_uncorrupted_control(self, columnar_impl):
+    def test_uncorrupted_control(self):
         """The same checks pass with corruption off -- the mutation
         tests above cannot be passing vacuously."""
         assert_entrypoint_equivalent(

@@ -234,24 +234,6 @@ class TestBackendFlag:
         assert rc == 0
         assert "RESULT: correct" in out
 
-    def test_backend_unsupported_is_clean_error(self, graph_file, capsys,
-                                                monkeypatch):
-        """Nothing raises BackendUnsupported today; pin that if a future
-        backend limitation does, the CLI reports it as a one-line error
-        instead of a traceback."""
-        from repro.perf import BackendUnsupported
-        import repro.perf.backends as backends
-
-        def refuse(*a, **k):
-            raise BackendUnsupported(
-                "backend 'fast' cannot honor hook 'quantum_oracle'")
-        monkeypatch.setitem(backends.BACKENDS, "fast", refuse)
-        rc, _ = run_cli("faults", graph_file, "--backend", "fast", "-q")
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "cannot honor" in err
-
     def test_env_typo_is_clean_error_at_first_simulation(self, graph_file,
                                                          capsys, monkeypatch):
         import repro.perf.backends as backends

@@ -12,7 +12,6 @@ from repro.congest import Network, RoundLimitExceeded
 from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry, Tracer
 from repro.perf import (
-    BackendUnsupported,
     FastNetwork,
     get_default_backend,
     make_network,
@@ -109,14 +108,13 @@ class TestHookSupport:
         assert pm.recent_events  # the ring recorder captured the sends
         assert "node" in pm.render()
 
-    def test_nothing_raises_backend_unsupported(self):
-        """The unsupported set is empty: the historically-refused hook
-        combinations all construct (and run) now."""
+    def test_all_hooks_at_once_construct_and_run(self):
+        """No hook combination is refused: a fault plan, a tracer and a
+        ring recorder attached together construct and run."""
         net = FastNetwork(line(3), Pinger,
                           fault_plan=FaultPlan(seed=1, drop_rate=0.5),
                           monitor=None, tracer=Tracer(), record_window=3)
         net.run(max_rounds=10)
-        assert issubclass(BackendUnsupported, RuntimeError)  # still public API
 
 
 class TestResumption:

@@ -2,12 +2,8 @@
 
 import random
 
+import numpy as np
 import pytest
-
-try:
-    import numpy as np
-except ImportError:  # the scalar-DP tests still run without numpy
-    np = None
 
 from repro.graphs import (
     WeightedDigraph,
@@ -66,7 +62,6 @@ class TestScalarDP:
         assert layers[2] == [INF, INF, 5]
 
 
-@pytest.mark.skipif(np is None, reason="numpy not installed")
 class TestVectorizedMatrix:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_scalar_dp(self, seed):

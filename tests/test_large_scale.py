@@ -9,12 +9,8 @@ randomized campaign for soak testing.
 import os
 import random
 
+import numpy as np
 import pytest
-
-# Every test here validates against the vectorized numpy oracle
-# (apsp_matrix); on a numpy-less interpreter (the CI fallback job) the
-# scalar ground truths in test_hop_limited.py keep covering the DPs.
-np = pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.core import run_apsp, run_apsp_blocker, run_hk_ssp
 from repro.graphs import apsp_matrix, random_graph
