@@ -12,11 +12,10 @@ padding.
 from repro.analysis.experiments import sweep_ablation_key_schedule
 
 
-def test_ablation_key_schedule(benchmark, report_sink):
+def test_ablation_key_schedule(benchmark):
     rep = benchmark.pedantic(
         lambda: sweep_ablation_key_schedule(seeds=(0, 1, 2), n=14),
         rounds=1, iterations=1)
-    report_sink(rep)
     rep.assert_within_bounds()  # only the paper rows carry bounds
     by_variant = {}
     for m in rep.rows:

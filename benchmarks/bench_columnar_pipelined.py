@@ -8,22 +8,12 @@ differentially re-checks every timed pair (distances, source set,
 Delta, rounds, messages, words, per-channel and per-node counters), so
 a "speedup" can never hide a divergence.
 
-Two entry points:
-
-* the pytest-benchmark test below, which records the sweep into the
-  shared last-run report store alongside the other experiments;
-* ``python benchmarks/bench_columnar_pipelined.py --min-speedup 2.0``,
-  the CI gate: persists the measurements into the BenchStore
-  (``BENCH_columnar_pipelined.json``) and exits non-zero if the
-  speedup over the fast backend at the largest size is below the
-  threshold.  CI runs it in the bench-smoke job.
+The pytest-benchmark test below pins only the direction.  The CI floor
+-- >= 2x over the fast backend at the largest size -- is the
+``columnar_pipelined`` entry of ``benchmarks/gates.py``, which also
+persists ``BENCH_columnar_pipelined.json``.
 """
 
-import argparse
-import sys
-from pathlib import Path
-
-from repro.analysis import render_report
 from repro.analysis.sweep import sweep_columnar_pipelined
 
 
@@ -31,59 +21,15 @@ def _largest(rep):
     return max(rep.rows, key=lambda m: m.params["n"])
 
 
-def test_columnar_pipelined_speedup(benchmark, report_sink):
+def test_columnar_pipelined_speedup(benchmark):
     rep = benchmark.pedantic(
         lambda: sweep_columnar_pipelined(
             sizes=((96, 0.12, 12, 10), (128, 0.10, 16, 12)), repeats=3),
         rounds=1, iterations=1)
-    report_sink(rep)
-    # The hard gate (>=2x at the largest size) is the CI __main__ below
+    # The hard gate (>=2x at the largest size) is benchmarks/gates.py
     # (best-of-3 on a quiet runner); here we only pin the direction so a
     # busy dev machine cannot flake the suite.
     largest = _largest(rep)
     assert largest.measured > 1.0, (
         f"columnar pipelined kernel slower than fast at "
         f"n={largest.params['n']}: {largest.measured}x")
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        description="measure and gate the columnar pipelined-kernel "
-                    "speedup (E24)")
-    ap.add_argument("--sizes",
-                    default="128:0.10:16:12,192:0.08:24:14,256:0.07:32:16",
-                    help="comma-separated n:p:k:h workload quadruples")
-    ap.add_argument("--repeats", type=int, default=3,
-                    help="best-of-N timing repeats per backend")
-    ap.add_argument("--min-speedup", type=float, default=2.0,
-                    help="fail (exit 1) if the speedup over the fast "
-                         "backend at the largest size is below this")
-    ap.add_argument("--store", default=str(Path(__file__).parent),
-                    help="BenchStore directory for the persisted record")
-    ap.add_argument("--name", default="columnar_pipelined",
-                    help="record name (writes BENCH_<name>.json)")
-    args = ap.parse_args(argv)
-
-    sizes = tuple((int(n), float(p), int(k), int(h))
-                  for n, p, k, h
-                  in (s.split(":") for s in args.sizes.split(",")))
-    rep = sweep_columnar_pipelined(sizes=sizes, repeats=args.repeats)
-    print(render_report(rep))
-
-    from repro.obs import BenchStore
-    path = BenchStore(args.store).save(args.name, [rep])
-    print(f"\nwrote {path}")
-
-    largest = _largest(rep)
-    if largest.measured < args.min_speedup:
-        print(f"FAIL: columnar pipelined speedup {largest.measured}x at "
-              f"n={largest.params['n']} is below the "
-              f"{args.min_speedup}x gate", file=sys.stderr)
-        return 1
-    print(f"OK: {largest.measured}x >= {args.min_speedup}x at "
-          f"n={largest.params['n']}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -8,12 +8,11 @@ W = n^{1-eps} regime) and loses it once Delta ~ n W grows past ~n^2/4.
 from repro.analysis.experiments import sweep_corollary14_crossover
 
 
-def test_corollary14_crossover(benchmark, report_sink):
+def test_corollary14_crossover(benchmark):
     n = 20
     rep = benchmark.pedantic(
         lambda: sweep_corollary14_crossover(n=n, weights=(1, 2, 4, 8, 16, 32)),
         rounds=1, iterations=1)
-    report_sink(rep)
     winners = {m.params["W"]: m.params["winner"] for m in rep.rows}
     # small weights: pipelined wins (Corollary I.4's regime)
     assert winners[1] == "pipelined"

@@ -8,10 +8,9 @@ construction cost against the Theorem I.1 bound of the 2h-hop run.
 from repro.analysis.experiments import sweep_csssp
 
 
-def test_csssp_consistency_and_cost(benchmark, report_sink):
+def test_csssp_consistency_and_cost(benchmark):
     rep = benchmark.pedantic(lambda: sweep_csssp(seeds=(0, 1, 2), sizes=(8, 12)),
                              rounds=1, iterations=1)
-    report_sink(rep)
     rep.assert_within_bounds()
     fig1 = rep.rows[0]
     # Figure 1: the DP reaches t (d=2) but CSSSP correctly omits it

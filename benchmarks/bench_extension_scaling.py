@@ -13,9 +13,8 @@ from repro.analysis.experiments import sweep_extension_scaling
 _sweep = sweep_extension_scaling
 
 
-def test_extension_scaling(benchmark, report_sink):
+def test_extension_scaling(benchmark):
     rep = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    report_sink(rep)
     rep.assert_within_bounds()  # fifo composition beats timesliced
     # scaling beats direct Algorithm 1 once weights are large: Alg 1
     # pays sqrt(Delta) ~ sqrt(nW), scaling pays log W phases of

@@ -7,9 +7,7 @@ from repro.analysis.experiments import sweep_ksource_short_range
 _sweep = sweep_ksource_short_range
 
 
-def test_ksource_short_range(benchmark, report_sink):
+def test_ksource_short_range(benchmark):
     rep_d, rep_c = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    report_sink(rep_d)
-    report_sink(rep_c)
     rep_d.assert_within_bounds()
     rep_c.assert_within_bounds()

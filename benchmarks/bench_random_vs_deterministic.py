@@ -11,9 +11,8 @@ from repro.analysis.experiments import sweep_random_vs_deterministic
 _sweep = sweep_random_vs_deterministic
 
 
-def test_random_vs_deterministic(benchmark, report_sink):
+def test_random_vs_deterministic(benchmark):
     rep = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    report_sink(rep)
     qs = {}
     for m in rep.rows:
         qs.setdefault(m.params["variant"], []).append(m.params["q"])

@@ -10,11 +10,10 @@ Bellman-Ford folklore baseline).
 from repro.analysis import sweep_table1_exact
 
 
-def test_table1_exact_apsp(benchmark, report_sink):
+def test_table1_exact_apsp(benchmark):
     rep = benchmark.pedantic(
         lambda: sweep_table1_exact(seeds=(0, 1), sizes=(8, 12, 16)),
         rounds=1, iterations=1)
-    report_sink(rep)
     rep.assert_within_bounds()  # Alg 1 rows carry their Theorem I.1 bound
     # every algorithm produced a row per workload
     algs = {m.params["algorithm"] for m in rep.rows}

@@ -3,11 +3,10 @@
 from repro.analysis import sweep_theorem11_apsp
 
 
-def test_theorem11_apsp_bound(benchmark, report_sink):
+def test_theorem11_apsp_bound(benchmark):
     rep = benchmark.pedantic(
         lambda: sweep_theorem11_apsp(seeds=(0, 1, 2), sizes=(8, 12, 16, 20)),
         rounds=1, iterations=1)
-    report_sink(rep)
     rep.assert_within_bounds()
     # shape: measured rounds grow with n (the 2n sqrt(Delta) term)
     by_n = {}

@@ -8,11 +8,10 @@ a sweep of (n, h, k) on zero-heavy random digraphs.
 from repro.analysis import sweep_theorem11_hk_ssp
 
 
-def test_theorem11_hk_ssp_bound(benchmark, report_sink):
+def test_theorem11_hk_ssp_bound(benchmark):
     rep = benchmark.pedantic(
         lambda: sweep_theorem11_hk_ssp(seeds=(0, 1), sizes=(10, 14, 18)),
         rounds=1, iterations=1)
-    report_sink(rep)
     assert rep.rows, "sweep produced no measurements"
     rep.assert_within_bounds()
     # the bound is not vacuous: at least one point uses >60% of it

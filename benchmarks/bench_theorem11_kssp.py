@@ -3,11 +3,10 @@
 from repro.analysis import sweep_theorem11_kssp
 
 
-def test_theorem11_kssp_bound(benchmark, report_sink):
+def test_theorem11_kssp_bound(benchmark):
     rep = benchmark.pedantic(
         lambda: sweep_theorem11_kssp(seeds=(0, 1), sizes=(10, 14, 18)),
         rounds=1, iterations=1)
-    report_sink(rep)
     rep.assert_within_bounds()
     # shape: for fixed n, more sources cannot be cheaper than 1 source
     # by more than the bound ratio (sanity that k enters the cost)

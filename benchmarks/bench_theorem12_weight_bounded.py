@@ -9,11 +9,10 @@ the rounds).
 from repro.analysis.experiments import sweep_theorem12
 
 
-def test_theorem12_weight_scaling(benchmark, report_sink):
+def test_theorem12_weight_scaling(benchmark):
     rep = benchmark.pedantic(
         lambda: sweep_theorem12(seeds=(0, 1), n=16, weights=(1, 4, 16, 64)),
         rounds=1, iterations=1)
-    report_sink(rep)
     rep.assert_within_bounds()
     for seed in (0, 1):
         rows = {m.params["W"]: m.measured for m in rep.rows

@@ -6,11 +6,10 @@ Shape claim: a 16x increase in Delta costs well under 16x the rounds
 from repro.analysis.experiments import sweep_theorem13
 
 
-def test_theorem13_distance_scaling(benchmark, report_sink):
+def test_theorem13_distance_scaling(benchmark):
     rep = benchmark.pedantic(
         lambda: sweep_theorem13(seeds=(0, 1), n=16, deltas=(2, 8, 32)),
         rounds=1, iterations=1)
-    report_sink(rep)
     rep.assert_within_bounds()
     for seed in (0, 1):
         rows = {m.params["Delta<="]: m.measured for m in rep.rows

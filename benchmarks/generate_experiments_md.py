@@ -15,12 +15,7 @@ logic of its own.
 ``--store DIR`` picks the result store (default
 ``benchmarks/.campaign``, gitignored); ``--no-cache`` runs everything
 fresh in a throwaway store; ``--force`` recomputes into the persistent
-store.  ``--refresh-reports`` additionally routes every report through
-:func:`repro.obs.write_last_run_reports`, persisting
-``benchmarks/BENCH_last_run.json`` and regenerating
-``benchmarks/last_run_reports.txt`` from the stored record -- the same
-path the pytest-benchmark session hook uses, so the text file can never
-drift from the store.
+store.  EXPERIMENTS.md is the one committed record of E1-E24.
 """
 
 from __future__ import annotations
@@ -41,8 +36,8 @@ from repro.campaign import (
 DEFAULT_STORE = Path(__file__).parent / ".campaign"
 
 
-def main(out_path: str = "EXPERIMENTS.md", *, refresh_reports: bool = False,
-         store_root: str = "", force: bool = False) -> None:
+def main(out_path: str = "EXPERIMENTS.md", *, store_root: str = "",
+         force: bool = False) -> None:
     t0 = time.time()
     spec = experiments_md_spec()
     store = ResultStore(store_root or DEFAULT_STORE)
@@ -56,12 +51,6 @@ def main(out_path: str = "EXPERIMENTS.md", *, refresh_reports: bool = False,
     text = render_experiments_md(result.reports, elapsed=time.time() - t0)
     Path(out_path).write_text(text)
     print(f"wrote {out_path}")
-    if refresh_reports:
-        from repro.obs import write_last_run_reports
-
-        reports = sorted(result.reports, key=lambda r: r.experiment)
-        txt = write_last_run_reports(reports, Path(__file__).parent)
-        print(f"wrote {txt} (and BENCH_last_run.json beside it)")
 
 
 if __name__ == "__main__":
@@ -74,14 +63,9 @@ if __name__ == "__main__":
                     help="run every sweep fresh in a throwaway store")
     ap.add_argument("--force", action="store_true",
                     help="recompute every task into the persistent store")
-    ap.add_argument("--refresh-reports", action="store_true",
-                    help="also regenerate benchmarks/last_run_reports.txt "
-                         "(via the repro.obs BenchStore)")
     ns = ap.parse_args()
     if ns.no_cache:
         with tempfile.TemporaryDirectory() as tmp:
-            main(ns.out_path, refresh_reports=ns.refresh_reports,
-                 store_root=tmp, force=ns.force)
+            main(ns.out_path, store_root=tmp, force=ns.force)
     else:
-        main(ns.out_path, refresh_reports=ns.refresh_reports,
-             store_root=ns.store, force=ns.force)
+        main(ns.out_path, store_root=ns.store, force=ns.force)

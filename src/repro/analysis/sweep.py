@@ -194,8 +194,8 @@ def sweep_backend_speedup(*, sizes: Sequence[int] = (768, 1536), w: int = 4,
     ``measured`` is the speedup (reference seconds / fast seconds);
     ``bound`` is left ``None`` because :class:`Measurement.within_bound`
     tests ``measured <= bound`` and a speedup gate needs ``>=`` -- the
-    gate lives in ``benchmarks/bench_backend_speedup.py`` (CI fails
-    below 2x plain / 1.5x instrumented at the largest size).
+    gate lives in ``benchmarks/gates.py`` (CI fails below 2x plain /
+    1.5x instrumented at the largest size).
     """
     from ..faults import CrashWindow, FaultPlan
     from ..graphs.reference import weak_delta_bound
@@ -301,15 +301,15 @@ def sweep_node_kernels(*, sizes: Sequence[Tuple[int, int, int]] = (
     tests/test_node_list_kernels.py).
 
     ``timing=False`` switches to the deterministic mode used by the
-    ``obs bench`` smoke suite and its committed baseline: no clocks --
-    ``measured`` is the (deterministic) round count and the row carries
-    the differential-agreement flag, so the BENCH record is bit-stable
-    across machines and ``--jobs`` values.
+    CI smoke campaign (``benchmarks/campaigns/smoke.json``) and its
+    committed baseline: no clocks -- ``measured`` is the (deterministic)
+    round count and the row carries the differential-agreement flag, so
+    the BENCH record is bit-stable across machines and ``--jobs``
+    values.
 
     ``measured`` (timing mode) is the speedup (reference kernel seconds /
     indexed kernel seconds); the CI gate lives in
-    ``benchmarks/bench_node_kernels.py`` (fails below 1.5x at the
-    largest size).
+    ``benchmarks/gates.py`` (fails below 1.5x at the largest size).
     """
     from ..graphs.reference import weak_delta_bound
 
@@ -402,13 +402,14 @@ def sweep_columnar(*, sides: Sequence[int] = (30, 60, 100), w_max: int = 6,
     can never come from the backends quietly computing different things.
 
     ``timing=False`` switches to the deterministic mode used by the
-    ``obs bench`` smoke suite and its committed baseline: no clocks --
-    ``measured`` is the (deterministic) round count plus the
-    differential-agreement flag, bit-stable across machines.
+    CI smoke campaign (``benchmarks/campaigns/smoke.json``) and its
+    committed baseline: no clocks -- ``measured`` is the (deterministic)
+    round count plus the differential-agreement flag, bit-stable across
+    machines.
 
     ``measured`` (timing mode) is the speedup (fast seconds / columnar
-    seconds); the CI gate lives in ``benchmarks/bench_columnar.py``
-    (fails below 2x at the largest size).
+    seconds); the CI gate lives in ``benchmarks/gates.py`` (fails
+    below 2x at the largest size).
     """
     from ..core.bellman_ford import run_bellman_ford
     from ..graphs import grid_graph
@@ -497,14 +498,14 @@ def sweep_columnar_pipelined(*, sizes: Sequence[Tuple[int, float, int, int]]
     computing different things.
 
     ``timing=False`` switches to the deterministic mode used by the
-    ``obs bench`` smoke suite and its committed baseline: no clocks --
-    ``measured`` is the (deterministic) round count plus the
-    differential-agreement flag, bit-stable across machines.
+    CI smoke campaign (``benchmarks/campaigns/smoke.json``) and its
+    committed baseline: no clocks -- ``measured`` is the (deterministic)
+    round count plus the differential-agreement flag, bit-stable across
+    machines.
 
     ``measured`` (timing mode) is the speedup (fast seconds / columnar
-    seconds); the CI gate lives in
-    ``benchmarks/bench_columnar_pipelined.py`` (fails below 2x at the
-    largest size).
+    seconds); the CI gate lives in ``benchmarks/gates.py`` (fails
+    below 2x at the largest size).
     """
     from ..graphs.reference import weak_delta_bound
 
@@ -637,9 +638,10 @@ def sweep_recovery(*, seeds: Sequence[int] = (0, 1),
       clean run; ``measured`` is ``rounds_to_repair`` (only the affected
       sources re-run), ``bound`` is the from-scratch recompute round
       count on the same updated graph (``compare_full=True``).  The
-      repair must be correct (``correct=1`` from the Dijkstra oracle)
-      and never cost more rounds than recomputing; when the update
-      leaves some source's tree untouched it must be strictly cheaper.
+      sweep asserts that the repair is correct (the Dijkstra oracle;
+      recorded as ``correct=1``) and never costs more rounds than
+      recomputing; when the update leaves some source's tree untouched
+      it must be strictly cheaper.
     * ``update=crash`` -- the same single-edge update applied while a
       node crashes mid-repair and restarts from its checkpoint
       (delays + duplicates active).  The row is executed on *both*
@@ -666,7 +668,9 @@ def sweep_recovery(*, seeds: Sequence[int] = (0, 1),
                 run = DynamicRun(g, sources, method="bellman-ford",
                                  compare_full=True)
                 rec = run.apply(EdgeUpdate(u, v, w_new))
-                correct = not run.oracle_check()
+                assert not run.oracle_check(), (
+                    f"E21 seed={seed} n={n} {update}: repaired to wrong "
+                    f"distances")
                 assert rec.rounds_to_repair <= rec.full_rounds, (
                     f"E21 seed={seed} n={n} {update}: repair "
                     f"({rec.rounds_to_repair} rounds) costs more than the "
@@ -680,7 +684,7 @@ def sweep_recovery(*, seeds: Sequence[int] = (0, 1),
                          "k": len(sources), "affected": len(rec.affected)},
                         measured=rec.rounds_to_repair,
                         bound=rec.full_rounds,
-                        correct=int(correct),
+                        correct=1,
                         saved_rounds=rec.full_rounds - rec.rounds_to_repair)
 
             # Crash-during-update: same edge update, node crash +
@@ -733,7 +737,7 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
       In timing mode ``measured`` is naive seconds / batched+cached
       steady-state seconds (cache warmed by one pass, then best of
       ``repeats``) -- the quantity the >= 5x CI gate
-      (benchmarks/bench_serving.py) checks at the largest size.
+      (benchmarks/gates.py) checks at the largest size.
     * ``row=build`` -- shard materialization wall-clock, fast backend
       vs ``backend="columnar"`` (the pipelined bulk kernel,
       :mod:`repro.perf.columnar_pipelined`, carries every shard's
@@ -753,7 +757,8 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
       (``backends_agree``), the E19/E21 cross-backend pinning pattern.
 
     ``timing=False`` switches to the deterministic mode used by the
-    ``obs bench`` smoke suite: no clocks -- ``row=serve`` reports the
+    CI smoke campaign (``benchmarks/campaigns/smoke.json``): no clocks
+    -- ``row=serve`` reports the
     table-build round count with the cache hit/miss tallies (exact
     replays of a seeded stream, so bit-stable across machines),
     ``row=build`` reports the (backend-invariant) build round count

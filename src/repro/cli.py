@@ -10,7 +10,8 @@ Commands operate on graph files in the plain-text format of
 * ``hkssp`` -- the (h, k)-SSP problem (the paper's weak contract);
 * ``approx``-- (1+eps)-approximate APSP;
 * ``bounds``-- evaluate the paper's bound formulas for given parameters;
-* ``bench`` -- run one of the experiment sweeps (E1-E24) and print its
+* ``bench`` -- run one of the experiment sweeps (E1-E24, the
+  :data:`repro.perf.EXPERIMENT_SWEEPS` registry) and print its
   measured-vs-bound table, optionally fanned out across worker
   processes (``--jobs N``) via :class:`repro.perf.SweepExecutor`;
 * ``explain``-- replay how one node learned its distance from one source;
@@ -33,16 +34,16 @@ Commands operate on graph files in the plain-text format of
 * ``obs``   -- the observability subsystem: ``obs run`` executes an
   algorithm with tracing/metrics/profiling attached and renders an
   ASCII dashboard (optionally exporting the trace as JSONL), ``obs
-  bench`` persists a benchmark suite into the ``BENCH_*.json`` store
-  and can fail on regression vs a stored baseline, ``obs diff``
-  compares two stored records;
+  diff`` compares two stored ``BENCH_*.json`` records;
 * ``campaign`` -- the orchestration layer (:mod:`repro.campaign`):
   ``campaign run`` executes a declarative JSON campaign spec through
   the content-addressed result store (completed tasks are cache hits;
-  an interrupted campaign resumes where it stopped), ``campaign
-  status`` shows cached-vs-pending tasks without running anything,
-  ``campaign report`` renders markdown tables from the store and can
-  diff against a BENCH baseline.
+  an interrupted campaign resumes where it stopped), can persist the
+  merged rows as a ``BENCH_*.json`` record (``--bench-name``) and fail
+  on regression vs a stored baseline (``--baseline``) -- CI's smoke
+  compare; ``campaign status`` shows cached-vs-pending tasks without
+  running anything, ``campaign report`` renders markdown tables from
+  the store and can diff against a BENCH baseline.
 
 Simulation commands accept ``--backend`` (any registered name:
 ``reference``, ``fast``, ``columnar``) to pick the CONGEST simulator
@@ -199,57 +200,24 @@ def cmd_approx(args, out) -> int:
 
 def cmd_bench(args, out) -> int:
     from .analysis import render_report
-    from .analysis import sweep as sweep_mod
-    from .analysis import experiments as exp_mod
+    from .perf import EXPERIMENT_SWEEPS, run_experiment
 
-    registry = {
-        "E1": lambda: [sweep_mod.sweep_theorem11_hk_ssp()],
-        "E2": lambda: [sweep_mod.sweep_theorem11_apsp()],
-        "E3": lambda: [sweep_mod.sweep_theorem11_kssp()],
-        "E4": lambda: [sweep_mod.sweep_invariants()],
-        "E5": lambda: list(sweep_mod.sweep_short_range()),
-        "E6": lambda: [exp_mod.sweep_csssp()],
-        "E7": lambda: list(exp_mod.sweep_blocker()),
-        "E8": lambda: [exp_mod.sweep_theorem12()],
-        "E9": lambda: [exp_mod.sweep_theorem13()],
-        "E10": lambda: [exp_mod.sweep_corollary14_crossover()],
-        "E11": lambda: [sweep_mod.sweep_table1_exact()],
-        "E12": lambda: [exp_mod.sweep_table1_approx()],
-        "E13": lambda: list(exp_mod.sweep_unweighted_baseline()),
-        "E14": lambda: [exp_mod.sweep_ablation_key_schedule()],
-        "E15": lambda: [exp_mod.sweep_extension_scaling()],
-        "E16": lambda: [exp_mod.sweep_random_vs_deterministic()],
-        "E17": lambda: list(exp_mod.sweep_ksource_short_range()),
-        "E18": lambda: [sweep_mod.sweep_fault_tolerance()],
-        "E19": lambda: [sweep_mod.sweep_backend_speedup()],
-        "E20": lambda: [sweep_mod.sweep_node_kernels()],
-        "E21": lambda: [sweep_mod.sweep_recovery()],
-        "E22": lambda: [sweep_mod.sweep_serving()],
-        "E23": lambda: [sweep_mod.sweep_columnar()],
-        "E24": lambda: [sweep_mod.sweep_columnar_pipelined()],
-    }
+    known = sorted(EXPERIMENT_SWEEPS, key=lambda k: int(k[1:]))
     key = args.experiment.upper()
     if key == "ALL":
-        keys = sorted(registry, key=lambda k: int(k[1:]))
-    elif key in registry:
+        keys = known
+    elif key in EXPERIMENT_SWEEPS:
         keys = [key]
     else:
         raise SystemExit(
             f"unknown experiment {args.experiment!r}; pick one of "
-            f"{', '.join(sorted(registry, key=lambda k: int(k[1:])))} or 'all'")
-    jobs = args.jobs
-    backend = args.backend
+            f"{', '.join(known)} or 'all'")
     rc = 0
     for k in keys:
-        if jobs > 1 or backend is not None:
-            # The executor knows which sweeps split by seed (the rest
-            # run as a single task) and threads the backend either way;
-            # merged reports are row-identical to the sequential path.
-            from .perf import run_experiment
-            reports = run_experiment(k, jobs=jobs, backend=backend)
-        else:
-            reports = registry[k]()
-        for rep in reports:
+        # The executor knows which sweeps split by seed (the rest run as
+        # a single task) and threads the backend either way; merged
+        # reports are row-identical for every --jobs value.
+        for rep in run_experiment(k, jobs=args.jobs, backend=args.backend):
             out.write(render_report(rep) + "\n\n")
             if not rep.all_within_bound:
                 out.write(f"WARNING: {rep.experiment} has bound violations\n")
@@ -554,55 +522,6 @@ def cmd_serve(args, out) -> int:
     return 0
 
 
-#: The deterministic micro-suite behind ``repro obs bench --suite smoke``
-#: (and CI's benchmark smoke job): fixed-seed, small-size variants of
-#: three headline sweeps.  Round counts are deterministic, so identical
-#: code must produce an identical record -- bit-identical even across
-#: ``--jobs`` values, which tests/test_sweep_executor.py pins.
-_SMOKE_SUITE = (
-    ("repro.analysis.sweep:sweep_theorem11_apsp",
-     {"seeds": (0,), "sizes": (8, 12)}),
-    ("repro.analysis.sweep:sweep_theorem11_hk_ssp",
-     {"seeds": (0,), "sizes": (10,)}),
-    ("repro.analysis.sweep:sweep_table1_exact",
-     {"seeds": (0,), "sizes": (8,)}),
-    # E20 in its clock-free mode: rounds + kernel-agreement flag only,
-    # so the record stays deterministic (the timed gate is
-    # benchmarks/bench_node_kernels.py, not the smoke compare).
-    ("repro.analysis.sweep:sweep_node_kernels",
-     {"sizes": ((48, 8, 24),), "timing": False}),
-    # E21 is clock-free by construction (round counts + digests), so the
-    # whole recovery row family can sit in the deterministic record.
-    ("repro.analysis.sweep:sweep_recovery",
-     {"seeds": (0,), "sizes": (10,)}),
-    # E22 in its clock-free mode: build rounds + exact cache tallies +
-    # refresh/digest rows (the timed >= 5x serving gate is
-    # benchmarks/bench_serving.py, not the smoke compare).
-    ("repro.analysis.sweep:sweep_serving",
-     {"sizes": ((32, 0.15, 4000),), "timing": False}),
-    # E23 in its clock-free mode: deterministic rounds/messages plus the
-    # fast-vs-columnar agreement flag (the timed >= 2x columnar gate is
-    # benchmarks/bench_columnar.py, not the smoke compare).
-    ("repro.analysis.sweep:sweep_columnar",
-     {"sides": (12,), "timing": False}),
-    # E24 in its clock-free mode: deterministic rounds/messages plus the
-    # fast-vs-columnar agreement flag for the pipelined bulk kernel (the
-    # timed >= 2x gate is benchmarks/bench_columnar_pipelined.py, not
-    # the smoke compare).
-    ("repro.analysis.sweep:sweep_columnar_pipelined",
-     {"sizes": ((32, 0.2, 6, 8),), "timing": False}),
-)
-
-
-def _obs_smoke_reports(jobs: int = 1, backend: Optional[str] = None):
-    """Run the smoke suite, optionally fanning the three sweeps out
-    across worker processes.  Report order is task order either way."""
-    from .perf import SweepExecutor, SweepTask
-
-    tasks = [SweepTask(func, dict(kwargs)) for func, kwargs in _SMOKE_SUITE]
-    return SweepExecutor(jobs, backend=backend).run(tasks)
-
-
 def cmd_obs(args, out) -> int:
     from .obs import (BenchStore, MetricsRegistry, ProfileSession, Tracer,
                       check_phases, render_dashboard)
@@ -643,18 +562,6 @@ def cmd_obs(args, out) -> int:
             out.write(f"wrote {nrec} trace records to {args.export_trace}\n")
         ok, _, _ = check_phases(tracer, res.metrics)
         return 0 if ok else 1
-
-    if args.obs_command == "bench":
-        store = BenchStore(args.store)
-        reports = _obs_smoke_reports(jobs=args.jobs, backend=args.backend)
-        path = store.save(args.name, reports, meta={"suite": args.suite})
-        out.write(f"wrote {path}\n")
-        if args.baseline:
-            rep = store.compare(args.baseline, args.name,
-                                tolerance=args.tolerance)
-            out.write(rep.render() + "\n")
-            return rep.exit_code
-        return 0
 
     if args.obs_command == "diff":
         store = BenchStore(args.store)
@@ -959,24 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="full cProfile capture (slow; implies --profile)")
     _add_backend_flag(orun)
     orun.set_defaults(func=cmd_obs)
-    obench = osub.add_parser(
-        "bench", help="run a benchmark suite into the BENCH_*.json store")
-    obench.add_argument("--suite", default="smoke", choices=["smoke"])
-    obench.add_argument("--store", default="benchmarks",
-                        help="store directory (holds BENCH_<name>.json)")
-    obench.add_argument("--name", default="smoke",
-                        help="record name to write")
-    obench.add_argument("--baseline",
-                        help="stored record to compare against; a "
-                             "regression makes the exit code non-zero")
-    obench.add_argument("--tolerance", type=float, default=0.1,
-                        help="relative slack before a larger measurement "
-                             "counts as a regression (default 0.1)")
-    obench.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run the suite's sweeps in N worker processes "
-                             "(record is bit-identical to --jobs 1)")
-    _add_backend_flag(obench)
-    obench.set_defaults(func=cmd_obs)
     odiff = osub.add_parser(
         "diff", help="compare two stored benchmark records")
     odiff.add_argument("baseline")

@@ -59,12 +59,12 @@ def apsp(graph: WeightedDigraph, *, method: str = "auto",
     :class:`repro.obs.MetricsRegistry`) attach the observability
     subsystem to whichever algorithm runs.
 
-    ``backend`` selects the simulator backend (``"reference"`` /
-    ``"fast"``, see :mod:`repro.perf.backends`).  For the single-network
-    methods it is passed explicitly (so ``"fast"`` + an unsupported hook
-    raises); the multi-phase blocker method runs under it as the ambient
-    default (phases carrying unsupported hooks use the reference
-    backend -- results are pinned identical either way).
+    ``backend`` selects the simulator backend (any
+    :data:`~repro.perf.backends.BACKENDS` name: ``"reference"``,
+    ``"fast"``, ``"columnar"``).  Every backend honors every hook, and
+    results are pinned identical across them.  The single-network
+    methods take it as an explicit argument; the multi-phase blocker
+    method runs all its phases under it as the ambient default.
     """
     if method == "auto":
         est = _estimate_bounds(graph, graph.n)

@@ -403,10 +403,11 @@ def run_hk_ssp(graph: WeightedDigraph, sources: Sequence[int], h: int,
         given, and both hooks are forwarded to the
         :class:`~repro.congest.network.Network`.
     backend:
-        Simulator backend: ``"reference"``, ``"fast"``, or ``None`` for
-        the ambient default (see :mod:`repro.perf.backends`).  The fast
-        backend is differentially pinned to identical results but
-        rejects fault/monitor/tracer hooks.
+        Simulator backend: any :data:`~repro.perf.backends.BACKENDS`
+        name (``"reference"``, ``"fast"``, ``"columnar"``), or ``None``
+        for the ambient default (see :mod:`repro.perf.backends`).  Every
+        backend honors every hook and is differentially pinned to
+        identical results.
 
     Returns an :class:`HKSSPResult` (see its docstring for the exact
     output contract); validation against the sequential oracles is the

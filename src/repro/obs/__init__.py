@@ -52,9 +52,7 @@ _EXPORTS = {
     "phase_rounds": ".dashboard",
     "publish_run_metrics": ".registry",
     "render_dashboard": ".dashboard",
-    "render_record_reports": ".store",
     "run_metrics_view": ".registry",
-    "write_last_run_reports": ".store",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -1,9 +1,7 @@
 """Persisted benchmark results and baseline regression detection.
 
-The repo had zero persisted performance trajectory: every benchmark run
-printed tables and threw the numbers away (``benchmarks/
-last_run_reports.txt`` was a stale hand-truncated dump).  A
-:class:`BenchStore` fixes that:
+Every benchmark run that should outlive its process goes through a
+:class:`BenchStore`:
 
 * **persist** -- :meth:`BenchStore.save` serialises a set of
   :class:`~repro.analysis.records.ExperimentReport` sweeps to
@@ -11,8 +9,8 @@ last_run_reports.txt`` was a stale hand-truncated dump).  A
   the ``created`` stamp and whatever wall-clock extras the caller put in
   ``meta``).
 * **round-trip** -- :meth:`BenchRecord.to_reports` reconstructs the
-  reports, so rendered tables (``last_run_reports.txt``) are *derived
-  from the store* instead of hand-maintained.
+  reports, so rendered tables are *derived from the store* instead of
+  hand-maintained.
 * **compare** -- :meth:`BenchStore.compare` diffs a run against a stored
   baseline row by row with configurable relative tolerances and returns
   a :class:`RegressionReport`; a regression (e.g. a +20% round count)
@@ -31,7 +29,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..analysis.records import ExperimentReport, Measurement
 
@@ -277,8 +275,8 @@ class BenchStore:
     def save_record(self, record: BenchRecord) -> Path:
         path = self.path_for(record.name)
         self.root.mkdir(parents=True, exist_ok=True)
-        # Atomic temp+replace: an interrupted ``obs bench`` / CI bench
-        # run must never leave a truncated BENCH_*.json that breaks
+        # Atomic temp+replace: an interrupted campaign or gate run
+        # must never leave a truncated BENCH_*.json that breaks
         # every later tolerance compare.
         atomic_write_text(path, json.dumps(record.as_dict(), sort_keys=True,
                                            indent=1) + "\n")
@@ -329,30 +327,3 @@ class BenchStore:
                 current=float(crow["measured"]), tolerance=tol))
         report.only_in_current = [k for k in cur_rows if k not in base_rows]
         return report
-
-
-def render_record_reports(record: BenchRecord) -> str:
-    """Render a stored record exactly like ``benchmarks/
-    last_run_reports.txt``: the canonical tables are *derived from the
-    store*, so the text file cannot drift from the data again."""
-    from ..analysis.tables import render_report
-
-    reports = record.to_reports()
-    reports.sort(key=lambda r: r.experiment)
-    return "\n\n".join(render_report(r) for r in reports) + "\n"
-
-
-def write_last_run_reports(reports: Sequence[ExperimentReport],
-                           store_root: Union[str, Path], *,
-                           record_name: str = "last_run",
-                           created: str = "") -> Path:
-    """Persist *reports* as ``BENCH_last_run.json`` and (re)generate
-    ``last_run_reports.txt`` next to it from the stored record.  Used by
-    both the pytest-benchmark session hook and ``generate_experiments_md
-    --refresh-reports`` so there is exactly one rendering path."""
-    store = BenchStore(store_root)
-    store.save(record_name, reports, created=created)
-    text = render_record_reports(store.load(record_name))
-    out = Path(store_root) / "last_run_reports.txt"
-    atomic_write_text(out, text)
-    return out

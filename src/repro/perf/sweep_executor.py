@@ -246,9 +246,9 @@ class SweepSpec:
         return tuple(param.default)
 
 
-#: Experiment id -> sweep function + parallelization contract.  Kept in
-#: one place so the CLI (``repro bench --jobs N``) and tests agree on
-#: what may be split.
+#: Experiment id -> sweep function + parallelization contract: the one
+#: experiment registry.  ``repro bench``, campaign specs, the CI gates
+#: (benchmarks/gates.py) and the tests all resolve experiment ids here.
 EXPERIMENT_SWEEPS: Dict[str, SweepSpec] = {
     "E1": SweepSpec("repro.analysis.sweep:sweep_theorem11_hk_ssp"),
     "E2": SweepSpec("repro.analysis.sweep:sweep_theorem11_apsp"),

@@ -13,7 +13,7 @@ traffic.
 The skew is what makes caching pay: with ``skew ~ 1.2`` on a few
 hundred nodes, a few thousand distinct pairs cover the overwhelming
 majority of millions of queries -- the regime the ``>= 5x``
-batched+cached serving gate (benchmarks/bench_serving.py) measures.
+batched+cached serving gate (E22 in benchmarks/gates.py) measures.
 """
 
 from __future__ import annotations

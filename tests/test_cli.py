@@ -382,12 +382,22 @@ class TestCampaignCommand:
         assert rc == 2
         assert "unknown simulator backend ''" in capsys.readouterr().err
 
-    def test_committed_smoke_spec_loads(self):
+    def test_committed_smoke_spec_matches_committed_baseline(
+            self, tmp_path):
+        """CI's smoke compare lets rows that exist on one side only
+        pass; this pins that the committed spec and BENCH_baseline.json
+        cover exactly the same rows, with no regression between them."""
         from pathlib import Path
 
-        from repro.campaign import CampaignSpec, expand
-        spec = CampaignSpec.load(
-            Path(__file__).parent.parent / "benchmarks" / "campaigns"
-            / "smoke.json")
+        from repro.campaign import (CampaignRunner, CampaignSpec,
+                                    InlineTarget, ResultStore,
+                                    regression_diff)
+        bench_dir = Path(__file__).parent.parent / "benchmarks"
+        spec = CampaignSpec.load(bench_dir / "campaigns" / "smoke.json")
         assert spec.name == "ci-smoke"
-        assert len(expand(spec)) == 3
+        result = CampaignRunner(spec, ResultStore(tmp_path),
+                                InlineTarget()).run()
+        rep = regression_diff(result, "baseline", bench_dir, tolerance=0.05)
+        assert rep.clean, rep.render()
+        assert rep.only_in_baseline == [] and rep.only_in_current == [], (
+            rep.render())

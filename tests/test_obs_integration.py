@@ -159,31 +159,44 @@ class TestObsCLI:
                     if s["parent"] is None and "rounds" in s["attrs"])
         assert total == res.metrics.rounds
 
-    def test_obs_bench_and_diff_regression_exit_codes(self, tmp_path,
-                                                      monkeypatch):
+    def test_campaign_bench_and_obs_diff_regression_exit_codes(
+            self, tmp_path, monkeypatch):
+        import json
+
+        import repro.analysis.sweep as sweep_mod
         import repro.cli as cli
         from repro.analysis import ExperimentReport
         from repro.obs import BenchStore
 
         rounds = {"value": 10}
 
-        def fake_suite(jobs=1, backend=None):
+        def fake_sweep(*, seeds=(0,), sizes=(8,)):
             rep = ExperimentReport("EX", "fake")
             rep.add({"n": 8}, measured=rounds["value"])
-            return [rep]
+            return rep
 
-        monkeypatch.setattr(cli, "_obs_smoke_reports", fake_suite)
-        store = str(tmp_path)
-        assert cli.main(["obs", "bench", "--store", store,
-                         "--name", "base"], io.StringIO()) == 0
+        monkeypatch.setattr(sweep_mod, "sweep_theorem11_apsp", fake_sweep)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"name": "fake", "experiments": [{"experiment": "E2"}]}))
+        store = str(tmp_path / "bench")
+
+        def bench(name, *flags, out=None):
+            # --force: the fake's source, hence its cache key, never
+            # changes between runs
+            return cli.main(["campaign", "run", "--spec", str(spec),
+                             "--store", str(tmp_path / "campaign"),
+                             "--force", "--bench-store", store,
+                             "--bench-name", name, *flags],
+                            out or io.StringIO())
+
+        assert bench("base") == 0
         # identical run: clean
-        assert cli.main(["obs", "bench", "--store", store, "--name", "cur",
-                         "--baseline", "base"], io.StringIO()) == 0
+        assert bench("cur", "--baseline", "base") == 0
         # +20% rounds: regression -> non-zero exit code
         rounds["value"] = 12
         out = io.StringIO()
-        rc = cli.main(["obs", "bench", "--store", store, "--name", "bad",
-                       "--baseline", "base", "--tolerance", "0.1"], out)
+        rc = bench("bad", "--baseline", "base", "--tolerance", "0.1", out=out)
         assert rc == 1 and "REGRESSED" in out.getvalue()
         # obs diff agrees, both ways
         assert cli.main(["obs", "diff", "base", "cur", "--store", store],

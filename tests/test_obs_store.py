@@ -6,8 +6,8 @@ import json
 import pytest
 
 from repro.analysis import ExperimentReport
-from repro.obs import BenchStore, write_last_run_reports
-from repro.obs.store import BenchRecord, render_record_reports
+from repro.obs import BenchStore
+from repro.obs.store import BenchRecord
 
 
 def make_reports(rounds_e1=(10, 20), rounds_e2=30):
@@ -111,17 +111,6 @@ class TestBenchStore:
     def test_missing_record_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             BenchStore(tmp_path).load("nope")
-
-
-class TestLastRunReports:
-    def test_writes_store_and_derived_text(self, tmp_path):
-        out = write_last_run_reports(make_reports(), tmp_path)
-        assert out == tmp_path / "last_run_reports.txt"
-        store = BenchStore(tmp_path)
-        assert store.exists("last_run")
-        # the text is *derived from the stored record*: one rendering path
-        assert out.read_text() == render_record_reports(store.load("last_run"))
-        assert "E1" in out.read_text() and "E2" in out.read_text()
 
 
 class TestAtomicWrites:

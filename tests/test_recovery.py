@@ -521,6 +521,23 @@ class TestDynamicRun:
         b.apply(EdgeUpdate(0, 1, 0))
         assert a.digest() == b.digest()
 
+    def test_e21_sweep_raises_on_a_wrong_edge_repair(self, monkeypatch):
+        """E21's increase/decrease rows assert the Dijkstra check, as
+        the crash rows do, instead of recording ``correct=0``."""
+        from repro.analysis.sweep import sweep_recovery
+
+        real = DynamicRun.oracle_check
+
+        def one_mismatch_without_faults(self):
+            if self.fault_plan is None:
+                return [(self.sources[0], 0, 1.0, 2.0)]
+            return real(self)
+
+        monkeypatch.setattr(DynamicRun, "oracle_check",
+                            one_mismatch_without_faults)
+        with pytest.raises(AssertionError, match="wrong distances"):
+            sweep_recovery(seeds=(0,), sizes=(10,))
+
 
 class TestCrashDuringUpdate:
     """The issue's acceptance test: a dynamic run with a crash window in
