@@ -5,10 +5,10 @@ Theorem I.1 pipelined algorithm on weighted path graphs on both
 backends -- the regime where the reference backend's per-round O(n)
 scans dominate -- and differentially re-checks every timed pair, so a
 "speedup" can never hide a divergence.  Each size is measured twice:
-with no hooks (the plain delivery fast path) and with the full hook set
-attached (fault plan + tracer + ring recorder), because the fast
-backend switches to an instrumented delivery loop the moment any hook
-is present and that loop needs its own regression gate.
+with no hooks and with the full hook set attached (fault plan + tracer
++ ring recorder), because with hooks attached the fast backend's
+delivery loop also runs their per-message work, and that cost needs
+its own regression gate.
 
 The pytest-benchmark test below pins only the direction.  The CI
 floors -- >= 2x plain and >= 1.5x instrumented at the largest size --

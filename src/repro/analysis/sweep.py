@@ -184,12 +184,12 @@ def sweep_backend_speedup(*, sizes: Sequence[int] = (768, 1536), w: int = 4,
     and trace streams -- so a speedup number can never come from the
     backends quietly computing different things.
 
-    Each size produces two rows: ``hooks="none"`` (the plain zero-hook
-    delivery path) and ``hooks="full"`` (seeded fault plan + tracer +
-    ring recorder attached to both backends), because the fast backend
-    takes a different, instrumented delivery loop once any hook is
-    present -- the speedup that matters to a fault experiment is the
-    instrumented one.
+    Each size produces two rows: ``hooks="none"`` (no hook attached)
+    and ``hooks="full"`` (seeded fault plan + tracer + ring recorder
+    attached to both backends), because with hooks attached the fast
+    backend's delivery loop also runs the recorder/tracer emissions and
+    the injector protocol for every message -- the speedup that matters
+    to a fault experiment is the instrumented one.
 
     ``measured`` is the speedup (reference seconds / fast seconds);
     ``bound`` is left ``None`` because :class:`Measurement.within_bound`
@@ -476,11 +476,12 @@ def sweep_columnar_pipelined(*, sizes: Sequence[Tuple[int, float, int, int]]
 
     E23 vectorized the Bellman-Ford relaxation family; this sweep
     measures the tentpole that matters -- Algorithm 1 itself
-    (``run_hk_ssp``) executing as bulk column passes
+    (``run_hk_ssp``) on the pipelined bulk kernel
     (:mod:`repro.perf.columnar_pipelined`): the Step 1 send schedule as
-    a rank bisection over the key column, Step 2 deliveries as one CSR
-    gather per round, and insert_sp / eviction / nu-counting as column
-    passes with the reference tie-break.
+    a rank bisection over each node's own key column, Step 2 deliveries
+    as one CSR gather per round with a vectorized reject pass, and the
+    arrivals it keeps folded through the program's own Steps 8-13
+    (:meth:`~repro.core.pipelined.PipelinedSSPProgram.fold`).
 
     The workload is the kernel's dense-wavefront regime: directed
     random graphs with ``k`` spread sources and ``h`` around the

@@ -69,29 +69,6 @@ def send_round(kappa: float, pos: int) -> int:
     return ceil_key(kappa + pos)
 
 
-def key_of_batch(ds, ls, gamma: float):
-    """Batched :func:`key_of` over parallel distance/hop columns.
-
-    Each key is the same single multiply-add as the scalar path
-    (``d * gamma + l`` on the integer pair), so a column computed here is
-    bit-identical to keys derived entry by entry -- the property the
-    columnar bulk kernel relies on to keep list orders consistent with
-    the per-message backends.
-    """
-    return [d * gamma + l for d, l in zip(ds, ls)]
-
-
-def send_round_batch(keys, start_pos: int = 1):
-    """Scheduled send rounds ``ceil(kappa_i + pos_i)`` for a sorted key
-    column (Step 1 of Algorithm 1, batched).  *keys* holds plain kappa
-    floats or ``(kappa, d, x)`` sort keys; positions are 1-based by
-    default (*start_pos* shifts them, e.g. for a column slice)."""
-    ceil = math.ceil
-    if keys and type(keys[0]) is tuple:
-        return [ceil(k[0] + p) for p, k in enumerate(keys, start_pos)]
-    return [ceil(k + p) for p, k in enumerate(keys, start_pos)]
-
-
 def next_send_after(keys, r: int, *, pos_offset: int = 1):
     """Earliest schedule slot strictly after round *r*: returns
     ``(index, round)`` for the first entry of the sorted key column

@@ -165,9 +165,6 @@ class NodeList:
                 f"count_for_source_below mismatch: indexed {c}, linear {naive}"
         return c
 
-    def entries_for(self, x: int) -> List[Entry]:
-        return list(self._src_entries.get(x, ()))
-
     def count_for_source(self, x: int) -> int:
         lst = self._src_entries.get(x)
         return len(lst) if lst else 0
@@ -304,7 +301,7 @@ class NodeList:
         """
         i = self._link(entry)
         removed: Optional[Entry] = None
-        if budget is None or self.count_for_source(entry.x) > budget:
+        if budget is None or len(self._src_entries[entry.x]) > budget:
             removed = self._evict_above(entry.x, entry._li)
         if PARANOID:
             self._check_sorted()
@@ -465,9 +462,6 @@ class ReferenceNodeList:
         i = bisect_right(self._keys, sort_key)
         return sum(1 for e in self._entries[:i] if e.x == x)
 
-    def entries_for(self, x: int) -> List[Entry]:
-        return [e for e in self._entries if e.x == x]
-
     def count_for_source(self, x: int) -> int:
         return sum(1 for e in self._entries if e.x == x)
 
@@ -556,69 +550,6 @@ class ReferenceNodeList:
         if prof is not None:
             prof.record("node_list.next_fire_after", _perf() - t0)
         return best
-
-
-# -- columnar export/import ------------------------------------------------
-#
-# The columnar bulk kernel (repro.perf.columnar_pipelined) runs the
-# pipelined algorithm on flat parallel columns instead of Entry objects.
-# These two helpers are the only bridge: export flattens a list into
-# columns at ``run()`` entry, and load rebuilds the list *in place* --
-# same object identity, every index reconstructed -- at ``run()`` exit,
-# so resumption, checkpoints, and inspection observe exactly the state
-# the per-message backends would have left behind.
-
-def export_entry_columns(nl) -> Tuple[List[_Key], List[int],
-                                      List[Optional[int]], List[bool]]:
-    """Flatten *nl* (either list kernel) into parallel columns, in list
-    order: ``(sort_keys, l, parent, flag_sp)``.  The sort key carries
-    ``kappa``, ``d`` and ``x``; ``l``/``parent``/``flag_sp`` are the
-    remaining per-entry fields."""
-    entries = nl._entries
-    return (list(nl._keys),
-            [e.l for e in entries],
-            [e.parent for e in entries],
-            [e.flag_sp for e in entries])
-
-
-def load_entry_columns(nl, keys: List[_Key], lcol: List[int],
-                       pcol: List[Optional[int]],
-                       fcol: List[bool]) -> List[Entry]:
-    """Rebuild *nl* in place from parallel columns (inverse of
-    :func:`export_entry_columns`); returns the fresh ``Entry`` objects in
-    list order.  For :class:`NodeList` every secondary index (per-source
-    lists, identity indexes, count histogram) is reconstructed to the
-    same observable state incremental maintenance would have produced."""
-    entries = [Entry(key[0], key[1], lcol[i], key[2],
-                     flag_sp=fcol[i], parent=pcol[i])
-               for i, key in enumerate(keys)]
-    nl._entries = entries
-    nl._keys = list(keys)
-    if isinstance(nl, NodeList):
-        src_entries: Dict[int, List[Entry]] = {}
-        src_keys: Dict[int, List[_Key]] = {}
-        for e in entries:
-            lst = src_entries.get(e.x)
-            if lst is None:
-                lst = src_entries[e.x] = []
-                src_keys[e.x] = []
-            e._li = len(lst)
-            lst.append(e)
-            src_keys[e.x].append(e.sort_key)
-        freq: Dict[int, int] = {}
-        top = 0
-        for lst in src_entries.values():
-            c = len(lst)
-            freq[c] = freq.get(c, 0) + 1
-            if c > top:
-                top = c
-        nl._src_entries = src_entries
-        nl._src_keys = src_keys
-        nl._count_freq = freq
-        nl._max_count = top
-        if PARANOID:
-            nl._check_sorted()
-    return entries
 
 
 #: ``list_kernel=`` values accepted by the pipelined entry points.

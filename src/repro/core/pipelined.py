@@ -62,7 +62,7 @@ from ..perf.backends import make_network
 from ..graphs.digraph import WeightedDigraph
 from ..graphs.reference import weak_delta_bound
 from .entries import Entry, SourceBest
-from .keys import gamma_for, key_of, send_round
+from .keys import gamma_for, key_of
 from . import node_list as _node_list
 from .node_list import make_node_list
 
@@ -152,17 +152,12 @@ class PipelinedSSPProgram(Program):
     # -- Steps 3-13: receive -------------------------------------------------
 
     def on_receive(self, ctx: NodeContext, r: int, inbox: List[Envelope]) -> None:
-        # Batched round processing: per-envelope *order* is semantic (the
-        # Step 13 quota gate and the flag-d* tie-breaks read list state
-        # mutated by earlier envelopes of the same round), so the batching
-        # is in hoisting -- bind the list, the weight lookup, and the
-        # per-source bests once per round instead of once per envelope --
-        # and in the per-round stats below being O(1) kernel reads rather
-        # than full-list recounts.
-        list_v = self.list_v
+        # Per-envelope *order* is semantic (the Step 13 quota gate and the
+        # flag-d* tie-breaks read list state mutated by earlier envelopes
+        # of the same round), so arrivals are folded one by one, in inbox
+        # order.
+        fold = self.fold
         gamma = self.gamma
-        best = self.best
-        budget = self.budget
         weight_in = ctx.weight_in
         for env in inbox:
             y = env.src
@@ -174,71 +169,90 @@ class PipelinedSSPProgram(Program):
             d_in, l_in, x, _flag_in, nu_in = env.payload
             d = d_in + w
             l = l_in + 1
-            kappa = key_of(d, l, gamma)
-            z = Entry(kappa, d, l, x, parent=y)
+            fold(r, y, d, l, key_of(d, l, gamma), x, nu_in)
+        self.finish_receive()
 
-            # Steps 8-13: list maintenance.  flag-d* marks the entry with
-            # the smallest (d, kappa) among *all* entries for the source
-            # on this list (the paper's verbatim definition) -- no hop
-            # gate here: a cheap long-hop path still wins the flag.  This
-            # matters: it is what shields the (d, l)-Pareto entries
-            # (larger d, fewer hops) that downstream nodes need for
-            # *their* h-hop answers from Insert's eviction (the Figure 1
-            # phenomenon; see tests/test_pipelined.py).
-            b = best[x]
-            if b.beats(d, l, y):
-                # Steps 9-11: new flag-d* holder.  Inserting the SP entry
-                # does not evict (the eviction clause of Insert applies to
-                # non-SP additions, which are the only ones admitted by a
-                # quota rather than by an improvement).
-                if self.trace is not None:
-                    self.trace.emit(r, self.v, "promote", x, d, l)
-                old = b.entry
-                z.flag_sp = True
-                b.d, b.l, b.parent, b.entry = d, l, y, z
-                pos = list_v.insert_sp(z)
-                if old is not None:
-                    old.flag_sp = False
-                    if old.sort_key == z.sort_key:
-                        # Parent-id tie-break replacement: the demoted
-                        # twin has identical (kappa, d, l) and is fully
-                        # dominated -- drop it outright (it sits *below*
-                        # the newcomer, out of reach of the closest-above
-                        # eviction, and would leak past the Invariant 2
-                        # budget).
-                        list_v.remove(old)
-                    else:
-                        list_v.evict_over_budget(
-                            z, 0 if budget is None else budget)
-                if l <= self.h:
-                    # an output-relevant improvement: Theorem I.1 bounds
-                    # the round by which the last of these happens
-                    self.last_sp_update_round = r
-                self._note_insert(r, z, pos)
-            else:
-                # Step 13: non-SP quota gate, then Insert with eviction of
-                # the closest non-SP same-source entry above.
-                below = list_v.count_for_source_below(x, z.sort_key)
-                if below < nu_in:
-                    pos, _removed = list_v.insert(z, budget)
-                    self._note_insert(r, z, pos)
+    def fold(self, r: int, y: int, d: int, l: int, kappa: float, x: int,
+             nu_in: int) -> bool:
+        """Steps 8-13 for one arrival: the candidate ``(d, l)`` with key
+        *kappa* for source *x*, relayed by neighbour *y*, whose send
+        advertised ``nu_in``.  Returns whether ``list_v`` changed.
 
-        # O(1) on the kernel list (incremental max); a recount on the
-        # reference list.
-        self.max_list_len_seen = max(self.max_list_len_seen, len(list_v))
-        self.max_per_source_seen = max(self.max_per_source_seen,
-                                       list_v.max_entries_any_source())
+        The one implementation of list maintenance: :meth:`on_receive`
+        calls it per envelope, and the columnar kernel
+        (:mod:`repro.perf.columnar_pipelined`) per arrival its reject
+        pass keeps.  An :class:`Entry` is built only for an admitted
+        arrival."""
+        # flag-d* marks the entry with the smallest (d, kappa) among
+        # *all* entries for the source on this list (the paper's
+        # verbatim definition) -- no hop gate here: a cheap long-hop path
+        # still wins the flag.  This matters: it is what shields the
+        # (d, l)-Pareto entries (larger d, fewer hops) that downstream
+        # nodes need for *their* h-hop answers from Insert's eviction
+        # (the Figure 1 phenomenon; see tests/test_pipelined.py).
+        list_v = self.list_v
+        b = self.best[x]
+        if b.beats(d, l, y):
+            # Steps 9-11: new flag-d* holder.  Inserting the SP entry
+            # does not evict (the eviction clause of Insert applies to
+            # non-SP additions, which are the only ones admitted by a
+            # quota rather than by an improvement).
+            if self.trace is not None:
+                self.trace.emit(r, self.v, "promote", x, d, l)
+            z = Entry(kappa, d, l, x, flag_sp=True, parent=y)
+            old = b.entry
+            b.d, b.l, b.parent, b.entry = d, l, y, z
+            pos = list_v.insert_sp(z)
+            if old is not None:
+                old.flag_sp = False
+                if old.sort_key == z.sort_key:
+                    # Parent-id tie-break replacement: the demoted twin
+                    # has identical (kappa, d, l) and is fully dominated
+                    # -- drop it outright (it sits *below* the newcomer,
+                    # out of reach of the closest-above eviction, and
+                    # would leak past the Invariant 2 budget).
+                    list_v.remove(old)
+                else:
+                    budget = self.budget
+                    list_v.evict_over_budget(
+                        z, 0 if budget is None else budget)
+            if l <= self.h:
+                # an output-relevant improvement: Theorem I.1 bounds the
+                # round by which the last of these happens
+                self.last_sp_update_round = r
+            self._note_insert(r, z, pos)
+            return True
+        # Step 13: non-SP quota gate, then Insert with eviction of the
+        # closest non-SP same-source entry above.
+        if list_v.count_for_source_below(x, (kappa, d, x)) >= nu_in:
+            return False
+        z = Entry(kappa, d, l, x, parent=y)
+        pos, _removed = list_v.insert(z, self.budget)
+        self._note_insert(r, z, pos)
+        return True
+
+    def finish_receive(self) -> None:
+        """End-of-receive stats: O(1) on the kernel list (incremental
+        max), a recount on the reference list."""
+        list_v = self.list_v
+        ln = len(list_v)
+        if ln > self.max_list_len_seen:
+            self.max_list_len_seen = ln
+        top = list_v.max_entries_any_source()
+        if top > self.max_per_source_seen:
+            self.max_per_source_seen = top
 
     def _note_insert(self, r: int, z: Entry, pos: int) -> None:
         if self.trace is not None:
             self.trace.emit(r, self.v, "insert", z.d, z.l, z.x, z.kappa, pos)
         # Invariant 1 (Lemma II.12): an entry is added strictly before the
-        # round it is scheduled to fire in.
-        if r >= send_round(z.kappa, pos):
+        # round it is scheduled to fire in, ceil(kappa + pos) (inlined:
+        # this runs on every insert of every backend).
+        due = math.ceil(z.kappa + pos)
+        if r >= due:
             raise AssertionError(
                 f"Invariant 1 violated at node {self.v}, round {r}: "
-                f"inserted {z!r} at pos {pos} with ceil(kappa+pos)="
-                f"{send_round(z.kappa, pos)}")
+                f"inserted {z!r} at pos {pos} with ceil(kappa+pos)={due}")
 
     # -- scheduling --------------------------------------------------------
 
@@ -259,21 +273,17 @@ class PipelinedSSPProgram(Program):
                 out[x] = (int(b.d), int(b.l), b.parent)
         return out
 
-    # -- columnar bridge ---------------------------------------------------
-    #
-    # The columnar bulk kernel (repro.perf.columnar_pipelined) lifts this
-    # program's state into flat columns at run() entry and writes it back
-    # at run() exit.  The bridge is exact: the rebuilt list, bests, and
-    # stats are indistinguishable from a per-message run, so outputs,
-    # resumption, checkpoints, and inspection all agree bit for bit.
+    # -- checkpoint protocol (repro.recovery.checkpoint) -----------------
 
-    def export_kernel_state(self) -> Dict[str, object]:
-        """Flatten the program state into the column dict the bulk
-        kernel consumes (see :func:`repro.core.node_list.export_entry_columns`
-        for the list layout)."""
-        keys, lcol, pcol, fcol = _node_list.export_entry_columns(self.list_v)
+    def snapshot_state(self) -> Dict[str, object]:
+        """The mutable state as plain values the checkpoint JSON codec
+        encodes: ``list_v`` in list order, one ``[kappa, d, l, x,
+        flag_sp, parent, sent_at]`` row per entry, plus the bests and
+        the diagnostics.  Detached from the live program."""
         return {
-            "keys": keys, "l": lcol, "parent": pcol, "flag": fcol,
+            "entries": [[e.kappa, e.d, e.l, e.x, e.flag_sp, e.parent,
+                         None if e.sent_at is None else list(e.sent_at)]
+                        for e in self.list_v],
             "best": {x: (b.d, b.l, b.parent) for x, b in self.best.items()},
             "max_list_len": self.max_list_len_seen,
             "max_per_source": self.max_per_source_seen,
@@ -281,20 +291,27 @@ class PipelinedSSPProgram(Program):
             "sends": self.sends,
         }
 
-    def adopt_kernel_state(self, state: Dict[str, object]) -> None:
-        """Inverse of :meth:`export_kernel_state`: rebuild ``list_v`` in
-        place from the columns and re-wire each ``SourceBest`` to alias
-        the (unique) flagged entry of its source, preserving the object
-        identities checkpointing relies on."""
-        entries = _node_list.load_entry_columns(
-            self.list_v, state["keys"], state["l"],
-            state["parent"], state["flag"])
+    def restore_state(self, state: Dict[str, object]) -> None:
+        """Inverse of :meth:`snapshot_state`: a fresh ``list_v`` of the
+        same kernel holding fresh entries, and a fresh ``SourceBest`` per
+        source pointing at its flagged entry -- also on a program whose
+        ``on_start`` never ran (``restore_network`` restores into those).
+        *state* is left untouched, so it can be restored again."""
+        list_v = type(self.list_v)()
         flagged: Dict[int, Entry] = {}
-        for e in entries:
-            if e.flag_sp:
-                flagged[e.x] = e
+        for kappa, d, l, x, flag_sp, parent, sent_at in state["entries"]:
+            e = Entry(kappa, d, l, x, flag_sp=flag_sp, parent=parent)
+            if sent_at is not None:
+                e.sent_at = list(sent_at)
+            # Entries arrive in list order and an insert goes above its
+            # equal keys, so the rebuilt order is the saved one.
+            list_v.insert_sp(e)
+            if flag_sp:
+                flagged[x] = e
+        self.list_v = list_v
+        self.best = {}
         for x, (d, l, parent) in state["best"].items():
-            b = self.best[x]
+            b = self.best[x] = SourceBest()
             b.d, b.l, b.parent = d, l, parent
             b.entry = flagged.get(x)
         self.max_list_len_seen = state["max_list_len"]

@@ -15,11 +15,12 @@ The columnar engine eliminates it for two program families: the
 **pipelined (h, k)-SSP family**
 (:class:`~repro.core.pipelined.PipelinedSSPProgram`, bulk kernel in
 :mod:`repro.perf.columnar_pipelined` -- the hot path behind every
-Table I experiment and every serve-layer shard build).  Per-node state
-lives in flat columns (distances, arrival rounds, parents, the send
-schedule), the graph lives in CSR arrays, and each round's sends,
-deliveries, distance updates, and wavefront evictions execute as a
-handful of bulk array operations instead of ~messages x method calls:
+Table I experiment and every serve-layer shard build).  For the
+relaxation family, per-node state lives in flat columns (distances,
+arrival rounds, parents, the send schedule), the graph lives in CSR
+arrays, and each round's sends, deliveries, distance updates, and
+wavefront evictions execute as a handful of bulk array operations
+instead of ~messages x method calls:
 
 * **send schedule** -- the relaxation wavefront is a single flat array
   of scheduled node ids (every improved node fires in the next round,
@@ -39,14 +40,20 @@ handful of bulk array operations instead of ~messages x method calls:
   / word / per-channel accounting accumulates in flat per-edge counters
   flushed to :class:`~repro.congest.metrics.RunMetrics` once per run.
 
+The pipelined kernel shares the CSR gather, the vectorized candidate
+computation and the per-edge accounting, but keeps no columns of
+program state: it schedules sends on each node's own list and hands
+every arrival its vectorized reject pass keeps to the program's own
+receive step (see :mod:`repro.perf.columnar_pipelined`).
+
 Equality is pinned, not hoped for: ``tests/backend_conformance.py``
 drives every backend in :data:`repro.perf.backends.BACKENDS` through
 the differential harness (Hypothesis corpora, golden fixtures,
-instrumented digests, resumption, hook parity), and the engine
+instrumented digests, resumption, hook parity).  The relaxation kernel
 *materializes* its columns back into the program objects at every
-``run()`` exit -- so ``outputs()``, resumption, checkpointing, and
-post-mortems read the exact state the reference execution would have
-left behind.
+``run()`` exit and the pipelined kernel changes the programs in place,
+so ``outputs()``, resumption, checkpointing, and post-mortems read the
+exact state the reference execution would have left behind.
 
 Programs outside the vectorizable family -- and any run with a fault
 plan, monitor, tracer, or record window attached -- execute on the

@@ -5,36 +5,33 @@ relaxation kernel (:mod:`repro.perf.columnar`) covers the Bellman-Ford
 baselines, :class:`_PipelinedKernel` executes
 :class:`~repro.core.pipelined.PipelinedSSPProgram` networks -- the hot
 path behind every Table I experiment and every serve-layer oracle
-build -- without per-message Python objects.
+build -- without per-message Python objects on the delivery path.
 
 What is bulk and what is not
 ----------------------------
-Per node, ``list_v`` becomes four parallel columns -- the sorted
-``(kappa, d, x)`` sort keys plus ``l`` / ``parent`` / ``flag_sp`` --
-mirrored by per-source key/flag subsequences and the count-of-counts
-histogram, exactly the indexes the kernelised
-:class:`~repro.core.node_list.NodeList` maintains on Entry objects.
-On those columns:
+The kernel owns no copy of ``list_v``: it works on the programs' own
+:class:`~repro.core.node_list.NodeList` objects and ``SourceBest``
+maps, and keeps only the bulk work around them.
 
 * **Step 1 (send rule)** ``ceil(kappa + pos) == r`` runs as rank
-  arithmetic on the key column (:func:`repro.core.keys.next_send_after`
-  -- the strictly-increasing-schedule bisection), with the firing
-  *index* cached next to the scheduled round so firing is O(1): no
-  ``node_list`` bisection, no Entry access, and ``nu`` is two bisects
-  (global run start + per-source rank);
+  arithmetic on each list's key column
+  (:func:`repro.core.keys.next_send_after` -- the
+  strictly-increasing-schedule bisection), with the firing *index*
+  cached next to the scheduled round, so firing is one index into the
+  entry list and ``nu`` is the entry's per-source index + 1 (what
+  ``NodeList.nu_of`` returns);
 * **Step 2 (deliveries)** run through the CSR gather: one flat
   ``(src, dst, w)`` edge batch per round, candidate ``d' = d + w``,
   ``l' = l + 1`` and ``kappa' = d' * gamma + l'`` computed for the
   whole batch as numpy vector ops, per-edge message tallies
   accumulated in flat counters -- no Envelope, payload tuple, or
   Counter update per message;
-* **Steps 8-13 (insert_sp / eviction / nu-counting)** execute as
-  scatter-min-style column passes: the flag-d* promotion is a bisect +
-  column insert with the reference tie-break (equal-key demoted twin
-  removed outright, else closest non-SP same-source entry above
-  evicted when the Invariant 2 budget demands), the Step 13 quota gate
-  is one per-source ``bisect_right``, and Invariant 1 is asserted per
-  insert with the reference's exact message.
+* **Steps 8-13 (flag-d* promotion, the Step 13 quota, Insert's
+  eviction)** are not reimplemented here: every arrival the reject
+  pass keeps goes through
+  :meth:`~repro.core.pipelined.PipelinedSSPProgram.fold`, the same
+  method the per-message ``on_receive`` calls, which also asserts
+  Invariant 1 on every insert.
 
 The **order** of arrivals within a round is semantic (the quota gate
 and the flag-d* tie-breaks read list state mutated by earlier arrivals
@@ -67,15 +64,12 @@ slot.
 
 Exactness contract
 ------------------
-Same as the relaxation kernel: load / compute / store.  ``run()``
-flattens program state into columns
-(:meth:`~repro.core.pipelined.PipelinedSSPProgram.export_kernel_state`),
-executes rounds on them, and materializes them back
-(:meth:`~repro.core.pipelined.PipelinedSSPProgram.adopt_kernel_state`)
-in a ``finally`` -- so outputs, round numbers, resumption, checkpoints
-and post-mortems observe exactly the state the per-message backends
-would have produced, and ``tests/backend_conformance.py`` pins the
-equality differentially (including deliberate-corruption runs via the
+The programs are the only state: ``fold`` and the send phase change
+them in place, so between (and after an exception inside) ``run()``
+calls outputs, round numbers, resumption, checkpoints and post-mortems
+read exactly what the per-message backends would have left behind.
+``tests/backend_conformance.py`` pins the equality differentially
+(including per-program state and deliberate-corruption runs via the
 ``send-rank-off-by-one`` / ``nu-off-by-one`` /
 ``reject-filter-off-by-one`` modes this module honors).
 
@@ -87,7 +81,6 @@ backends to the last ulp.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush
 from math import ceil as _ceil, inf as _INF
 from time import perf_counter as _perf
@@ -99,8 +92,6 @@ from ..core.keys import next_send_after
 from ..obs.profiling import HOT as _HOT
 from .fast_network import RoundLimitExceeded
 from . import columnar as _cmod
-
-_Key = Tuple[float, int, int]
 
 #: Words per pipelined payload ``(d, l, x, flag_sp, nu)`` -- five
 #: scalars (repro.congest.message.payload_words).
@@ -130,8 +121,10 @@ class _PipelinedKernel:
           per-send events the bulk path never materializes (paranoid
           mode forces ``record_sends`` on, so a paranoid process also
           stays on the instrumented loop);
-        * a known ``list_v`` kernel, so the column export/import is
-          exact for its index structure;
+        * ``list_v`` is the indexed :class:`~repro.core.node_list.NodeList`,
+          whose key column and per-source key lists the kernel reads
+          directly (a ``list_kernel="reference"`` program takes the
+          generic loop);
         * ``max_message_words >= 5``: a smaller budget must raise the
           reference's ``MessageSizeError``, which the generic loop
           does;
@@ -140,7 +133,7 @@ class _PipelinedKernel:
           (``channel_capacity >= 1`` is construction-enforced).
         """
         from ..core.pipelined import PipelinedSSPProgram
-        from ..core.node_list import LIST_KERNELS
+        from ..core.node_list import NodeList
         programs = net.programs
         if not programs or type(programs[0]) is not PipelinedSSPProgram:
             return False
@@ -150,14 +143,13 @@ class _PipelinedKernel:
         sources0 = tuple(p0.sources)
         params0 = (p0.h, p0.gamma, p0.cutoff_round, p0.directed_broadcast,
                    p0.budget)
-        list_types = tuple(LIST_KERNELS.values())
         for v, p in enumerate(programs):
             if (type(p) is not PipelinedSSPProgram or p.v != v
                     or tuple(p.sources) != sources0
                     or (p.h, p.gamma, p.cutoff_round, p.directed_broadcast,
                         p.budget) != params0
                     or p.trace is not None or p.record_sends
-                    or type(p.list_v) not in list_types):
+                    or type(p.list_v) is not NodeList):
                 return False
         directed = p0.directed_broadcast
         for ctx in net.contexts:
@@ -174,9 +166,9 @@ class _PipelinedKernel:
 
     def revalidate(self) -> bool:
         """Per-run dynamic eligibility on the memoized kernel: paranoid
-        mode may have been toggled since the static scan (it re-derives
-        kernel queries through Entry objects the bulk path does not
-        keep)."""
+        mode may have been toggled since the static scan (it re-checks
+        ``fire_at`` / ``next_fire_after`` against the linear scan, and
+        the kernel's own schedule bisection bypasses both)."""
         from ..core import node_list as _node_list
         return not _node_list.PARANOID
 
@@ -184,10 +176,8 @@ class _PipelinedKernel:
         self.net = net
         self.n = net.n
         p0 = net.programs[0]
-        self.h: int = p0.h
         self.gamma: float = p0.gamma
         self.cutoff: Optional[int] = p0.cutoff_round
-        self.budget: Optional[int] = p0.budget
         self.directed: bool = p0.directed_broadcast
         #: Served sources and each one's column in the snapshot rows
         #: (cell ``v * k + xi``; -1 for non-sources, never a payload x).
@@ -235,82 +225,30 @@ class _PipelinedKernel:
         #: Counter once per run.
         self._np_edge_msgs = np.zeros(len(heads), dtype=np.int64)
 
-    # -- load / store ------------------------------------------------------
+    # -- per-run state -----------------------------------------------------
 
     def _load(self) -> None:
-        """Program state -> columns (see the module docstring for the
-        layout).  Per-source key/flag subsequences and the
-        count-of-counts histogram are derived from the flat columns, so
-        the load is exact for both list kernels."""
-        n = self.n
-        self.KEYS: List[List[_Key]] = [None] * n
-        self.LCOL: List[List[int]] = [None] * n
-        self.PCOL: List[List[Optional[int]]] = [None] * n
-        self.FCOL: List[List[bool]] = [None] * n
-        self.SKEYS: List[Dict[int, List[_Key]]] = [None] * n
-        self.SFLAGS: List[Dict[int, List[bool]]] = [None] * n
-        self.CFREQ: List[Dict[int, int]] = [None] * n
-        self.CMAX: List[int] = [0] * n
-        self.BEST: List[Dict[int, list]] = [None] * n
-        self.MAXLEN: List[int] = [0] * n
-        self.MAXSRC: List[int] = [0] * n
-        self.LASTSP: List[int] = [0] * n
-        self.SENDS: List[int] = [0] * n
-        for v, p in enumerate(self.net.programs):
-            st = p.export_kernel_state()
-            keys = st["keys"]
-            flags = st["flag"]
-            self.KEYS[v] = keys
-            self.LCOL[v] = st["l"]
-            self.PCOL[v] = st["parent"]
-            self.FCOL[v] = flags
-            skeys: Dict[int, List[_Key]] = {}
-            sflags: Dict[int, List[bool]] = {}
-            for i, key in enumerate(keys):
-                x = key[2]
-                sk = skeys.get(x)
-                if sk is None:
-                    sk = skeys[x] = []
-                    sflags[x] = []
-                sk.append(key)
-                sflags[x].append(flags[i])
-            freq: Dict[int, int] = {}
-            top = 0
-            for sk in skeys.values():
-                c = len(sk)
-                freq[c] = freq.get(c, 0) + 1
-                if c > top:
-                    top = c
-            self.SKEYS[v] = skeys
-            self.SFLAGS[v] = sflags
-            self.CFREQ[v] = freq
-            self.CMAX[v] = top
-            self.BEST[v] = {x: [d, l, par]
-                            for x, (d, l, par) in st["best"].items()}
-            self.MAXLEN[v] = st["max_list_len"]
-            self.MAXSRC[v] = st["max_per_source"]
-            self.LASTSP[v] = st["last_sp_round"]
-            self.SENDS[v] = st["sends"]
-        self._load_snapshot()
-
-    def _load_snapshot(self) -> None:
-        """Build the reject pass's inputs: the snapshot rows (one per
-        (node, source) cell, see :meth:`_snap_row`) and the set of nodes
-        whose receive stats lag their lists (a source right after
-        ``on_start``, or restored state) -- the reference refreshes those
-        stats in every ``on_receive``, including one whose arrivals are
-        all rejected, so :meth:`_round` still runs the epilogue for
-        them."""
+        """Bind the programs' lists for the run and build the reject
+        pass's inputs: the snapshot rows (one per (node, source) cell,
+        see :meth:`_snap_row`) and the set of nodes whose receive stats
+        lag their lists (a source right after ``on_start``, or restored
+        state) -- the reference refreshes those stats in every
+        ``on_receive``, including one whose arrivals are all rejected,
+        so :meth:`_round` still runs ``finish_receive`` for them."""
+        programs = self.net.programs
+        self._programs = programs
+        self._lists = [p.list_v for p in programs]
         snap = np.empty((self.n * self.k, 6))
         snap[:] = _EMPTY_ROW
         cells = [v * self.k + self._xi[x]
-                 for v in range(self.n) for x in self.SKEYS[v]]
+                 for v, nl in enumerate(self._lists) for x in nl._src_keys]
         if cells:
             snap[cells] = [self._snap_row(c) for c in cells]
         self._snap = snap
-        self._lag = {v for v in range(self.n)
-                     if self.MAXLEN[v] < len(self.KEYS[v])
-                     or self.MAXSRC[v] < self.CMAX[v]}
+        self._lag = {v for v, p in enumerate(programs)
+                     if p.max_list_len_seen < len(p.list_v)
+                     or p.max_per_source_seen
+                     < p.list_v.max_entries_any_source()}
 
     def _snap_row(self, cell: int) -> Tuple[float, ...]:
         """Cell ``v * k + xi``'s snapshot row ``(best d, best l, best
@@ -318,49 +256,15 @@ class _PipelinedKernel:
         all read at one moment."""
         v, xi = divmod(cell, self.k)
         x = self.sources[xi]
-        b = self.BEST[v][x]
-        sk = self.SKEYS[v][x]
+        b = self._programs[v].best[x]
+        sk = self._lists[v]._src_keys[x]
         top = sk[-1]
-        return (b[0], b[1], -1 if b[2] is None else b[2], len(sk),
+        return (b.d, b.l, -1 if b.parent is None else b.parent, len(sk),
                 top[0], top[1])
-
-    def _store(self) -> None:
-        """Columns -> program state (in place, preserving the object
-        identities resumption and checkpoints rely on)."""
-        for v, p in enumerate(self.net.programs):
-            p.adopt_kernel_state({
-                "keys": self.KEYS[v], "l": self.LCOL[v],
-                "parent": self.PCOL[v], "flag": self.FCOL[v],
-                "best": {x: (b[0], b[1], b[2])
-                         for x, b in self.BEST[v].items()},
-                "max_list_len": self.MAXLEN[v],
-                "max_per_source": self.MAXSRC[v],
-                "last_sp_round": self.LASTSP[v],
-                "sends": self.SENDS[v],
-            })
-
-    # -- count-of-counts histogram (mirrors NodeList._link/_unlink) --------
-
-    def _hist_link(self, v: int, count_after: int) -> None:
-        freq = self.CFREQ[v]
-        c = count_after - 1
-        if c:
-            freq[c] -= 1
-        freq[count_after] = freq.get(count_after, 0) + 1
-        if count_after > self.CMAX[v]:
-            self.CMAX[v] = count_after
-
-    def _hist_unlink(self, v: int, count_before: int) -> None:
-        freq = self.CFREQ[v]
-        freq[count_before] -= 1
-        if count_before > 1:
-            freq[count_before - 1] = freq.get(count_before - 1, 0) + 1
-        if self.CMAX[v] == count_before and freq.get(count_before, 0) == 0:
-            self.CMAX[v] = count_before - 1
 
     # -- send schedule -----------------------------------------------------
 
-    def _next_fire(self, keys: List[_Key], r: int):
+    def _next_fire(self, keys: List[Tuple[float, int, int]], r: int):
         """``(round, index)`` of the earliest fire strictly after round
         *r* under the current positions, or ``(None, 0)``.  The index is
         cached by the caller: the schedule is strictly increasing, so
@@ -394,10 +298,8 @@ class _PipelinedKernel:
 
         self._load()
         n = self.n
-        KEYS = self.KEYS
-        SENDS = self.SENDS
-        SKEYS = self.SKEYS
-        LCOL = self.LCOL
+        programs = self._programs
+        lists = self._lists
         node_sends = metrics.node_sends
         indptr = self._indptr
         nu_pad = 2 if _cmod._CORRUPTION == "nu-off-by-one" else 1
@@ -410,7 +312,7 @@ class _PipelinedKernel:
         heap: List[Tuple[int, int]] = []
         prev_r = net._round
         for v in range(n):
-            nr, idx = self._next_fire(KEYS[v], prev_r)
+            nr, idx = self._next_fire(lists[v]._keys, prev_r)
             if nr is not None:
                 sched[v] = nr
                 firei[v] = idx
@@ -442,8 +344,8 @@ class _PipelinedKernel:
 
                 # Step 1: collect the round's senders (ascending node id,
                 # matching the fast backend's pop order) and their
-                # payload columns.  The firing entry is the cached index;
-                # nu is two bisects (global run start + per-source rank).
+                # payload columns.  The firing entry sits at the cached
+                # index; nu is its per-source index + 1 (NodeList.nu_of).
                 # flag_sp is not collected: no receiver reads it.
                 senders: List[int] = []
                 send_d: List[int] = []
@@ -455,19 +357,13 @@ class _PipelinedKernel:
                     if sched[v] != r:
                         continue
                     sched[v] = None
-                    keys_v = KEYS[v]
-                    i = firei[v]
-                    key = keys_v[i]
-                    x = key[2]
-                    sk = SKEYS[v][x]
-                    nu = (bisect_left(sk, key)
-                          + (i - bisect_left(keys_v, key)) + nu_pad)
+                    e = lists[v]._entries[firei[v]]
                     senders.append(v)
-                    send_d.append(key[1])
-                    send_l.append(LCOL[v][i])
-                    send_x.append(x)
-                    send_nu.append(nu)
-                    SENDS[v] += 1
+                    send_d.append(e.d)
+                    send_l.append(e.l)
+                    send_x.append(e.x)
+                    send_nu.append(e._li + nu_pad)
+                    programs[v].sends += 1
 
                 # Steps 2-13: expand deliveries through the CSR, fold
                 # per-destination candidates in ascending-source order.
@@ -493,7 +389,7 @@ class _PipelinedKernel:
                     if v in changed:
                         continue
                     i = firei[v] + 1
-                    keys_v = KEYS[v]
+                    keys_v = lists[v]._keys
                     if i < len(keys_v):
                         nr = ceil(keys_v[i][0] + i + pos_off)
                         if cutoff is None or nr <= cutoff:
@@ -504,7 +400,7 @@ class _PipelinedKernel:
                 # kappa + i + off <= r (equal to ceil(...) <= r for an
                 # integer r) -- this is the hottest loop after the fold.
                 for v in changed:
-                    keys_v = KEYS[v]
+                    keys_v = lists[v]._keys
                     nk = len(keys_v)
                     lo, hi = 0, nk
                     while lo < hi:
@@ -532,7 +428,6 @@ class _PipelinedKernel:
                     if profile is not None:
                         profile.record("columnar.pipelined.round", dt)
         finally:
-            self._store()
             _cmod._flush(self, msg_count, _PAYLOAD_WORDS)
             if registry is not None:
                 from ..obs.registry import publish_run_metrics
@@ -602,7 +497,7 @@ class _PipelinedKernel:
         (kept,) = np.nonzero(~reject)
         kept = kept[np.argsort(dsts[kept], kind="stable")]
 
-        arrival = self._arrival
+        programs = self._programs
         changed: Dict[int, None] = {}
         changed_cells = set()
         for u, y, d, l, kap, x, nu, c in zip(
@@ -610,7 +505,7 @@ class _PipelinedKernel:
                 cand_d[kept].tolist(), cand_l[kept].tolist(),
                 kappa[kept].tolist(), xs[kept].tolist(),
                 nus[kept].tolist(), cells[kept].tolist()):
-            if arrival(u, r, y, d, l, kap, x, nu):
+            if programs[u].fold(r, y, d, l, kap, x, nu):
                 changed[u] = None
                 changed_cells.add(c)
         if changed_cells:
@@ -619,167 +514,14 @@ class _PipelinedKernel:
 
         # Receiver epilogue: the stats only move for lists that changed,
         # and for delivered-to nodes whose stats lag their list.
-        finish = self._finish_receiver
         for u in changed:
-            finish(u)
+            programs[u].finish_receive()
         lag = self._lag
         if lag:
             for u in lag.intersection(dsts.tolist()):
-                finish(u)
+                programs[u].finish_receive()
                 lag.discard(u)
         return total, changed
-
-    # -- one arrival (Steps 8-13 on the columns) ---------------------------
-
-    def _arrival(self, v: int, r: int, y: int, d: int, l: int,
-                 kappa: float, x: int, nu_in: int) -> bool:
-        """Fold one candidate into node *v*'s columns -- the exact
-        Steps 8-13 of the reference ``on_receive``, on columns instead
-        of Entry objects.  Returns whether the lists changed."""
-        b = self.BEST[v][x]
-        bd = b[0]
-        bl = b[1]
-        promote = False
-        if d < bd:
-            promote = True
-        elif d == bd:
-            if l < bl:
-                promote = True
-            elif l == bl:
-                bp = b[2]
-                promote = y < (-1 if bp is None else bp)
-        key = (kappa, d, x)
-        skeys = self.SKEYS[v]
-        sk = skeys.get(x)
-        if not promote and (bisect_right(sk, key) if sk else 0) >= nu_in:
-            return False  # Step 13: the non-SP quota gate rejects it
-        keys = self.KEYS[v]
-        sflags = self.SFLAGS[v]
-        lcol = self.LCOL[v]
-        pcol = self.PCOL[v]
-        fcol = self.FCOL[v]
-        if promote:
-            # Steps 9-11: new flag-d* holder; inserting the SP entry
-            # does not evict by itself.
-            gi = bisect_right(keys, key)
-            keys.insert(gi, key)
-            lcol.insert(gi, l)
-            pcol.insert(gi, y)
-            fcol.insert(gi, True)
-            if sk is None:
-                sk = skeys[x] = []
-                sflags[x] = []
-            sf = sflags[x]
-            j = bisect_right(sk, key)
-            sk.insert(j, key)
-            sf.insert(j, True)
-            self._hist_link(v, len(sk))
-            pos = gi + 1
-            had_old = bd != _INF
-            if had_old:
-                # Demote the previous holder.  Equal sort key: the
-                # parent-id tie-break replacement -- the fully dominated
-                # twin sits *below* the newcomer and is dropped
-                # outright.  Otherwise: evict over the Invariant 2
-                # budget (0 under the "always" ablation).
-                old_key = (bd * self.gamma + bl, bd, x)
-                j0 = bisect_left(sk, old_key)
-                j1 = bisect_right(sk, old_key)
-                t_old = -1
-                for t in range(j0, j1):
-                    if sf[t] and t != j:
-                        t_old = t
-                        break
-                if t_old < 0:  # structurally impossible: SP never evicted
-                    raise AssertionError(
-                        f"columnar pipelined kernel: lost flag-d* entry "
-                        f"for source {x} at node {v}")
-                sf[t_old] = False
-                g_old = bisect_left(keys, old_key) + (t_old - j0)
-                fcol[g_old] = False
-                if old_key == key:
-                    del keys[g_old]
-                    del lcol[g_old]
-                    del pcol[g_old]
-                    del fcol[g_old]
-                    del sk[t_old]
-                    del sf[t_old]
-                    self._hist_unlink(v, len(sk) + 1)
-                else:
-                    bud = 0 if self.budget is None else self.budget
-                    if len(sk) > bud:
-                        self._evict_above(v, x, j)
-            b[0] = d
-            b[1] = l
-            b[2] = y
-            if l <= self.h:
-                self.LASTSP[v] = r
-            if r >= _ceil(kappa + pos):  # Invariant 1 (Lemma II.12)
-                self._inv1_fail(v, r, d, l, kappa, x, y, True, pos)
-            return True
-        # Step 13 admitted it: Insert with eviction of the closest
-        # non-SP same-source entry above.  (A non-SP arrival passes the
-        # quota only with a finite best, so its source has entries.)
-        gi = bisect_right(keys, key)
-        keys.insert(gi, key)
-        lcol.insert(gi, l)
-        pcol.insert(gi, y)
-        fcol.insert(gi, False)
-        sf = sflags[x]
-        j = bisect_right(sk, key)
-        sk.insert(j, key)
-        sf.insert(j, False)
-        self._hist_link(v, len(sk))
-        bud = self.budget
-        if bud is None or len(sk) > bud:
-            self._evict_above(v, x, j)
-        pos = gi + 1
-        if r >= _ceil(kappa + pos):  # Invariant 1 (Lemma II.12)
-            self._inv1_fail(v, r, d, l, kappa, x, y, False, pos)
-        return True
-
-    def _evict_above(self, v: int, x: int, src_index: int) -> None:
-        """Remove the closest non-SP entry for source *x* strictly above
-        per-source index *src_index*, if any (NodeList._evict_above on
-        columns)."""
-        sk = self.SKEYS[v][x]
-        sf = self.SFLAGS[v][x]
-        for t in range(src_index + 1, len(sk)):
-            if not sf[t]:
-                key = sk[t]
-                keys = self.KEYS[v]
-                g = bisect_left(keys, key) + (t - bisect_left(sk, key))
-                del keys[g]
-                del self.LCOL[v][g]
-                del self.PCOL[v][g]
-                del self.FCOL[v][g]
-                del sk[t]
-                del sf[t]
-                self._hist_unlink(v, len(sk) + 1)
-                return
-
-    def _inv1_fail(self, v: int, r: int, d: int, l: int, kappa: float,
-                   x: int, parent: int, flag_sp: bool, pos: int) -> None:
-        """Raise the Invariant 1 (Lemma II.12) violation with the
-        reference's exact message (the Entry repr is reproduced from the
-        columns).  Callers inline the ``r >= ceil(kappa + pos)`` check
-        so the happy path pays no call."""
-        star = "*" if flag_sp else ""
-        raise AssertionError(
-            f"Invariant 1 violated at node {v}, round {r}: "
-            f"inserted Entry(k={kappa:.3f}, d={d}, l={l}, "
-            f"x={x}{star}, p={parent}) at pos {pos} "
-            f"with ceil(kappa+pos)={_ceil(kappa + pos)}")
-
-    def _finish_receiver(self, v: int) -> None:
-        """Per-receiver round epilogue: the O(1) stats the reference
-        updates at the end of every ``on_receive``."""
-        ln = len(self.KEYS[v])
-        if ln > self.MAXLEN[v]:
-            self.MAXLEN[v] = ln
-        cm = self.CMAX[v]
-        if cm > self.MAXSRC[v]:
-            self.MAXSRC[v] = cm
 
 
 # Self-registration (see the note at the end of repro/perf/columnar.py).

@@ -66,9 +66,8 @@ the same event points with the same arguments:
 * ``registry`` -- per-round wall-clock histogram + final
   ``publish_run_metrics`` mirror, delta-based across resumes.
 
-The zero-hook path stays the tight loop the speedup gate measures: the
-instrumented branches are selected once per ``run`` and cost one local
-``is None`` test per round when disabled.
+One delivery loop serves every configuration: each hook costs one local
+``is None`` test per message when it is not attached.
 """
 
 from __future__ import annotations
@@ -184,9 +183,6 @@ class FastNetwork:
         timed = registry is not None or profile is not None
         round_hist = None if registry is None else registry.histogram(
             "congest.round_wall_s", scale=1e-6)
-        # The zero-hook delivery loop is kept branch-free; any of these
-        # hooks routes envelopes through the instrumented loop instead.
-        plain = (injector is None and recorder is None and tracer is None)
         if not self._started:
             for v in range(n):
                 programs[v].on_start(contexts[v])
@@ -273,98 +269,56 @@ class FastNetwork:
 
                 # --- CONGEST enforcement + delivery --------------------
                 inboxes: Dict[int, List[Envelope]] = {}
-                if plain:
-                    if envelopes:
-                        # Per-round channel load, keyed by the packed
-                        # slot src * n + dst (no tuple allocation per
-                        # message).
-                        channel_load: Dict[int, int] = {}
-                        for env in envelopes:
-                            words = env.words
-                            if words > word_budget:
-                                raise MessageSizeError(
-                                    f"round {r}: node {env.src} sent a "
-                                    f"{words}-word message (budget "
-                                    f"{word_budget}): {env.payload!r}")
-                            dst = env.dst
-                            slot = env.src * n + dst
-                            load = channel_load.get(slot, 0) + 1
-                            if load > capacity:
-                                raise CongestionError(
-                                    f"round {r}: channel {(env.src, dst)} "
-                                    f"carries {load} messages (capacity "
-                                    f"{capacity})")
-                            channel_load[slot] = load
-                            msg_count += 1
-                            words_total += words
-                            if words > max_msg_words:
-                                max_msg_words = words
-                            chmsg[(env.src, dst)] += 1
-                            box = inboxes.get(dst)
-                            if box is None:
-                                inboxes[dst] = [env]
-                            else:
-                                box.append(env)
-                        metrics.active_rounds += 1
-                        if r > metrics.rounds:
-                            metrics.rounds = r
-                else:
-                    # Instrumented delivery: same enforcement and
-                    # accounting, plus the recorder/tracer emissions and
-                    # the injector protocol at the reference backend's
-                    # exact event points.
-                    deliveries: List[Envelope] = []
-                    channel_load = {}
-                    for env in envelopes:
-                        words = env.words
-                        if words > word_budget:
-                            raise MessageSizeError(
-                                f"round {r}: node {env.src} sent a "
-                                f"{words}-word message (budget "
-                                f"{word_budget}): {env.payload!r}")
-                        dst = env.dst
-                        slot = env.src * n + dst
-                        load = channel_load.get(slot, 0) + 1
-                        if load > capacity:
-                            raise CongestionError(
-                                f"round {r}: channel {(env.src, dst)} "
-                                f"carries {load} messages (capacity "
-                                f"{capacity})")
-                        channel_load[slot] = load
-                        msg_count += 1
-                        words_total += words
-                        if words > max_msg_words:
-                            max_msg_words = words
-                        chmsg[(env.src, dst)] += 1
-                        if recorder is not None:
-                            recorder.emit(r, env.src, "send", dst,
-                                          env.payload)
-                        if tracer is not None:
-                            tracer.emit(r, env.src, "net.send", dst, words)
-                        if injector is None:
-                            box = inboxes.get(dst)
-                            if box is None:
-                                inboxes[dst] = [env]
-                            else:
-                                box.append(env)
+                # Per-round channel load, keyed by the packed slot
+                # src * n + dst (no tuple allocation per message).  The
+                # recorder/tracer emissions and the injector protocol run
+                # at the reference backend's exact event points.
+                deliveries: List[Envelope] = []
+                channel_load: Dict[int, int] = {}
+                for env in envelopes:
+                    words = env.words
+                    if words > word_budget:
+                        raise MessageSizeError(
+                            f"round {r}: node {env.src} sent a "
+                            f"{words}-word message (budget "
+                            f"{word_budget}): {env.payload!r}")
+                    dst = env.dst
+                    slot = env.src * n + dst
+                    load = channel_load.get(slot, 0) + 1
+                    if load > capacity:
+                        raise CongestionError(
+                            f"round {r}: channel {(env.src, dst)} "
+                            f"carries {load} messages (capacity "
+                            f"{capacity})")
+                    channel_load[slot] = load
+                    msg_count += 1
+                    words_total += words
+                    if words > max_msg_words:
+                        max_msg_words = words
+                    chmsg[(env.src, dst)] += 1
+                    if recorder is not None:
+                        recorder.emit(r, env.src, "send", dst, env.payload)
+                    if tracer is not None:
+                        tracer.emit(r, env.src, "net.send", dst, words)
+                    if injector is None:
+                        box = inboxes.get(dst)
+                        if box is None:
+                            inboxes[dst] = [env]
                         else:
-                            # The fault model acts after enforcement and
-                            # accounting: metrics measure offered load.
-                            deliveries.extend(injector.offer(env, r,
-                                                             load - 1))
-                    if injector is not None:
-                        deliveries.extend(injector.take_due(r))
-                        for env in deliveries:
-                            if injector.deliverable(env, r):
-                                inboxes.setdefault(env.dst, []).append(env)
-                        if envelopes or deliveries:
-                            metrics.active_rounds += 1
-                            if r > metrics.rounds:
-                                metrics.rounds = r
-                    elif envelopes:
-                        metrics.active_rounds += 1
-                        if r > metrics.rounds:
-                            metrics.rounds = r
+                            box.append(env)
+                    else:
+                        # The fault model acts after enforcement and
+                        # accounting: metrics measure offered load.
+                        deliveries.extend(injector.offer(env, r, load - 1))
+                if injector is not None:
+                    deliveries.extend(injector.take_due(r))
+                    for env in deliveries:
+                        if injector.deliverable(env, r):
+                            inboxes.setdefault(env.dst, []).append(env)
+                if envelopes or deliveries:
+                    metrics.active_rounds += 1
+                    if r > metrics.rounds:
+                        metrics.rounds = r
 
                 # --- receive phase + reschedule ------------------------
                 if inboxes:

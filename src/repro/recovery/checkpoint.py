@@ -6,11 +6,13 @@ Two layers, both serializable to disk:
   :func:`restore_state` turn one :class:`~repro.congest.node.Program`'s
   mutable state into a restorable value.  Programs may opt in to a
   custom protocol (``snapshot_state()`` / ``restore_state(state)``);
-  everything else gets the generic capture: one :func:`copy.deepcopy`
+  Algorithm 1's :class:`~repro.core.pipelined.PipelinedSSPProgram`
+  does, because its ``best`` map references the same
+  :class:`~repro.core.entries.Entry` objects its node list holds.
+  Everything else gets the generic capture: one :func:`copy.deepcopy`
   of the instance ``__dict__`` *as a whole*, so identity sharing inside
-  the state survives (Algorithm 1's ``best`` map references the same
-  :class:`~repro.core.node_list.Entry` objects its node list holds --
-  copying attributes one by one would silently sever that link).
+  the state survives (copying attributes one by one would silently
+  sever it).
 * **run-level checkpoints** -- :class:`RunCheckpoint` bundles every
   node's snapshot with the network core state (last processed round,
   started flag, the fault injector's in-flight queue and statistics)
@@ -24,20 +26,19 @@ Two layers, both serializable to disk:
 Serialization is a tagged-JSON codec (:func:`encode_value` /
 :func:`decode_value`) covering the value shapes program state actually
 uses -- ints, floats (including ``inf``), strings, tuples, lists, sets,
-deques, Counters, and dicts with non-string keys.  States the codec
-cannot express (e.g. the pipelined program's linked entry structures)
-fall back to a pickle payload, flagged per node in the serialized form;
-the JSON envelope stays versioned and inspectable either way, and every
-node snapshot carries a SHA-256 digest checked on restore.
+deques, Counters, and dicts with non-string keys -- and nothing else:
+a state the codec cannot express fails the capture with
+:class:`CheckpointError`, and a node tagged with any codec but
+``json`` is refused on restore before its data is decoded, so loading
+a checkpoint file never runs code from it.  Every node snapshot
+carries a SHA-256 digest checked on restore.
 """
 
 from __future__ import annotations
 
-import base64
 import copy
 import hashlib
 import json
-import pickle
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -170,26 +171,19 @@ def decode_value(data: Any) -> Any:
 
 
 def serialize_snapshot(snapshot: Tuple[str, Any]) -> Dict[str, Any]:
-    """Serialize a :func:`capture_state` snapshot to JSON-safe data,
-    falling back to a pickle payload for states the codec cannot
-    express (the fallback is flagged in the output)."""
+    """Serialize a :func:`capture_state` snapshot to JSON-safe data
+    (:class:`CheckpointError` if the codec cannot express the state)."""
     kind, state = snapshot
-    try:
-        return {"kind": kind, "codec": "json", "data": encode_value(state)}
-    except CheckpointError:
-        blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        return {"kind": kind, "codec": "pickle",
-                "data": base64.b64encode(blob).decode("ascii")}
+    return {"kind": kind, "codec": "json", "data": encode_value(state)}
 
 
 def deserialize_snapshot(payload: Dict[str, Any]) -> Tuple[str, Any]:
+    """Inverse of :func:`serialize_snapshot`.  Only the ``json`` codec
+    is read; any other is refused before its data is touched."""
     codec = payload["codec"]
-    if codec == "json":
-        return (payload["kind"], decode_value(payload["data"]))
-    if codec == "pickle":
-        blob = base64.b64decode(payload["data"].encode("ascii"))
-        return (payload["kind"], pickle.loads(blob))
-    raise CheckpointError(f"unknown snapshot codec {codec!r}")
+    if codec != "json":
+        raise CheckpointError(f"unknown snapshot codec {codec!r}")
+    return (payload["kind"], decode_value(payload["data"]))
 
 
 def _digest(payload: Any) -> str:

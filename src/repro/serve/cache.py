@@ -15,10 +15,16 @@ affected sources' table rows (see
 cached answers can be stale -- entries for unaffected sources survive
 the swap.  ``tests/test_serve_churn.py`` property-checks that no stale
 entry ever survives a refresh.
+
+Thread safety: the methods take no lock themselves.  A cache shared
+between threads is guarded by its one :attr:`RouteCache.lock`, held
+around every compound probe, write-back and invalidation --
+:class:`~repro.serve.DistanceOracle` does exactly that.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, Tuple
 
@@ -37,6 +43,9 @@ class RouteCache:
                  prefix: str = "serve") -> None:
         self.capacity = capacity
         self._data: "OrderedDict[Tuple[int, int], Any]" = OrderedDict()
+        #: Guards ``_data`` and the counters for threaded callers (see
+        #: the module docstring).
+        self.lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0

@@ -9,12 +9,21 @@ each shard in a :class:`~repro.core.RoutingTable`, and answers
 
 Epoch-versioned tables
 ----------------------
-Queries never lock.  All shard state hangs off one immutable
-:class:`TableView` object; a query captures the current view once and
-reads only it, so a concurrent :meth:`DistanceOracle.refresh` -- which
-builds *new* shard objects for the affected sources and publishes a
-whole new view -- can never show a query a half-swapped table.
-In-flight queries simply finish against the epoch they started on.
+All shard state hangs off one immutable :class:`TableView` object; a
+query batch captures the current view once and reads only it, so a
+concurrent :meth:`DistanceOracle.refresh` -- which builds *new* shard
+objects for the affected sources and publishes a whole new view -- can
+never show a query a half-swapped table.  In-flight queries simply
+finish against the epoch they started on.
+
+The route cache holds answers of the current view only.  Its one lock
+(:attr:`RouteCache.lock`) is taken twice per batch -- once to resolve
+the view and probe, once to write the misses back -- and once per
+refresh, around publishing the new view and invalidating the affected
+sources.  A batch whose view is no longer current neither reads nor
+writes the cache, so an answer computed on a superseded table can
+never land after the invalidation that should have dropped it.
+Refreshes are serialized by their own lock.
 
 Incremental refresh
 -------------------
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -145,6 +155,7 @@ class DistanceOracle:
         self.backend = backend
         self.registry = registry
         self.cache = RouteCache(cache_size, registry=registry)
+        self._refresh_lock = threading.Lock()
         self._queries = registry.counter("serve.queries") \
             if registry is not None else None
         self._batches = registry.counter("serve.batches") \
@@ -210,33 +221,11 @@ class DistanceOracle:
 
     def distance(self, u: int, v: int) -> float:
         """Shortest-path distance u -> v (``inf`` if unreachable)."""
-        view = self._view
-        key = (u, v)
-        cached = self.cache.get(key, _MISS)
-        if cached is not _MISS:
-            if self._queries is not None:
-                self._queries.inc()
-            return INF if cached is None else cached.distance
-        route = self._route_uncached(view, u, v)
-        self.cache.put(key, route)
-        if self._queries is not None:
-            self._queries.inc()
-        return INF if route is None else route.distance
+        return self.query_batch([Query(u, v, "distance")])[0]
 
     def path(self, u: int, v: int) -> Optional[Route]:
         """The full shortest route u -> v (``None`` if unreachable)."""
-        view = self._view
-        key = (u, v)
-        cached = self.cache.get(key, _MISS)
-        if cached is not _MISS:
-            if self._queries is not None:
-                self._queries.inc()
-            return cached
-        route = self._route_uncached(view, u, v)
-        self.cache.put(key, route)
-        if self._queries is not None:
-            self._queries.inc()
-        return route
+        return self.query_batch([Query(u, v, "path")])[0]
 
     # -- batched execution --------------------------------------------
 
@@ -247,28 +236,38 @@ class DistanceOracle:
         Distance queries yield floats (``inf`` when unreachable), path
         queries yield :class:`~repro.core.routing.Route` or ``None``.
         The whole batch reads one :class:`TableView` -- epoch-consistent
-        even if a refresh lands mid-batch.
+        even if a refresh lands mid-batch.  A *view* that is not the
+        current one bypasses the cache (see the module docstring).
         """
-        if view is None:
-            view = self._view
         cache = self.cache
-        data = cache.batch_view()
-        data_get = data.get
-        bump = data.move_to_end
         out: List[Any] = [None] * len(queries)
         by_source: Dict[int, List[int]] = {}
-        hits = 0
-        for i, q in enumerate(queries):
-            key = (q.u, q.v)
-            cached = data_get(key, _MISS)
-            if cached is not _MISS:
-                bump(key)
-                hits += 1
-                out[i] = (INF if cached is None else cached.distance) \
-                    if q.kind == "distance" else cached
-            else:
+        with cache.lock:
+            current = self._view
+            if view is None:
+                view = current
+            cached_ok = view is current
+            if cached_ok:
+                data = cache.batch_view()
+                data_get = data.get
+                bump = data.move_to_end
+                hits = 0
+                for i, q in enumerate(queries):
+                    key = (q.u, q.v)
+                    cached = data_get(key, _MISS)
+                    if cached is not _MISS:
+                        bump(key)
+                        hits += 1
+                        out[i] = (INF if cached is None
+                                  else cached.distance) \
+                            if q.kind == "distance" else cached
+                    else:
+                        by_source.setdefault(q.u, []).append(i)
+                cache.count_batch(hits, len(queries) - hits)
+        if not cached_ok:
+            for i, q in enumerate(queries):
                 by_source.setdefault(q.u, []).append(i)
-        cache.count_batch(hits, len(queries) - hits)
+        fresh: List[Tuple[Tuple[int, int], Optional[Route]]] = []
         for u, idxs in by_source.items():
             shard = view.shard_for(u)
             table = shard.table
@@ -295,9 +294,15 @@ class DistanceOracle:
                     path.reverse()
                     route = Route(source=u, target=v,
                                   distance=dist_row[v], path=tuple(path))
-                cache.put((u, v), route)
+                fresh.append(((u, v), route))
                 out[i] = (INF if route is None else route.distance) \
                     if q.kind == "distance" else route
+        if cached_ok and fresh:
+            with cache.lock:
+                if self._view is view:
+                    put = cache.put
+                    for key, route in fresh:
+                        put(key, route)
         if self._queries is not None:
             self._queries.inc(len(queries))
         if self._batches is not None:
@@ -356,41 +361,45 @@ class DistanceOracle:
         them are rebuilt, the new :class:`TableView` is published
         atomically (in-flight queries finish on the old epoch), and
         only the affected sources' cache entries are dropped.
+        Concurrent refreshes run one at a time.
         """
-        dyn = self._dynamic_run()
-        record = dyn.apply(*events)
-        affected = set(record.affected)
-        old = self._view
-        new_epoch = old.epoch + 1
-        rebuilt: List[int] = []
-        shards: List[TableShard] = []
-        for shard in old.shards:
-            if affected.intersection(shard.sources):
-                table = RoutingTable(
-                    dyn.graph,
-                    {s: dyn.table[s] for s in shard.sources},
-                    {s: dyn.parents[s] for s in shard.sources})
-                shards.append(TableShard(shard.index, shard.sources,
-                                         table, epoch=new_epoch))
-                rebuilt.append(shard.index)
-            else:
-                shards.append(shard)
-        self.graph = dyn.graph
-        self._build_rounds += record.rounds_to_repair
-        # The swap: one reference assignment publishes the new view.
-        self._view = TableView(new_epoch, tuple(shards), old.shard_of)
-        invalidated = self.cache.invalidate_sources(affected)
-        rec = RefreshRecord(new_epoch, tuple(record.affected),
-                            tuple(rebuilt), record.rounds_to_repair,
-                            invalidated)
-        self.refreshes.append(rec)
-        if self.registry is not None:
-            self.registry.counter("serve.refreshes").inc()
-            self.registry.counter("serve.refresh_rounds").inc(
-                record.rounds_to_repair)
-        if self._epoch_gauge is not None:
-            self._epoch_gauge.set(new_epoch)
-        return rec
+        with self._refresh_lock:
+            dyn = self._dynamic_run()
+            record = dyn.apply(*events)
+            affected = set(record.affected)
+            old = self._view
+            new_epoch = old.epoch + 1
+            rebuilt: List[int] = []
+            shards: List[TableShard] = []
+            for shard in old.shards:
+                if affected.intersection(shard.sources):
+                    table = RoutingTable(
+                        dyn.graph,
+                        {s: dyn.table[s] for s in shard.sources},
+                        {s: dyn.parents[s] for s in shard.sources})
+                    shards.append(TableShard(shard.index, shard.sources,
+                                             table, epoch=new_epoch))
+                    rebuilt.append(shard.index)
+                else:
+                    shards.append(shard)
+            self.graph = dyn.graph
+            self._build_rounds += record.rounds_to_repair
+            # The swap: one reference assignment publishes the new view, in
+            # the same cache-lock section that drops the affected sources.
+            with self.cache.lock:
+                self._view = TableView(new_epoch, tuple(shards), old.shard_of)
+                invalidated = self.cache.invalidate_sources(affected)
+            rec = RefreshRecord(new_epoch, tuple(record.affected),
+                                tuple(rebuilt), record.rounds_to_repair,
+                                invalidated)
+            self.refreshes.append(rec)
+            if self.registry is not None:
+                self.registry.counter("serve.refreshes").inc()
+                self.registry.counter("serve.refresh_rounds").inc(
+                    record.rounds_to_repair)
+            if self._epoch_gauge is not None:
+                self._epoch_gauge.set(new_epoch)
+            return rec
 
     # -- verification -------------------------------------------------
 

@@ -67,7 +67,7 @@ from repro.faults.monitor import oracle_monitor
 from repro.graphs import io as gio
 from repro.graphs import WeightedDigraph, path_graph, random_graph
 from repro.graphs.reference import weak_delta_bound
-from repro.obs import Tracer
+from repro.obs import ProfileSession, Tracer
 from repro.perf import ColumnarNetwork, make_network, use_backend
 from repro.perf import columnar as columnar_mod
 from repro.perf.backends import BACKENDS
@@ -129,7 +129,7 @@ def test_bellman_ford_hop_limited_differential(backend, data):
 
 
 def assert_pipelined_states_equivalent(g, sources, h, backend):
-    """Every program's ``export_kernel_state()`` -- list columns, bests,
+    """Every program's ``snapshot_state()`` -- list entries, bests,
     ``max_list_len``, ``max_per_source``, ``last_sp_round``, ``sends``
     -- equals the reference's after an Algorithm 1 run, built as
     :func:`run_hk_ssp` builds it (same Delta, gamma and cutoff round)
@@ -546,6 +546,30 @@ def test_columnar_pipelined_kernel_agrees():
     got = _run_resumed(ColumnarNetwork, g, 0, (5, 10 ** 5),
                        factory=factory, states=True)
     assert got == ref
+
+
+def test_columnar_pipelined_kernel_folds_through_the_program(monkeypatch):
+    """Steps 8-13 exist once: the pipelined kernel hands every arrival
+    its reject pass keeps to ``PipelinedSSPProgram.fold``.  The spy is
+    patched onto the class, so ``matches()`` still accepts the
+    programs, and the round timer proves the kernel ran."""
+    calls = []
+    fold = PipelinedSSPProgram.fold
+
+    def spy(self, *args):
+        calls.append(args)
+        return fold(self, *args)
+
+    g = random_graph(14, p=0.35, w_max=6, zero_fraction=0.3, seed=7,
+                     directed=True)
+    want = run_hk_ssp(g, [0, 4, 9], 5, backend="reference")
+    monkeypatch.setattr(PipelinedSSPProgram, "fold", spy)
+    with ProfileSession() as prof:
+        got = run_hk_ssp(g, [0, 4, 9], 5, backend="columnar")
+    assert prof.timers["columnar.pipelined.round"].count >= 1
+    assert calls
+    assert (got.dist, got.hops, got.parent, got.metrics.rounds) == \
+        (want.dist, want.hops, want.parent, want.metrics.rounds)
 
 
 def test_columnar_pipelined_state_two_node_cycle():

@@ -102,11 +102,11 @@ def post_mortem_summary(pm) -> Optional[Dict[str, Any]]:
 
 
 def program_states(net) -> List[Dict[str, Any]]:
-    """Every program's ``export_kernel_state()``: the per-node Algorithm 1
-    state (list columns, bests, ``max_list_len``, ``max_per_source``,
+    """Every program's ``snapshot_state()``: the per-node Algorithm 1
+    state (list entries, bests, ``max_list_len``, ``max_per_source``,
     ``last_sp_round``, ``sends``) that outputs and metrics do not show
     but checkpoints capture."""
-    return [p.export_kernel_state() for p in net.programs]
+    return [p.snapshot_state() for p in net.programs]
 
 
 def assert_networks_equivalent(graph, program_factory, *, max_rounds: int,

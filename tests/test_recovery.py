@@ -18,8 +18,10 @@ The acceptance claims pinned here:
   of that -- with bit-identical digests across backends.
 """
 
+import base64
 import copy
 import json
+import pickle
 
 import pytest
 
@@ -57,6 +59,21 @@ INF = float("inf")
 
 def bf_factory(source=0):
     return lambda v: BellmanFordProgram(v, source=source)
+
+
+#: Set by :class:`_Planted` when a checkpoint payload is unpickled.
+_PLANTED_RAN = []
+
+
+def _planted_hook():
+    _PLANTED_RAN.append(True)
+
+
+class _Planted:
+    """A payload whose unpickling runs code (``_planted_hook``)."""
+
+    def __reduce__(self):
+        return (_planted_hook, ())
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +258,9 @@ class TestRunCheckpoint:
         with pytest.raises(CheckpointError, match="bad checkpoint name"):
             store.path_of("../evil")
 
-    def test_checkpoint_of_pipelined_state_falls_back_to_pickle(self):
-        # Algorithm 1's entry lists are identity-linked structures the
-        # JSON codec refuses; the envelope must still round-trip them.
+    def test_checkpoint_of_pipelined_state_is_json(self):
+        # Algorithm 1's entry lists are identity-linked structures; the
+        # program's own snapshot_state() flattens them for the JSON codec.
         from repro.core.pipelined import (PipelinedSSPProgram, gamma_for,
                                           weak_delta_bound)
 
@@ -256,11 +273,27 @@ class TestRunCheckpoint:
 
         net = make_network(g, factory)
         ckpt = _suspend(net, at_round=5)
-        assert any(c.state["codec"] == "pickle" for c in ckpt.nodes)
+        assert all(c.state["codec"] == "json" for c in ckpt.nodes)
         ckpt = RunCheckpoint.from_json(ckpt.to_json())
         outs, _, _ = resume_from_checkpoint(
             ckpt, g, factory, 20 * g.n + 200)
         assert outs == full.outputs()
+
+    def test_planted_payload_refused_before_decoding(self):
+        # A node snapshot tagged with any codec but json is refused
+        # before its data is decoded: loading a checkpoint file must
+        # never run code from it.
+        g = random_graph(6, p=0.5, w_max=4, seed=1)
+        ckpt = _suspend(make_network(g, bf_factory()), at_round=2)
+        data = json.loads(ckpt.to_json())
+        blob = base64.b64encode(pickle.dumps(_Planted())).decode("ascii")
+        data["nodes"][0]["state"] = {"kind": "attrs", "codec": "pickle",
+                                     "data": blob}
+        data["nodes"][0]["digest"] = ""  # recomputed: a consistent file
+        planted = RunCheckpoint.from_json(json.dumps(data))
+        with pytest.raises(CheckpointError, match="codec"):
+            restore_network(make_network(g, bf_factory()), planted)
+        assert _PLANTED_RAN == []
 
 
 # ---------------------------------------------------------------------------

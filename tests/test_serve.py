@@ -1,6 +1,8 @@
 """Tests for the distance-oracle serving layer (repro.serve)."""
 
 import asyncio
+import sys
+import threading
 from collections import OrderedDict
 
 import pytest
@@ -342,6 +344,17 @@ class TestRefresh:
         assert got == [want_old[u][v]]
         assert before.epoch == 0 and o.view.epoch == 1
 
+    def test_superseded_view_never_writes_the_cache(self):
+        # A batch on a view captured before a refresh reads that view's
+        # table, but must not cache its old-epoch answer after the
+        # refresh invalidated the source.
+        g = WeightedDigraph.from_edges(3, [(0, 1, 1), (1, 2, 0), (0, 2, 7)])
+        o = DistanceOracle(g, method="pipelined")
+        view = o.view
+        o.refresh(EdgeUpdate(0, 1, 51))
+        assert o.query_batch([Query(0, 2, "distance")], view=view) == [1]
+        assert o.distance(0, 2) == dijkstra(o.graph, 0)[0][2] == 7
+
     def test_only_affected_cache_entries_dropped(self, graph):
         o = DistanceOracle(graph, num_shards=4, method="bellman-ford")
         o.serve(generate_workload(graph.n, 1000, seed=6))
@@ -381,6 +394,49 @@ class TestRefresh:
         u, v, w = max(graph.edges(), key=lambda e: e[2])
         rec = o.refresh(EdgeUpdate(u, v, 0))
         assert o.build_rounds == base + rec.rounds_to_repair
+
+
+class TestThreadedServing:
+    def test_queries_and_refreshes_leave_nothing_stale(self, graph):
+        # More threads than cores and a short switch interval force
+        # interleavings of probes, write-backs and refreshes.  Two
+        # writers: a refresh that read a view another one was replacing
+        # would lose an epoch.
+        o = DistanceOracle(graph, num_shards=4, method="bellman-ford",
+                           cache_size=64)
+        wl = list(generate_workload(graph.n, 400, seed=12))
+        edges = sorted(graph.edges())[:5]
+        errors = []
+
+        def reader():
+            try:
+                for lo in range(0, len(wl), 20):
+                    o.query_batch(wl[lo:lo + 20])
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        def writer():
+            try:
+                for u, v, w in edges:
+                    o.refresh(EdgeUpdate(u, v, w + 7))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        threads += [threading.Thread(target=writer) for _ in range(2)]
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(prev)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert o.epoch == 2 * len(edges)
+        assert o.oracle_check() == []
 
 
 class TestCrossBackendDigests:
