@@ -1,4 +1,4 @@
-"""E19 -- wall-clock speedup of the fast simulator backend.
+"""E19 -- wall-clock speedup of the columnar engine over the reference.
 
 The sweep (repro.analysis.sweep.sweep_backend_speedup) times the
 Theorem I.1 pipelined algorithm on weighted path graphs on both
@@ -6,9 +6,9 @@ backends -- the regime where the reference backend's per-round O(n)
 scans dominate -- and differentially re-checks every timed pair, so a
 "speedup" can never hide a divergence.  Each size is measured twice:
 with no hooks and with the full hook set attached (fault plan + tracer
-+ ring recorder), because with hooks attached the fast backend's
-delivery loop also runs their per-message work, and that cost needs
-its own regression gate.
++ ring recorder), because with hooks attached the engine runs its
+per-message loop, which also runs their per-message work, and that
+cost needs its own regression gate.
 
 The pytest-benchmark test below pins only the direction.  The CI
 floors -- >= 2x plain and >= 1.5x instrumented at the largest size --
@@ -34,6 +34,6 @@ def test_backend_speedup(benchmark):
     for hooks in ("none", "full"):
         largest = _largest(rep, hooks)
         assert largest.measured > 1.0, (
-            f"fast backend slower than reference at "
+            f"columnar engine slower than reference at "
             f"n={largest.params['n']} (hooks={hooks}): "
             f"{largest.measured}x")

@@ -1,15 +1,15 @@
-"""E23 -- wall-clock speedup of the columnar bulk-synchronous backend.
+"""E23 -- wall-clock speedup of the columnar relaxation kernel.
 
 The sweep (repro.analysis.sweep.sweep_columnar) times single-source
-Bellman-Ford on random-weight grid graphs on the fast backend and the
-columnar backend -- the message-volume-dominated regime the columnar
-engine's bulk array rounds target -- and differentially re-checks every
-timed pair (distances, hops, parents, rounds, messages, words,
+Bellman-Ford on random-weight grid graphs on the columnar engine's
+per-message loop and on its relaxation kernel -- the
+message-volume-dominated regime the bulk array rounds target -- and
+differentially re-checks every timed pair (distances, hops, parents, rounds, messages, words,
 per-channel and per-node counters), so a "speedup" can never hide a
 divergence.
 
 The pytest-benchmark test below pins only the direction.  The CI floor
--- >= 2x over the fast backend at the largest size -- is the
+-- >= 2x over the per-message loop at the largest size -- is the
 ``columnar`` entry of ``benchmarks/gates.py``, which also persists
 ``BENCH_columnar.json``.
 """
@@ -30,5 +30,6 @@ def test_columnar_speedup(benchmark):
     # busy dev machine cannot flake the suite.
     largest = _largest(rep)
     assert largest.measured > 1.0, (
-        f"columnar backend slower than fast at n={largest.params['n']}: "
+        f"relaxation kernel slower than the per-message loop at "
+        f"n={largest.params['n']}: "
         f"{largest.measured}x")

@@ -2,14 +2,14 @@
 
 The sweep (repro.analysis.sweep.sweep_columnar_pipelined) times the
 paper's actual algorithm -- ``run_hk_ssp`` on dense directed random
-graphs with spread sources -- on the fast backend and on the columnar
-backend's pipelined bulk kernel (repro.perf.columnar_pipelined), and
+graphs with spread sources -- on the columnar engine's per-message loop
+and on its pipelined bulk kernel (repro.perf.columnar_pipelined), and
 differentially re-checks every timed pair (distances, source set,
 Delta, rounds, messages, words, per-channel and per-node counters), so
 a "speedup" can never hide a divergence.
 
 The pytest-benchmark test below pins only the direction.  The CI floor
--- >= 2x over the fast backend at the largest size -- is the
+-- >= 2x over the per-message loop at the largest size -- is the
 ``columnar_pipelined`` entry of ``benchmarks/gates.py``, which also
 persists ``BENCH_columnar_pipelined.json``.
 """
@@ -31,5 +31,5 @@ def test_columnar_pipelined_speedup(benchmark):
     # busy dev machine cannot flake the suite.
     largest = _largest(rep)
     assert largest.measured > 1.0, (
-        f"columnar pipelined kernel slower than fast at "
+        f"columnar pipelined kernel slower than the per-message loop at "
         f"n={largest.params['n']}: {largest.measured}x")

@@ -3,17 +3,17 @@
 The sweep (repro.analysis.sweep.sweep_serving) replays a seeded Zipf
 query workload against a :class:`repro.serve.DistanceOracle` (per-
 source-partition RoutingTable shards materialized by the k-source
-pipeline on the fast backend) and measures the batched+cached
+pipeline on the default engine) and measures the batched+cached
 steady-state serving throughput against the naive one-table-walk-per-
 query baseline, with the batched answers always asserted identical to
 the naive ones.  A ``build`` row per size times the same shard
-materialization on the fast backend vs ``backend="columnar"`` (the
-pipelined bulk kernel), with the served-table digests asserted
+materialization on the columnar engine's per-message loop vs its
+pipelined bulk kernel, with the served-table digests asserted
 bit-equal.  Alongside the timed rows it exercises an incremental
 refresh (minimum-weight edge deleted; only affected sources recomputed,
 only their shards epoch-swapped, only their cache entries invalidated;
 post-refresh answers Dijkstra-checked through the cached path) and pins
-the served-table digests bit-identical across all three simulator
+the served-table digests bit-identical across both simulator
 backends.
 
 The pytest-benchmark test below pins only the direction.  The CI gate

@@ -1,4 +1,4 @@
-"""The CI gates over the wall-clock and recovery experiments (E19-E24).
+"""The CI gates over the wall-clock and recovery experiments (E19, E21-E24).
 
 Run:  PYTHONPATH=src python benchmarks/gates.py
 
@@ -70,9 +70,6 @@ GATES = {
     "backend_speedup": (
         "E19", {"sizes": (768, 1536), "repeats": 3},
         (floor(2.0, hooks="none"), floor(1.5, hooks="full"))),
-    "node_kernels": (
-        "E20", {"sizes": ((768, 96, 96), (1536, 192, 192)), "repeats": 2},
-        (floor(1.5),)),
     "recovery": (
         "E21", {"seeds": (0, 1), "sizes": (10, 14)},
         (repairs_cheaper,)),

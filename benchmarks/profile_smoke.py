@@ -1,8 +1,10 @@
 """CI profile-smoke: the kernel hot paths must stay instrumented.
 
-Runs one small pipelined instance under an active
-:class:`~repro.obs.ProfileSession` and asserts that every timer in
-:data:`repro.obs.KERNEL_TIMERS` recorded samples.  The HOT-timer pattern
+Runs one small pipelined instance on the reference backend under an
+active :class:`~repro.obs.ProfileSession` and asserts that every timer
+in :data:`repro.obs.KERNEL_TIMERS` recorded samples.  The node-state
+kernels serve the per-message paths; the default engine's bulk kernel
+reads the key columns directly and records only its round timer.  The HOT-timer pattern
 fails *open* -- uninstrumented code runs fine, it just stops reporting --
 so without this gate a kernel refactor could silently drop the timers
 and PERFORMANCE.md's breakdowns would quietly go stale.  Exits non-zero
@@ -21,7 +23,7 @@ from repro.obs import KERNEL_TIMERS, ProfileSession
 def main() -> int:
     g = path_graph(48, w=3)
     with ProfileSession() as prof:
-        res = run_hk_ssp(g, [0, 16, 32], 47)
+        res = run_hk_ssp(g, [0, 16, 32], 47, backend="reference")
     assert res.metrics.rounds > 0
     print(prof.report())
     names = set(prof.timers)

@@ -18,7 +18,6 @@ from .sweep import (
     sweep_columnar_pipelined,
     sweep_fault_tolerance,
     sweep_invariants,
-    sweep_node_kernels,
     sweep_recovery,
     sweep_serving,
     sweep_short_range,
@@ -49,7 +48,6 @@ __all__ = [
     "sweep_columnar_pipelined",
     "sweep_fault_tolerance",
     "sweep_invariants",
-    "sweep_node_kernels",
     "sweep_recovery",
     "sweep_serving",
     "sweep_short_range",

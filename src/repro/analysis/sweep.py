@@ -27,6 +27,52 @@ from ..graphs import path_graph, random_graph, zero_cluster_graph
 from .records import ExperimentReport
 
 
+def _best_of(repeats: int, *arms):
+    """Interleaved best-of-*repeats* wall clock of the zero-argument
+    callables *arms* (each repeat runs every arm once, in order, which
+    suppresses one-sided scheduler noise): one ``(seconds, result)``
+    per arm, from its fastest repeat."""
+    best = [(math.inf, None)] * len(arms)
+    for _ in range(max(1, repeats)):
+        for i, arm in enumerate(arms):
+            t0 = time.perf_counter()
+            result = arm()
+            dt = time.perf_counter() - t0
+            if dt < best[i][0]:
+                best[i] = (dt, result)
+    return best
+
+
+def _on_loop(call):
+    """*call* run with the columnar engine's kernel registry emptied, so
+    every network it builds runs the per-message loop: the baseline arm
+    of E22's build row, E23 and E24, which make the same entry-point
+    call as the kernel arm."""
+    from ..perf.columnar import COLUMNAR_KERNELS
+
+    def run():
+        saved = list(COLUMNAR_KERNELS)
+        COLUMNAR_KERNELS.clear()
+        try:
+            return call()
+        finally:
+            COLUMNAR_KERNELS[:] = saved
+    return run
+
+
+def _check_same_load(label: str, ml, mc) -> None:
+    """Raise unless the loop's and the kernel's runs offered the same
+    load: rounds, messages, words, per-channel and per-node counters."""
+    if (ml.rounds != mc.rounds or ml.messages != mc.messages
+            or ml.words != mc.words
+            or ml.channel_messages != mc.channel_messages
+            or ml.node_sends != mc.node_sends):
+        raise AssertionError(
+            f"{label}: kernel and loop disagree on metrics (rounds "
+            f"{ml.rounds} vs {mc.rounds}, messages {ml.messages} vs "
+            f"{mc.messages}, words {ml.words} vs {mc.words})")
+
+
 def sweep_theorem11_hk_ssp(*, seeds: Sequence[int] = (0, 1),
                            sizes: Sequence[int] = (12, 18, 24),
                            report: Optional[ExperimentReport] = None
@@ -165,19 +211,20 @@ def sweep_backend_speedup(*, sizes: Sequence[int] = (768, 1536), w: int = 4,
                           repeats: int = 3,
                           report: Optional[ExperimentReport] = None
                           ) -> ExperimentReport:
-    """E19: wall-clock speedup of the fast simulator backend over the
-    reference backend on the Theorem I.1 pipelined algorithm.
+    """E19: wall-clock speedup of the production engine (``columnar``)
+    over the reference backend on the Theorem I.1 pipelined algorithm.
 
     The workload is Algorithm 1 (``run_hk_ssp``, single source,
-    ``h = n-1``) on a weighted path graph -- the regime where the
-    reference backend's per-round O(n) scans dominate: ~n active rounds
-    each touching O(1) nodes, so the reference pays O(n^2) scheduler
-    work against the fast backend's O(n log n).  ``Delta`` is
-    precomputed once via the sequential oracle and passed to *both*
-    backends, so only the simulators themselves are timed.
+    ``h = n-1``) on a weighted path graph -- the thin regime: ~n active
+    rounds each carrying one or two deliveries, where the reference
+    backend's per-round O(n) scans dominate (O(n^2) scheduler work
+    against the engine's O(n log n)) and the pipelined kernel takes its
+    small-round path.  ``Delta`` is precomputed once via the sequential
+    oracle and passed to *both* backends, so only the simulators
+    themselves are timed.
 
     Timing is interleaved best-of-``repeats`` (each repeat times the
-    reference then the fast backend, and each backend keeps its fastest
+    reference then the engine, and each backend keeps its fastest
     repeat), which suppresses one-sided scheduler noise on loaded CI
     machines.  Every row also differentially re-checks the two runs --
     identical distances, round counts, message totals, fault statistics,
@@ -186,12 +233,12 @@ def sweep_backend_speedup(*, sizes: Sequence[int] = (768, 1536), w: int = 4,
 
     Each size produces two rows: ``hooks="none"`` (no hook attached)
     and ``hooks="full"`` (seeded fault plan + tracer + ring recorder
-    attached to both backends), because with hooks attached the fast
-    backend's delivery loop also runs the recorder/tracer emissions and
-    the injector protocol for every message -- the speedup that matters
-    to a fault experiment is the instrumented one.
+    attached to both backends), because with hooks attached the engine
+    runs its per-message loop, which also runs the recorder/tracer
+    emissions and the injector protocol for every message -- the
+    speedup that matters to a fault experiment is the instrumented one.
 
-    ``measured`` is the speedup (reference seconds / fast seconds);
+    ``measured`` is the speedup (reference seconds / engine seconds);
     ``bound`` is left ``None`` because :class:`Measurement.within_bound`
     tests ``measured <= bound`` and a speedup gate needs ``>=`` -- the
     gate lives in ``benchmarks/gates.py`` (CI fails below 2x plain /
@@ -202,9 +249,9 @@ def sweep_backend_speedup(*, sizes: Sequence[int] = (768, 1536), w: int = 4,
     from ..obs import Tracer
 
     rep = report or ExperimentReport(
-        "E19", "Backend speedup: fast vs reference wall-clock on the "
-               "Theorem I.1 pipelined schedule (path graphs), with and "
-               "without instrumentation hooks attached")
+        "E19", "Backend speedup: columnar engine vs reference wall-clock "
+               "on the Theorem I.1 pipelined schedule (path graphs), with "
+               "and without instrumentation hooks attached")
     # The instrumented plan must be *schedule-preserving*: Algorithm 1's
     # provable pipeline is exactly what is being timed, and a delayed or
     # corrupted entry trips the program's own Invariant 1 assertion (the
@@ -219,155 +266,46 @@ def sweep_backend_speedup(*, sizes: Sequence[int] = (768, 1536), w: int = 4,
         delta = weak_delta_bound(g, [0], h)
         for hooks in ("none", "full"):
 
-            def timed(backend):
+            def run(backend):
                 tracer = Tracer() if hooks == "full" else None
-                t0 = time.perf_counter()
-                r = run_hk_ssp(
+                return run_hk_ssp(
                     g, [0], h, delta, backend=backend,
                     fault_plan=plan if hooks == "full" else None,
                     tracer=tracer,
                     record_window=3 if hooks == "full" else 0,
-                    max_rounds=40 * (n + 2) + 200)
-                return time.perf_counter() - t0, r, tracer
+                    max_rounds=40 * (n + 2) + 200), tracer
 
-            ref_s = fast_s = math.inf
-            ref_res = fast_res = None
-            ref_tr = fast_tr = None
-            for _ in range(max(1, repeats)):
-                dt, r, tr = timed("reference")
-                if dt < ref_s:
-                    ref_s, ref_res, ref_tr = dt, r, tr
-                dt, f, tr = timed("fast")
-                if dt < fast_s:
-                    fast_s, fast_res, fast_tr = dt, f, tr
-            if ref_res.dist != fast_res.dist:
+            (ref_s, (ref_res, ref_tr)), (col_s, (col_res, col_tr)) = \
+                _best_of(repeats, lambda: run("reference"),
+                         lambda: run("columnar"))
+            if ref_res.dist != col_res.dist:
                 raise AssertionError(
                     f"E19 n={n} hooks={hooks}: backends disagree on "
                     f"distances -- speedup numbers would be meaningless "
                     f"(differential harness escape, see "
                     f"tests/differential.py)")
-            if (ref_res.metrics.rounds != fast_res.metrics.rounds
-                    or ref_res.metrics.messages != fast_res.metrics.messages
-                    or ref_res.metrics.faults != fast_res.metrics.faults):
+            if (ref_res.metrics.rounds != col_res.metrics.rounds
+                    or ref_res.metrics.messages != col_res.metrics.messages
+                    or ref_res.metrics.faults != col_res.metrics.faults):
                 raise AssertionError(
                     f"E19 n={n} hooks={hooks}: backends disagree on "
                     f"metrics (rounds {ref_res.metrics.rounds} vs "
-                    f"{fast_res.metrics.rounds}, messages "
+                    f"{col_res.metrics.rounds}, messages "
                     f"{ref_res.metrics.messages} vs "
-                    f"{fast_res.metrics.messages}, faults "
+                    f"{col_res.metrics.messages}, faults "
                     f"{dict(ref_res.metrics.faults)} vs "
-                    f"{dict(fast_res.metrics.faults)})")
-            if hooks == "full" and ref_tr.events != fast_tr.events:
+                    f"{dict(col_res.metrics.faults)})")
+            if hooks == "full" and ref_tr.events != col_tr.events:
                 raise AssertionError(
                     f"E19 n={n}: backends disagree on the trace event "
                     f"stream ({len(ref_tr.events)} vs "
-                    f"{len(fast_tr.events)} events)")
+                    f"{len(col_tr.events)} events)")
             rep.add({"n": n, "w": w, "Delta": delta, "hooks": hooks},
-                    measured=round(ref_s / fast_s, 2),
+                    measured=round(ref_s / col_s, 2),
                     ref_s=round(ref_s, 4),
-                    fast_s=round(fast_s, 4),
+                    columnar_s=round(col_s, 4),
                     rounds=ref_res.metrics.rounds,
                     messages=ref_res.metrics.messages)
-    return rep
-
-
-def sweep_node_kernels(*, sizes: Sequence[Tuple[int, int, int]] = (
-                            (768, 96, 96), (1536, 192, 192)),
-                       w: int = 4, repeats: int = 2, timing: bool = True,
-                       report: Optional[ExperimentReport] = None
-                       ) -> ExperimentReport:
-    """E20: wall-clock speedup of the indexed node-state kernels over the
-    naive linear-scan ``ReferenceNodeList`` inside Algorithm 1.
-
-    After the fast backend removed the network loop's O(n) scans (E19),
-    the remaining wall-clock is node-side: ``fire_at`` /
-    ``next_fire_after`` rescanning every list entry per active round and
-    the O(len) count queries of Steps 8-13.  That cost only shows when
-    per-node lists are *long*, so -- unlike E19's single-source workload,
-    whose path-graph lists hold one entry per source -- E20 spreads ``k``
-    sources along a weighted path at the same largest size (each row is
-    ``(n, k, h)``): every node's list carries ~k entries (two candidate
-    directions per source, budget-capped), which is exactly the regime
-    the kernels index.  Both arms run on the **fast backend**, so the
-    measured gap is purely the node-state kernels -- the speedup is *on
-    top of* E19's.
-
-    Timing is interleaved best-of-``repeats`` (reference kernel then
-    indexed kernel per repeat, each keeping its fastest), as in E19.
-    Every row differentially re-checks the two runs -- identical
-    distances, hops, parents, round counts, message totals, and list
-    statistics -- so a speedup can never come from the kernels quietly
-    computing different things (the per-operation pin lives in
-    tests/test_node_list_kernels.py).
-
-    ``timing=False`` switches to the deterministic mode used by the
-    CI smoke campaign (``benchmarks/campaigns/smoke.json``) and its
-    committed baseline: no clocks -- ``measured`` is the (deterministic)
-    round count and the row carries the differential-agreement flag, so
-    the BENCH record is bit-stable across machines and ``--jobs``
-    values.
-
-    ``measured`` (timing mode) is the speedup (reference kernel seconds /
-    indexed kernel seconds); the CI gate lives in
-    ``benchmarks/gates.py`` (fails below 1.5x at the largest size).
-    """
-    from ..graphs.reference import weak_delta_bound
-
-    rep = report or ExperimentReport(
-        "E20", "Node-state kernels: indexed vs linear-scan NodeList "
-               "wall-clock inside Algorithm 1 (k sources spread on a "
-               "weighted path, both arms on the fast backend)")
-    for n, k, h in sizes:
-        g = path_graph(n, w=w)
-        srcs = list(range(0, n, max(1, n // k)))[:k]
-        delta = weak_delta_bound(g, srcs, h)
-
-        def timed(kernel):
-            t0 = time.perf_counter()
-            r = run_hk_ssp(g, srcs, h, delta, backend="fast",
-                           list_kernel=kernel, max_rounds=10 ** 7)
-            return time.perf_counter() - t0, r
-
-        ref_s = idx_s = math.inf
-        ref_res = idx_res = None
-        for _ in range(max(1, repeats if timing else 1)):
-            dt, r = timed("reference")
-            if dt < ref_s:
-                ref_s, ref_res = dt, r
-            dt, r = timed("indexed")
-            if dt < idx_s:
-                idx_s, idx_res = dt, r
-        if (ref_res.dist != idx_res.dist or ref_res.hops != idx_res.hops
-                or ref_res.parent != idx_res.parent):
-            raise AssertionError(
-                f"E20 n={n} k={k} h={h}: kernels disagree on outputs -- "
-                f"speedup numbers would be meaningless (differential "
-                f"suite escape, see tests/test_node_list_kernels.py)")
-        if (ref_res.metrics.rounds != idx_res.metrics.rounds
-                or ref_res.metrics.messages != idx_res.metrics.messages
-                or ref_res.max_list_len != idx_res.max_list_len
-                or ref_res.max_entries_per_source
-                != idx_res.max_entries_per_source):
-            raise AssertionError(
-                f"E20 n={n} k={k} h={h}: kernels disagree on run "
-                f"statistics (rounds {ref_res.metrics.rounds} vs "
-                f"{idx_res.metrics.rounds}, messages "
-                f"{ref_res.metrics.messages} vs "
-                f"{idx_res.metrics.messages}, max list "
-                f"{ref_res.max_list_len} vs {idx_res.max_list_len})")
-        base = {"n": n, "k": len(srcs), "h": h, "w": w, "Delta": delta}
-        if timing:
-            rep.add(base, measured=round(ref_s / idx_s, 2),
-                    ref_s=round(ref_s, 4),
-                    indexed_s=round(idx_s, 4),
-                    rounds=idx_res.metrics.rounds,
-                    max_list=idx_res.max_list_len)
-        else:
-            rep.add(base, measured=idx_res.metrics.rounds,
-                    messages=idx_res.metrics.messages,
-                    max_list=idx_res.max_list_len,
-                    max_per_source=idx_res.max_entries_per_source,
-                    kernels_agree=1)
     return rep
 
 
@@ -376,30 +314,31 @@ def sweep_columnar(*, sides: Sequence[int] = (30, 60, 100), w_max: int = 6,
                    repeats: int = 3, timing: bool = True,
                    report: Optional[ExperimentReport] = None
                    ) -> ExperimentReport:
-    """E23: wall-clock speedup of the columnar bulk-synchronous backend
-    over the fast backend on grid-graph Bellman-Ford relaxation.
+    """E23: wall-clock speedup of the columnar relaxation kernel over the
+    engine's per-message loop on grid-graph Bellman-Ford relaxation.
 
-    E19 removed the reference loop's per-round O(n) scans and E20 the
-    node-side list scans; what remains on the hot path is per-message
-    Python object traffic (an Envelope, a payload tuple, a Counter
-    update, several method calls per message).  The columnar backend
-    eliminates it for the relaxation family, so the workload here is the
-    family's dense-wavefront regime: single-source ``run_bellman_ford``
-    on a ``side x side`` random-weight grid (n up to the tens of
-    thousands, ~2n edges, wavefronts thousands of nodes wide with
-    repeated re-improvements under random weights), where message volume
-    -- not scheduling -- dominates.  Both arms run the *identical*
-    entry-point call; only ``backend=`` differs.
+    E19 measures the engine against the reference loop's per-round O(n)
+    scans; what remains on the per-message loop's hot path is Python
+    object traffic (an Envelope, a payload tuple, a Counter update,
+    several method calls per message).  The relaxation kernel
+    eliminates it, so the workload here is the family's dense-wavefront
+    regime: single-source ``run_bellman_ford`` on a ``side x side``
+    random-weight grid (n up to the tens of thousands, ~2n edges,
+    wavefronts thousands of nodes wide with repeated re-improvements
+    under random weights), where message volume -- not scheduling --
+    dominates.  Both arms make the *identical* entry-point call on
+    ``backend="columnar"``; the loop arm runs it with the kernel
+    registry emptied.
 
     Timing is interleaved best-of-``repeats`` (each repeat times the
-    fast backend then the columnar backend, each keeping its fastest),
-    as in E19/E20.  The baseline is the **fast** backend -- itself
-    differentially pinned to the reference -- because at these sizes the
-    reference backend's O(n)-per-round scans would measure E19's effect
-    again, not the columnar engine's.  Every timed pair is
-    differentially re-checked (distances, hops, parents, rounds,
-    messages, words, per-channel and per-node counters), so a speedup
-    can never come from the backends quietly computing different things.
+    loop then the kernel, each keeping its fastest), as in E19.  The
+    baseline is the per-message loop -- itself differentially pinned
+    to the reference -- because at these sizes the reference backend's
+    O(n)-per-round scans would measure E19's effect again, not the
+    kernel's.  Every timed pair is differentially re-checked
+    (distances, hops, parents, rounds, messages, words, per-channel and
+    per-node counters), so a speedup can never come from the two paths
+    quietly computing different things.
 
     ``timing=False`` switches to the deterministic mode used by the
     CI smoke campaign (``benchmarks/campaigns/smoke.json``) and its
@@ -407,7 +346,7 @@ def sweep_columnar(*, sides: Sequence[int] = (30, 60, 100), w_max: int = 6,
     round count plus the differential-agreement flag, bit-stable across
     machines.
 
-    ``measured`` (timing mode) is the speedup (fast seconds / columnar
+    ``measured`` (timing mode) is the speedup (loop seconds / kernel
     seconds); the CI gate lives in ``benchmarks/gates.py`` (fails
     below 2x at the largest size).
     """
@@ -415,47 +354,29 @@ def sweep_columnar(*, sides: Sequence[int] = (30, 60, 100), w_max: int = 6,
     from ..graphs import grid_graph
 
     rep = report or ExperimentReport(
-        "E23", "Columnar backend speedup: bulk-synchronous array rounds "
-               "vs the fast backend's per-message delivery on grid "
+        "E23", "Columnar relaxation kernel speedup: bulk-synchronous array "
+               "rounds vs the engine's per-message loop on grid "
                "Bellman-Ford (single source, random weights)")
     for side in sides:
         g = grid_graph(side, side, w_max=w_max, zero_fraction=zero_fraction,
                        seed=seed)
-
-        def timed(backend):
-            t0 = time.perf_counter()
-            r = run_bellman_ford(g, 0, backend=backend)
-            return time.perf_counter() - t0, r
-
-        fast_s = col_s = math.inf
-        fast_res = col_res = None
-        for _ in range(max(1, repeats if timing else 1)):
-            dt, r = timed("fast")
-            if dt < fast_s:
-                fast_s, fast_res = dt, r
-            dt, c = timed("columnar")
-            if dt < col_s:
-                col_s, col_res = dt, c
-        if (fast_res.dist != col_res.dist
-                or fast_res.hops != col_res.hops
-                or fast_res.parent != col_res.parent):
+        def call():
+            return run_bellman_ford(g, 0, backend="columnar")
+        (loop_s, loop_res), (col_s, col_res) = _best_of(
+            repeats if timing else 1, _on_loop(call), call)
+        if (loop_res.dist != col_res.dist
+                or loop_res.hops != col_res.hops
+                or loop_res.parent != col_res.parent):
             raise AssertionError(
-                f"E23 side={side}: backends disagree on outputs -- "
+                f"E23 side={side}: kernel and loop disagree on outputs -- "
                 f"speedup numbers would be meaningless (conformance "
                 f"suite escape, see tests/backend_conformance.py)")
-        mf, mc = fast_res.metrics, col_res.metrics
-        if (mf.rounds != mc.rounds or mf.messages != mc.messages
-                or mf.words != mc.words
-                or mf.channel_messages != mc.channel_messages
-                or mf.node_sends != mc.node_sends):
-            raise AssertionError(
-                f"E23 side={side}: backends disagree on metrics (rounds "
-                f"{mf.rounds} vs {mc.rounds}, messages {mf.messages} vs "
-                f"{mc.messages}, words {mf.words} vs {mc.words})")
+        mc = col_res.metrics
+        _check_same_load(f"E23 side={side}", loop_res.metrics, mc)
         base = {"n": g.n, "rows": side, "cols": side}
         if timing:
-            rep.add(base, measured=round(fast_s / col_s, 2),
-                    fast_s=round(fast_s, 4),
+            rep.add(base, measured=round(loop_s / col_s, 2),
+                    loop_s=round(loop_s, 4),
                     columnar_s=round(col_s, 4),
                     rounds=mc.rounds, messages=mc.messages)
         else:
@@ -472,10 +393,11 @@ def sweep_columnar_pipelined(*, sizes: Sequence[Tuple[int, float, int, int]]
                              report: Optional[ExperimentReport] = None
                              ) -> ExperimentReport:
     """E24: wall-clock speedup of the columnar pipelined (h, k)-SSP
-    kernel over the fast backend on the paper's actual algorithm.
+    kernel over the engine's per-message loop on the paper's actual
+    algorithm.
 
-    E23 vectorized the Bellman-Ford relaxation family; this sweep
-    measures the tentpole that matters -- Algorithm 1 itself
+    E23 measures the Bellman-Ford relaxation kernel; this sweep
+    measures the one that matters -- Algorithm 1 itself
     (``run_hk_ssp``) on the pipelined bulk kernel
     (:mod:`repro.perf.columnar_pipelined`): the Step 1 send schedule as
     a rank bisection over each node's own key column, Step 2 deliveries
@@ -487,15 +409,16 @@ def sweep_columnar_pipelined(*, sizes: Sequence[Tuple[int, float, int, int]]
     random graphs with ``k`` spread sources and ``h`` around the
     effective diameter, so each round carries thousands of messages and
     the per-message object traffic (Envelope, payload tuple, Counter
-    updates, list_v method calls) the fast backend pays is the dominant
-    cost.  ``Delta`` is precomputed once per size via the sequential
-    oracle and passed to **both** arms, so only the simulators are
-    timed.
+    updates, list_v method calls) the loop pays is the dominant cost.
+    ``Delta`` is precomputed once per size via the sequential oracle and
+    passed to **both** arms, which make the identical entry-point call
+    on ``backend="columnar"``; the loop arm runs it with the kernel
+    registry emptied.
 
-    Timing is interleaved best-of-``repeats`` as in E19/E20/E23, and
+    Timing is interleaved best-of-``repeats`` as in E19/E23, and
     every timed pair is differentially re-checked (distances, source
     set, Delta, rounds, messages, words, per-channel and per-node
-    counters), so a speedup can never come from the backends quietly
+    counters), so a speedup can never come from the two paths quietly
     computing different things.
 
     ``timing=False`` switches to the deterministic mode used by the
@@ -504,7 +427,7 @@ def sweep_columnar_pipelined(*, sizes: Sequence[Tuple[int, float, int, int]]
     round count plus the differential-agreement flag, bit-stable across
     machines.
 
-    ``measured`` (timing mode) is the speedup (fast seconds / columnar
+    ``measured`` (timing mode) is the speedup (loop seconds / kernel
     seconds); the CI gate lives in ``benchmarks/gates.py`` (fails
     below 2x at the largest size).
     """
@@ -512,47 +435,29 @@ def sweep_columnar_pipelined(*, sizes: Sequence[Tuple[int, float, int, int]]
 
     rep = report or ExperimentReport(
         "E24", "Columnar pipelined kernel speedup: Algorithm 1 as bulk "
-               "column passes vs the fast backend's per-message loop on "
+               "column passes vs the engine's per-message loop on "
                "dense random (h, k)-SSP instances")
     for n, p, k, h in sizes:
         g = random_graph(n, p=p, w_max=w_max, seed=seed, directed=True)
         srcs = list(range(0, n, max(1, n // k)))[:k]
         delta = weak_delta_bound(g, srcs, h)
-
-        def timed(backend):
-            t0 = time.perf_counter()
-            r = run_hk_ssp(g, srcs, h, delta, backend=backend)
-            return time.perf_counter() - t0, r
-
-        fast_s = col_s = math.inf
-        fast_res = col_res = None
-        for _ in range(max(1, repeats if timing else 1)):
-            dt, r = timed("fast")
-            if dt < fast_s:
-                fast_s, fast_res = dt, r
-            dt, c = timed("columnar")
-            if dt < col_s:
-                col_s, col_res = dt, c
-        if (fast_res.dist != col_res.dist
-                or fast_res.sources != col_res.sources
-                or fast_res.delta != col_res.delta):
+        def call():
+            return run_hk_ssp(g, srcs, h, delta, backend="columnar")
+        (loop_s, loop_res), (col_s, col_res) = _best_of(
+            repeats if timing else 1, _on_loop(call), call)
+        if (loop_res.dist != col_res.dist
+                or loop_res.sources != col_res.sources
+                or loop_res.delta != col_res.delta):
             raise AssertionError(
-                f"E24 n={n}: backends disagree on outputs -- speedup "
-                f"numbers would be meaningless (conformance suite "
+                f"E24 n={n}: kernel and loop disagree on outputs -- "
+                f"speedup numbers would be meaningless (conformance suite "
                 f"escape, see tests/backend_conformance.py)")
-        mf, mc = fast_res.metrics, col_res.metrics
-        if (mf.rounds != mc.rounds or mf.messages != mc.messages
-                or mf.words != mc.words
-                or mf.channel_messages != mc.channel_messages
-                or mf.node_sends != mc.node_sends):
-            raise AssertionError(
-                f"E24 n={n}: backends disagree on metrics (rounds "
-                f"{mf.rounds} vs {mc.rounds}, messages {mf.messages} vs "
-                f"{mc.messages}, words {mf.words} vs {mc.words})")
+        mc = col_res.metrics
+        _check_same_load(f"E24 n={n}", loop_res.metrics, mc)
         base = {"n": n, "p": p, "k": len(srcs), "h": h, "Delta": delta}
         if timing:
-            rep.add(base, measured=round(fast_s / col_s, 2),
-                    fast_s=round(fast_s, 4),
+            rep.add(base, measured=round(loop_s / col_s, 2),
+                    loop_s=round(loop_s, 4),
                     columnar_s=round(col_s, 4),
                     rounds=mc.rounds, messages=mc.messages)
         else:
@@ -645,9 +550,10 @@ def sweep_recovery(*, seeds: Sequence[int] = (0, 1),
       it must be strictly cheaper.
     * ``update=crash`` -- the same single-edge update applied while a
       node crashes mid-repair and restarts from its checkpoint
-      (delays + duplicates active).  The row is executed on *both*
-      simulator backends and their instrumented digests are asserted
-      bit-identical, the E19 cross-backend pinning pattern.
+      (delays + duplicates active).  The row is executed on both
+      backends, ``reference`` and ``columnar``, and their instrumented
+      digests are asserted bit-identical, the E19 cross-backend pinning
+      pattern.
     """
     from ..faults.plan import CrashWindow, FaultPlan
     from ..recovery import DynamicRun, EdgeUpdate
@@ -696,7 +602,7 @@ def sweep_recovery(*, seeds: Sequence[int] = (0, 1),
                 crashes=(CrashWindow(rng.randrange(n), 4, 10,
                                      restart_from="checkpoint"),))
             digests, repairs = {}, {}
-            for backend in ("reference", "fast"):
+            for backend in ("reference", "columnar"):
                 run = DynamicRun(g, sources, fault_plan=plan,
                                  checkpoint_every=4, backend=backend)
                 run.apply(EdgeUpdate(u, v, w + 3))
@@ -705,11 +611,11 @@ def sweep_recovery(*, seeds: Sequence[int] = (0, 1),
                     f"repaired to wrong distances")
                 digests[backend] = run.digest()
                 repairs[backend] = run.metrics.rounds_to_repair
-            assert digests["reference"] == digests["fast"], (
+            assert digests["reference"] == digests["columnar"], (
                 f"E21 seed={seed} n={n} crash: backends disagree on the "
                 f"instrumented digest -- reference "
-                f"{digests['reference'][:12]} vs fast "
-                f"{digests['fast'][:12]}")
+                f"{digests['reference'][:12]} vs columnar "
+                f"{digests['columnar'][:12]}")
             rep.add({"seed": seed, "n": n, "update": "crash",
                      "k": len(sources), "affected": -1},
                     measured=repairs["reference"],
@@ -733,19 +639,20 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
     naive route walks are long -- the regime a cache pays in):
 
     * ``row=serve`` -- a seeded Zipf workload replayed against one
-      :class:`~repro.serve.DistanceOracle` (fast backend).  The batched
+      :class:`~repro.serve.DistanceOracle` (default engine).  The batched
       answers are always asserted identical to the naive baseline's.
       In timing mode ``measured`` is naive seconds / batched+cached
       steady-state seconds (cache warmed by one pass, then best of
       ``repeats``) -- the quantity the >= 5x CI gate
       (benchmarks/gates.py) checks at the largest size.
-    * ``row=build`` -- shard materialization wall-clock, fast backend
-      vs ``backend="columnar"`` (the pipelined bulk kernel,
-      :mod:`repro.perf.columnar_pipelined`, carries every shard's
-      k-source run).  ``measured`` is fast seconds / columnar seconds
-      (best of ``repeats``); the served-table digests and build round
-      counts are always asserted identical (``tables_match``) -- the
-      speedup is only reported for tables that are bit-equal.
+    * ``row=build`` -- shard materialization wall-clock on
+      ``backend="columnar"``, the engine's per-message loop (the kernel
+      registry emptied) vs the pipelined bulk kernel
+      (:mod:`repro.perf.columnar_pipelined`), which carries every
+      shard's k-source run.  ``measured`` is loop seconds / kernel
+      seconds (best of ``repeats``); the served-table digests and build
+      round counts are always asserted identical (``tables_match``) --
+      the speedup is only reported for tables that are bit-equal.
     * ``row=refresh`` -- an :class:`~repro.recovery.EdgeUpdate` deleting
       a minimum-weight edge; ``measured`` is
       ``rounds_to_repair`` (deterministic), with the affected-source /
@@ -753,7 +660,7 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
       post-refresh tables re-checked against Dijkstra through the
       *cached* query path (``correct``).
     * ``row=digest`` -- a small oracle built and refreshed identically
-      on every simulator backend (reference, fast, columnar); asserts
+      on both simulator backends (reference, columnar); asserts
       bit-identical :meth:`DistanceOracle.digest` values
       (``backends_agree``), the E19/E21 cross-backend pinning pattern.
 
@@ -775,7 +682,7 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
                "Dijkstra-correct; table digests backend-pinned")
     for n, p, num_queries in sizes:
         g = random_graph(n, p=p, w_max=6, zero_fraction=0.2, seed=seed)
-        oracle = DistanceOracle(g, num_shards=4, backend="fast")
+        oracle = DistanceOracle(g, num_shards=4)
         wl = generate_workload(n, num_queries, seed=seed, skew=skew)
         naive = oracle.serve_naive(wl)
         served = oracle.serve(wl)   # cold pass; also warms the cache
@@ -809,37 +716,28 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
                     answers_match=1)
 
         # Shard build time: the same pipelined materialization on the
-        # fast backend vs the columnar bulk kernel.  Built before the
-        # refresh below mutates the serving graph.
+        # engine's per-message loop vs the columnar bulk kernel.  Built
+        # before the refresh below mutates the serving graph.
         bbase = {"n": n, "p": p, "queries": num_queries, "seed": seed,
                  "skew": skew, "row": "build"}
-        build_s = {"fast": math.inf, "columnar": math.inf}
-        built = {}
-        for _ in range(max(1, repeats) if timing else 1):
-            for backend_name in ("fast", "columnar"):
-                t0 = time.perf_counter()
-                built[backend_name] = DistanceOracle(
-                    g, num_shards=4, method="pipelined",
-                    backend=backend_name, cache_size=0)
-                build_s[backend_name] = min(
-                    build_s[backend_name], time.perf_counter() - t0)
-        if (built["fast"].digest() != built["columnar"].digest()
-                or built["fast"].build_rounds
-                != built["columnar"].build_rounds):
+        def build():
+            return DistanceOracle(g, num_shards=4, method="pipelined",
+                                  backend="columnar", cache_size=0)
+        (loop_s, loop_o), (col_s, col_o) = _best_of(
+            repeats if timing else 1, _on_loop(build), build)
+        if (loop_o.digest() != col_o.digest()
+                or loop_o.build_rounds != col_o.build_rounds):
             raise AssertionError(
-                f"E22 n={n}: columnar shard build diverges from the "
-                f"fast backend -- build speedup would be meaningless")
+                f"E22 n={n}: the kernel's shard build diverges from the "
+                f"per-message loop's -- build speedup would be "
+                f"meaningless")
         if timing:
-            rep.add(bbase,
-                    measured=round(build_s["fast"] / build_s["columnar"],
-                                   2),
-                    build_s_fast=round(build_s["fast"], 4),
-                    build_s_columnar=round(build_s["columnar"], 4),
-                    build_rounds=built["columnar"].build_rounds,
-                    tables_match=1)
+            rep.add(bbase, measured=round(loop_s / col_s, 2),
+                    build_s_loop=round(loop_s, 4),
+                    build_s_columnar=round(col_s, 4),
+                    build_rounds=col_o.build_rounds, tables_match=1)
         else:
-            rep.add(bbase, measured=built["columnar"].build_rounds,
-                    tables_match=1)
+            rep.add(bbase, measured=col_o.build_rounds, tables_match=1)
 
         # Incremental refresh: delete a minimum-weight edge (near-certain
         # to sit on shortest-path trees) and re-serve.
@@ -864,7 +762,7 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
     g = random_graph(n_pin, p=0.3, w_max=8, zero_fraction=0.2, seed=seed)
     u, v, w = min(sorted(g.edges()), key=lambda e: (e[2], e))
     digests = {}
-    for backend in ("reference", "fast", "columnar"):
+    for backend in ("reference", "columnar"):
         o = DistanceOracle(g, num_shards=3, method="pipelined",
                            backend=backend)
         o.refresh(EdgeUpdate(u, v, None))

@@ -56,15 +56,14 @@ not testbed numbers; the claims under reproduction are the *bounds and
 shapes* (who wins, how cost scales in W / Delta / k / h, where the
 crossover falls), per the reproduction brief in DESIGN.md.
 
-Backend note: every sweep runs on the reference CONGEST simulator by
-default; ``repro bench <id> --backend fast|columnar --jobs N`` runs the
-same sweeps on the event-driven fast backend or the bulk-synchronous
-columnar backend and/or across worker processes.  Round counts,
-messages, and congestion are pinned identical across backends and job
-counts (tests/differential.py, tests/backend_conformance.py,
-tests/test_sweep_executor.py), so the tables below do not depend on
-either flag -- only wall-clock does.  E19, E23, and E24 measure those
-wall-clock gaps.
+Backend note: every sweep runs on the default columnar engine;
+``repro bench <id> --backend reference --jobs N`` runs the same sweeps
+on the reference CONGEST simulator and/or across worker processes.
+Round counts, messages, and congestion are pinned identical across
+backends and job counts (tests/differential.py,
+tests/backend_conformance.py, tests/test_sweep_executor.py), so the
+tables below do not depend on either flag -- only wall-clock does.
+E19, E23, and E24 measure those wall-clock gaps.
 
 """
 
@@ -160,29 +159,19 @@ SECTIONS: Dict[str, Section] = {
         "at every drop rate (asserted); the overhead columns measure the "
         "rounds/messages cost vs the drop-free wrapped run."),
     "E19": Section(
-        "E19 -- fast simulator backend: wall-clock speedup (infrastructure)",
-        "Theorem I.1's pipelined schedule on weighted path graphs, timed on "
-        "both simulator backends with every pair differentially re-checked "
-        "(distances, metrics, fault statistics, trace streams); *measured* "
-        "is reference seconds / fast seconds (best of 3).  Each size is "
-        "timed bare (hooks=none, the plain delivery path) and with the "
-        "full hook set attached (hooks=full: fault injector + tracer + "
-        "ring recorder).  Wall-clock numbers are machine-dependent; CI "
-        "gates the largest size at >= 2x plain and >= 1.5x instrumented "
-        "(benchmarks/gates.py)."),
-    "E20": Section(
-        "E20 -- node-state kernels: wall-clock speedup (infrastructure)",
-        "Algorithm 1 with k sources spread on a weighted path (rows are "
-        "(n, k, h)) -- the long-list regime where node-side scans dominate "
-        "-- run once with the indexed NodeList kernels (bisection fire_at/"
-        "next_fire_after, per-source indexes, incremental max) and once "
-        "with the naive linear-scan ReferenceNodeList, both on the fast "
-        "backend, every pair differentially re-checked (distances, hops, "
-        "parents, rounds, messages, list statistics); *measured* is "
-        "reference-kernel seconds / indexed-kernel seconds (best of 2), "
-        "i.e. speedup on top of E19's.  Wall-clock numbers are machine-"
-        "dependent; CI gates the largest size at >= 1.5x "
-        "(benchmarks/gates.py)."),
+        "E19 -- columnar engine vs reference: wall-clock speedup "
+        "(infrastructure)",
+        "Theorem I.1's pipelined schedule on weighted path graphs -- one "
+        "delivery per round, the pipelined kernel's small-round path -- "
+        "timed on both simulator backends with every pair differentially "
+        "re-checked (distances, metrics, fault statistics, trace "
+        "streams); *measured* is reference seconds / columnar seconds "
+        "(best of 3).  Each size is timed bare (hooks=none, the bulk "
+        "kernel) and with the full hook set attached (hooks=full: fault "
+        "injector + tracer + ring recorder, which the engine runs on its "
+        "per-message loop).  Wall-clock numbers are machine-dependent; "
+        "CI gates the largest size at >= 2x plain and >= 1.5x "
+        "instrumented (benchmarks/gates.py)."),
     "E21": Section(
         "E21 -- recovery: incremental repair vs from-scratch recompute",
         "Single-edge weight updates applied to completed k-source runs "
@@ -203,7 +192,8 @@ SECTIONS: Dict[str, Section] = {
         "A seeded Zipf query workload replayed against the distance-oracle "
         "serving layer (repro.serve.DistanceOracle: per-source-partition "
         "RoutingTable shards materialized by the k-source pipeline on the "
-        "fast backend, LRU route cache, batched same-source execution).  "
+        "default engine, LRU route cache, batched same-source "
+        "execution).  "
         "The row=serve *measured* is naive seconds / batched+cached "
         "steady-state seconds (the cache warmed by one pass, best of 3), "
         "with batched answers always asserted identical to the naive "
@@ -213,45 +203,51 @@ SECTIONS: Dict[str, Section] = {
         "through repro.recovery.DynamicRun -- only affected sources "
         "recomputed, only their shards swapped (epoch bump), only their "
         "cache entries invalidated -- with the post-refresh answers "
-        "Dijkstra-checked through the cached query path.  The row=digest "
+        "Dijkstra-checked through the cached query path.  The row=build "
+        "rows time the shard build on the engine's per-message loop "
+        "against the pipelined bulk kernel (*measured* is loop seconds / "
+        "kernel seconds, tables asserted bit-equal).  The row=digest "
         "row builds and refreshes the same oracle on both simulator "
-        "backends and asserts bit-identical served-table digests."),
+        "backends, reference and columnar, and asserts bit-identical "
+        "served-table digests."),
     "E23": Section(
-        "E23 -- columnar backend: bulk-synchronous rounds (infrastructure)",
+        "E23 -- columnar relaxation kernel: bulk-synchronous rounds "
+        "(infrastructure)",
         "Single-source Bellman-Ford on random-weight side x side grids "
         "(n = side^2, ~2n edges, wavefronts thousands of nodes wide) timed "
-        "on the fast backend and the columnar backend -- flat CSR/column "
-        "arrays and whole-round scatter-min updates instead of per-message "
-        "Envelope objects -- with every timed pair differentially "
-        "re-checked (distances, hops, parents, rounds, messages, words, "
-        "per-channel and per-node counters); *measured* is fast seconds / "
-        "columnar seconds (best of 3), one row per size.  The baseline "
-        "is the fast backend -- "
-        "itself pinned to the reference -- so the gap is pure message-path "
-        "overhead, on top of E19's scheduler win.  Wall-clock numbers are "
-        "machine-dependent; CI gates the largest size at >= 2x "
-        "(benchmarks/gates.py), and the registry-parametrized "
-        "conformance suite (tests/backend_conformance.py) pins the "
-        "backend's observables bit-identical."),
+        "on the columnar engine twice: on its per-message loop (the "
+        "kernel registry emptied) and on the relaxation kernel -- flat "
+        "CSR/column arrays and whole-round scatter-min updates instead "
+        "of per-message Envelope objects -- with every timed pair "
+        "differentially re-checked (distances, hops, parents, rounds, "
+        "messages, words, per-channel and per-node counters); *measured* "
+        "is loop seconds / kernel seconds (best of 3), one row per size.  "
+        "The baseline is the loop -- itself pinned to the reference -- "
+        "so the gap is pure message-path overhead, on top of E19's "
+        "scheduler win.  Wall-clock numbers are machine-dependent; CI "
+        "gates the largest size at >= 2x (benchmarks/gates.py), and the "
+        "registry-parametrized conformance suite "
+        "(tests/backend_conformance.py) pins the engine's observables "
+        "bit-identical."),
     "E24": Section(
         "E24 -- columnar pipelined kernel: Algorithm 1 as bulk column "
         "passes (infrastructure)",
         "The (h, k)-SSP pipeline itself (run_hk_ssp) on dense directed "
-        "random graphs with k spread sources, timed on the fast backend "
-        "and the columnar backend's pipelined bulk kernel "
-        "(repro.perf.columnar_pipelined) -- the Step 1 send schedule as "
-        "a rank bisection over each node's own list, Step 2 deliveries "
-        "as one CSR gather per round with a vectorized reject pass, and "
-        "the arrivals it keeps folded through the program's own Steps "
-        "8-13 (PipelinedSSPProgram.fold) -- "
-        "with every timed pair differentially re-checked (distances, "
+        "random graphs with k spread sources, timed on the columnar "
+        "engine's per-message loop (the kernel registry emptied) and on "
+        "its pipelined bulk kernel (repro.perf.columnar_pipelined) -- "
+        "the Step 1 send schedule as a rank bisection over each node's "
+        "own list, Step 2 deliveries as one CSR gather per round with a "
+        "vectorized reject pass, and the arrivals it keeps folded "
+        "through the program's own Steps 8-13 (PipelinedSSPProgram.fold) "
+        "-- with every timed pair differentially re-checked (distances, "
         "source set, Delta, rounds, messages, words, per-channel and "
-        "per-node counters); *measured* is fast seconds / columnar "
-        "seconds (best of 3), one row per size.  Delta is precomputed "
-        "once and passed to both arms, so only the simulators are "
-        "timed.  Wall-clock numbers are machine-dependent; CI gates the "
-        "largest size at >= 2x (benchmarks/gates.py), "
-        "and the registry-parametrized conformance suite "
+        "per-node counters); *measured* is loop seconds / kernel seconds "
+        "(best of 3), one row per size.  Delta is precomputed once and "
+        "passed to both arms, so only the simulators are timed.  "
+        "Wall-clock numbers are machine-dependent; CI gates the largest "
+        "size at >= 2x (benchmarks/gates.py), and the "
+        "registry-parametrized conformance suite "
         "(tests/backend_conformance.py) pins the kernel's observables "
         "bit-identical."),
 }

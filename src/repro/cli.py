@@ -45,13 +45,13 @@ Commands operate on graph files in the plain-text format of
   running anything, ``campaign report`` renders markdown tables from
   the store and can diff against a BENCH baseline.
 
-Simulation commands accept ``--backend`` (any registered name:
-``reference``, ``fast``, ``columnar``) to pick the CONGEST simulator
-backend (:mod:`repro.perf.backends`); the non-reference backends honor
-the full hook surface (fault injection, invariant monitoring, tracing,
-metrics, event recording) and are differentially pinned to the
-reference one on every hook observation, so backend choice is purely a
-wall-clock decision.
+Simulation commands accept ``--backend`` (``reference`` or the default
+``columnar``) to pick the CONGEST simulator backend
+(:mod:`repro.perf.backends`); the columnar engine honors the full hook
+surface (fault injection, invariant monitoring, tracing, metrics,
+event recording) and is differentially pinned to the reference on
+every hook observation, so backend choice is purely a wall-clock
+decision.
 """
 
 from __future__ import annotations
@@ -538,7 +538,7 @@ def cmd_obs(args, out) -> int:
         def execute():
             # obs run always attaches a tracer; both backends honor it
             # (differentially pinned to identical event streams), so
-            # --backend fast traces at fast-backend speed.  The
+            # the default engine traces on its per-message loop.  The
             # multi-phase blocker method takes the backend as the
             # ambient default rather than a per-call argument.
             if sources is None:
@@ -644,7 +644,7 @@ def _add_backend_flag(parser) -> None:
     from .perf.backends import BACKENDS
     parser.add_argument("--backend", choices=sorted(BACKENDS),
                         help="simulator backend (default: ambient, i.e. "
-                             "REPRO_BACKEND or 'reference')")
+                             "REPRO_BACKEND or 'columnar')")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -47,8 +47,7 @@ from .keys import (
 )
 from .kssp import KSSPResult, lemma32_round_bound, run_apsp_blocker, run_kssp_blocker
 from .kssp_random import SampledKSSPResult, run_apsp_sampled, run_kssp_sampled
-from .node_list import LIST_KERNELS, NodeList, ReferenceNodeList, \
-    make_node_list, set_paranoid
+from .node_list import NodeList, ReferenceNodeList, set_paranoid
 from .pipelined import (
     HKSSPResult,
     PipelinedSSPProgram,
@@ -84,7 +83,6 @@ __all__ = [
     "HKSSPResult",
     "KSSPResult",
     "KSourceShortRangeResult",
-    "LIST_KERNELS",
     "NodeList",
     "ReferenceNodeList",
     "PipelinedSSPProgram",
@@ -109,7 +107,6 @@ __all__ = [
     "k_ssp",
     "key_of",
     "lemma32_round_bound",
-    "make_node_list",
     "max_entries_per_source",
     "run_approx_apsp",
     "run_approx_apsp_positive",

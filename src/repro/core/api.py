@@ -60,8 +60,8 @@ def apsp(graph: WeightedDigraph, *, method: str = "auto",
     subsystem to whichever algorithm runs.
 
     ``backend`` selects the simulator backend (any
-    :data:`~repro.perf.backends.BACKENDS` name: ``"reference"``,
-    ``"fast"``, ``"columnar"``).  Every backend honors every hook, and
+    :data:`~repro.perf.backends.BACKENDS` name: ``"reference"`` or the
+    default ``"columnar"``).  Both backends honor every hook, and
     results are pinned identical across them.  The single-network
     methods take it as an explicit argument; the multi-phase blocker
     method runs all its phases under it as the ambient default.

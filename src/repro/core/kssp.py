@@ -79,7 +79,6 @@ def run_kssp_blocker(graph: WeightedDigraph, sources: Sequence[int],
                      delta: Optional[int] = None,
                      concurrent_sssp: bool = False,
                      keep_structures: bool = False,
-                     list_kernel: str = "indexed",
                      tracer: Optional[object] = None,
                      registry: Optional[object] = None) -> KSSPResult:
     """Run Algorithm 3 for *sources* with hop parameter *h*.
@@ -116,13 +115,9 @@ def run_kssp_blocker(graph: WeightedDigraph, sources: Sequence[int],
         h = bounds_mod.optimal_h_weight_bounded(n, k, graph.max_weight)
     h = max(1, min(h, n))
 
-    # Step 1: h-hop CSSSP (Algorithm 1 with hop bound 2h).  list_kernel
-    # picks the node-state kernels of the underlying pipelined run
-    # (see run_hk_ssp) -- Step 1 is where Algorithm 3 spends its
-    # node-side time.
+    # Step 1: h-hop CSSSP (Algorithm 1 with hop bound 2h).
     with span("csssp", h=h, k=k) as sp:
-        coll = build_csssp(graph, srcs, h, delta, tracer=tracer,
-                           list_kernel=list_kernel)
+        coll = build_csssp(graph, srcs, h, delta, tracer=tracer)
         if sp is not None:
             sp.set(rounds=coll.metrics.rounds)
     metrics = coll.metrics

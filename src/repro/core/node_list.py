@@ -33,9 +33,7 @@ The list also implements the send schedule: an entry fires in round
   kernels are differentially pinned against
   (tests/test_node_list_kernels.py replays Hypothesis-generated
   insert/evict/fire traces on both).  Its ``fire_at`` scans every entry
-  and *asserts* the at-most-one-send property; it is also the baseline
-  of the E20 node-kernel speedup experiment (``list_kernel="reference"``
-  on :func:`repro.core.pipelined.run_hk_ssp`).
+  and *asserts* the at-most-one-send property.
 
 Paranoid debug mode: setting ``REPRO_PARANOID=1`` in the environment (or
 calling :func:`set_paranoid`) makes every kernel query re-derive its
@@ -420,9 +418,9 @@ class NodeList:
 class ReferenceNodeList:
     """The naive linear-scan ``list_v`` -- the pre-kernel implementation,
     kept verbatim as (a) the differential-testing reference the kernels
-    are pinned against, (b) the paranoid-mode semantics, and (c) the
-    baseline of the E20 node-kernel speedup experiment.  Same API and
-    observable behaviour as :class:`NodeList`; every query is O(n)."""
+    are pinned against and (b) the paranoid-mode semantics.  Same API
+    and observable behaviour as :class:`NodeList`; every query is
+    O(n)."""
 
     __slots__ = ("_entries", "_keys")
 
@@ -551,17 +549,3 @@ class ReferenceNodeList:
             prof.record("node_list.next_fire_after", _perf() - t0)
         return best
 
-
-#: ``list_kernel=`` values accepted by the pipelined entry points.
-LIST_KERNELS = {"indexed": NodeList, "reference": ReferenceNodeList}
-
-
-def make_node_list(kind: str = "indexed"):
-    """Factory for the ``list_kernel`` ablation knob of
-    :func:`repro.core.pipelined.run_hk_ssp` (E20 measures the gap)."""
-    try:
-        return LIST_KERNELS[kind]()
-    except KeyError:
-        raise ValueError(
-            f"unknown list kernel {kind!r}; pick one of "
-            f"{sorted(LIST_KERNELS)}") from None

@@ -64,7 +64,7 @@ from ..graphs.reference import weak_delta_bound
 from .entries import Entry, SourceBest
 from .keys import gamma_for, key_of
 from . import node_list as _node_list
-from .node_list import make_node_list
+from .node_list import NodeList
 
 INF = float("inf")
 
@@ -77,8 +77,7 @@ class PipelinedSSPProgram(Program):
                  directed_broadcast: bool = True,
                  eviction: str = "budget",
                  trace: Optional[TraceRecorder] = None,
-                 record_sends: Optional[bool] = None,
-                 list_kernel: str = "indexed") -> None:
+                 record_sends: Optional[bool] = None) -> None:
         self.v = v
         self.sources = sources
         self.h = h
@@ -104,9 +103,7 @@ class PipelinedSSPProgram(Program):
             raise ValueError(f"unknown eviction policy {eviction!r}")
         self.budget = None if eviction == "always" else int(h / gamma) + 1
 
-        #: ``indexed`` (the kernel NodeList) or ``reference`` (the naive
-        #: linear-scan baseline) -- the E20 ablation knob.
-        self.list_v = make_node_list(list_kernel)
+        self.list_v = NodeList()
         #: flag-d* machinery: per source, the smallest (d, kappa) over
         #: all entries ever inserted (any hop count).  The node's final
         #: (d*, l*) converges to (delta(x, v), minhop(x, v)) and is the
@@ -292,12 +289,12 @@ class PipelinedSSPProgram(Program):
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        """Inverse of :meth:`snapshot_state`: a fresh ``list_v`` of the
-        same kernel holding fresh entries, and a fresh ``SourceBest`` per
-        source pointing at its flagged entry -- also on a program whose
-        ``on_start`` never ran (``restore_network`` restores into those).
-        *state* is left untouched, so it can be restored again."""
-        list_v = type(self.list_v)()
+        """Inverse of :meth:`snapshot_state`: a fresh ``list_v`` holding
+        fresh entries, and a fresh ``SourceBest`` per source pointing at
+        its flagged entry -- also on a program whose ``on_start`` never
+        ran (``restore_network`` restores into those).  *state* is left
+        untouched, so it can be restored again."""
+        list_v = NodeList()
         flagged: Dict[int, Entry] = {}
         for kappa, d, l, x, flag_sp, parent, sent_at in state["entries"]:
             e = Entry(kappa, d, l, x, flag_sp=flag_sp, parent=parent)
@@ -365,7 +362,6 @@ def run_hk_ssp(graph: WeightedDigraph, sources: Sequence[int], h: int,
                eviction: str = "budget",
                trace: Optional[TraceRecorder] = None,
                record_sends: Optional[bool] = None,
-               list_kernel: str = "indexed",
                max_rounds: Optional[int] = None,
                fault_plan: Optional[object] = None,
                monitor: Optional[object] = None,
@@ -394,13 +390,6 @@ def run_hk_ssp(graph: WeightedDigraph, sources: Sequence[int], h: int,
         recorder, a ``record_window``, or the paranoid kernel mode.
         Force ``True`` to inspect send histories on a bare run
         (:func:`repro.analysis.inspect.send_history`).
-    list_kernel:
-        ``"indexed"`` (default) -- the O(log n) bisection/per-source
-        kernels of :class:`repro.core.node_list.NodeList`; or
-        ``"reference"`` -- the naive linear-scan
-        :class:`~repro.core.node_list.ReferenceNodeList`, kept as the
-        differential baseline (E20 measures the gap).  Identical
-        observable behaviour either way.
     fault_plan / monitor / record_window:
         Forwarded to :class:`~repro.congest.network.Network`.  **Caveat**:
         Algorithm 1's schedule ``ceil(kappa + pos)`` *is* its correctness
@@ -421,10 +410,10 @@ def run_hk_ssp(graph: WeightedDigraph, sources: Sequence[int], h: int,
         :class:`~repro.congest.network.Network`.
     backend:
         Simulator backend: any :data:`~repro.perf.backends.BACKENDS`
-        name (``"reference"``, ``"fast"``, ``"columnar"``), or ``None``
-        for the ambient default (see :mod:`repro.perf.backends`).  Every
-        backend honors every hook and is differentially pinned to
-        identical results.
+        name (``"reference"``, ``"columnar"``), or ``None`` for the
+        ambient default (see :mod:`repro.perf.backends`).  Both backends
+        honor every hook and are differentially pinned to identical
+        results.
 
     Returns an :class:`HKSSPResult` (see its docstring for the exact
     output contract); validation against the sequential oracles is the
@@ -468,8 +457,7 @@ def run_hk_ssp(graph: WeightedDigraph, sources: Sequence[int], h: int,
         p = PipelinedSSPProgram(v, sources, h, g, cutoff_round=cutoff_round,
                                 directed_broadcast=directed_broadcast,
                                 eviction=eviction, trace=trace,
-                                record_sends=record_sends,
-                                list_kernel=list_kernel)
+                                record_sends=record_sends)
         programs.append(p)
         return p
 

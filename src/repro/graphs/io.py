@@ -13,7 +13,7 @@ interchange point with networkx for users who already have graphs there.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from .digraph import GraphError, WeightedDigraph
 
@@ -33,26 +33,33 @@ def dumps(graph: WeightedDigraph) -> str:
 
 
 def loads(text: str) -> WeightedDigraph:
-    graph: WeightedDigraph = None  # type: ignore[assignment]
+    """Parse the text format.  Every malformed record raises a
+    :class:`GraphError` whose message starts ``line <k>:``."""
+    graph: Optional[WeightedDigraph] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "n":
-            if graph is not None:
-                raise GraphError(f"line {lineno}: duplicate 'n' record")
-            if len(parts) != 3 or parts[2] not in ("directed", "undirected"):
-                raise GraphError(f"line {lineno}: malformed 'n' record: {raw!r}")
-            graph = WeightedDigraph(int(parts[1]), directed=parts[2] == "directed")
-        elif parts[0] == "e":
-            if graph is None:
-                raise GraphError(f"line {lineno}: edge before 'n' record")
-            if len(parts) != 4:
-                raise GraphError(f"line {lineno}: malformed 'e' record: {raw!r}")
-            graph.add_edge(int(parts[1]), int(parts[2]), int(parts[3]))
-        else:
-            raise GraphError(f"line {lineno}: unknown record {parts[0]!r}")
+        # GraphError is a ValueError: this catches int()'s bare errors
+        # and the graph's own (bad node count, weight, endpoint) alike.
+        try:
+            if parts[0] == "n":
+                if graph is not None:
+                    raise GraphError("duplicate 'n' record")
+                if len(parts) != 3 or parts[2] not in ("directed", "undirected"):
+                    raise GraphError(f"malformed 'n' record: {raw!r}")
+                graph = WeightedDigraph(int(parts[1]), directed=parts[2] == "directed")
+            elif parts[0] == "e":
+                if graph is None:
+                    raise GraphError("edge before 'n' record")
+                if len(parts) != 4:
+                    raise GraphError(f"malformed 'e' record: {raw!r}")
+                graph.add_edge(int(parts[1]), int(parts[2]), int(parts[3]))
+            else:
+                raise GraphError(f"unknown record {parts[0]!r}")
+        except ValueError as exc:
+            raise GraphError(f"line {lineno}: {exc}") from None
     if graph is None:
         raise GraphError("no 'n' record found")
     return graph

@@ -1,24 +1,22 @@
-"""Performance layer: fast simulator backend + parallel sweep executor.
+"""Performance layer: the production simulator engine + parallel sweep
+executor.
 
 Two independent speedups with one shared rule -- *never trade
 correctness for wall-clock silently*:
 
-* :class:`FastNetwork` (selected via ``backend="fast"``, ambiently via
-  :func:`set_default_backend` / ``REPRO_BACKEND=fast``) replaces the
-  reference simulator's per-round whole-network scans with an
-  event-driven active-node worklist; it honors the full hook surface
-  (fault injection, monitoring, tracing, metrics, event recording) and
-  is differentially pinned to produce bit-identical outputs,
-  :class:`~repro.congest.metrics.RunMetrics`, fault statistics, trace
-  streams, and post-mortems (``tests/differential.py``).
-* :class:`ColumnarNetwork` (``backend="columnar"`` /
-  ``REPRO_BACKEND=columnar``) goes one step further for the relaxation
-  family and the pipelined (h, k)-SSP of Algorithm 1: flat numpy
-  columns and whole-round bulk array operations instead of
+* :class:`ColumnarNetwork` (``backend="columnar"``, the default) runs
+  the relaxation family and the pipelined (h, k)-SSP of Algorithm 1 as
+  flat numpy columns and whole-round bulk array operations instead of
   per-message Python objects; every other program -- and every hooked
-  run -- executes on the inherited event-driven loop.
-  Pinned by ``tests/backend_conformance.py``, which parametrizes the
-  differential suite over the :data:`BACKENDS` registry.
+  run -- executes on its event-driven per-message loop, which replaces
+  the reference simulator's per-round whole-network scans with an
+  active-node worklist and honors the full hook surface (fault
+  injection, monitoring, tracing, metrics, event recording).  Pinned
+  bit-identical to the reference -- outputs,
+  :class:`~repro.congest.metrics.RunMetrics`, fault statistics, trace
+  streams, post-mortems -- by ``tests/backend_conformance.py``, which
+  parametrizes the differential suite over the :data:`BACKENDS`
+  registry.
 * :class:`SweepExecutor` fans seed-major parameter sweeps across
   ``multiprocessing`` workers and merges the rows back in task order,
   reproducing the sequential reports exactly
@@ -31,11 +29,9 @@ from .backends import (
     BACKENDS,
     get_default_backend,
     make_network,
-    set_default_backend,
     use_backend,
 )
 from .columnar import ColumnarNetwork
-from .fast_network import FastNetwork
 from .sweep_executor import (
     EXPERIMENT_SWEEPS,
     SweepExecutor,
@@ -51,7 +47,6 @@ __all__ = [
     "BACKENDS",
     "ColumnarNetwork",
     "EXPERIMENT_SWEEPS",
-    "FastNetwork",
     "SweepExecutor",
     "SweepSpec",
     "SweepTask",
@@ -61,6 +56,5 @@ __all__ = [
     "make_network",
     "merge_reports",
     "run_experiment",
-    "set_default_backend",
     "use_backend",
 ]

@@ -1,21 +1,19 @@
 """Simulator backend selection.
 
-Three interchangeable CONGEST simulator backends exist:
+Two interchangeable CONGEST simulator backends exist:
 
 * ``"reference"`` -- :class:`repro.congest.network.Network`, the
-  straight-line reference simulator;
-* ``"fast"`` -- :class:`repro.perf.fast_network.FastNetwork`, the
-  event-driven worklist backend, differentially tested to be
-  bit-identical on outputs, :class:`~repro.congest.metrics.RunMetrics`,
-  fault statistics, trace event streams, and post-mortems;
+  straight-line reference simulator: the spec every other execution
+  path is pinned to;
 * ``"columnar"`` -- :class:`repro.perf.columnar.ColumnarNetwork`, the
-  bulk-synchronous engine: flat numpy columns and per-round array
-  operations for the relaxation family and the pipelined (h, k)-SSP
-  family, the inherited event-driven loop for everything else, pinned
-  by the same differential machinery (``tests/backend_conformance.py``
-  parametrizes the whole suite over this registry).
+  production engine and the default: bulk numpy kernels for the
+  relaxation family and the pipelined (h, k)-SSP family, and an
+  event-driven per-message loop for every other program and every
+  hooked run, pinned by the differential machinery
+  (``tests/backend_conformance.py`` parametrizes the whole suite over
+  this registry).
 
-All backends support the full hook surface (``fault_plan``,
+Both backends support the full hook surface (``fault_plan``,
 ``monitor``, ``tracer``, ``registry``, ``record_window``), so backend
 choice is purely a wall-clock decision: there is no hook combination
 that forces one backend.  The explicit-vs-ambient rule: an *explicit*
@@ -29,10 +27,9 @@ entry point / CLI command threads an optional ``backend=`` argument down
 to it.  Selection precedence:
 
 1. an explicit ``backend=`` argument (a :data:`BACKENDS` name);
-2. the ambient default, set by :func:`set_default_backend` or the
-   :func:`use_backend` context manager;
+2. the ambient default, set by the :func:`use_backend` context manager;
 3. the ``REPRO_BACKEND`` environment variable;
-4. ``"reference"``.
+4. ``"columnar"``.
 
 ``REPRO_BACKEND`` is validated *lazily*, at the first
 :func:`make_network` / :func:`get_default_backend` call, not at import
@@ -50,18 +47,16 @@ from typing import Any, Callable, Dict, Iterator, Optional
 from ..congest.network import Network
 from ..congest.node import Program
 from .columnar import ColumnarNetwork
-from .fast_network import FastNetwork
 
-#: Backend name -> network class.  All classes share the constructor
+#: Backend name -> network class.  Both classes share the constructor
 #: signature and the ``run(max_rounds) -> RunMetrics`` contract.
 BACKENDS: Dict[str, Any] = {
     "reference": Network,
-    "fast": FastNetwork,
     "columnar": ColumnarNetwork,
 }
 
 #: The ambient default; ``None`` means "not chosen yet" -- resolved
-#: lazily from ``REPRO_BACKEND`` (then ``"reference"``) on first use.
+#: lazily from ``REPRO_BACKEND`` (then ``"columnar"``) on first use.
 _default_backend: Optional[str] = None
 
 
@@ -89,20 +84,13 @@ def _resolved_default() -> str:
             except ValueError as exc:
                 raise ValueError(f"REPRO_BACKEND: {exc}") from None
         else:
-            _default_backend = "reference"
+            _default_backend = "columnar"
     return _default_backend
 
 
-def set_default_backend(name: str) -> None:
-    """Set the ambient backend used when no explicit ``backend=`` is given."""
-    global _default_backend
-    _default_backend = _validated(name)
-
-
 def get_default_backend() -> str:
-    """The ambient backend name (``"reference"`` unless overridden by
-    :func:`set_default_backend`, :func:`use_backend`, or
-    ``REPRO_BACKEND``)."""
+    """The ambient backend name (``"columnar"`` unless overridden by
+    :func:`use_backend` or ``REPRO_BACKEND``)."""
     return _resolved_default()
 
 
@@ -110,7 +98,7 @@ def get_default_backend() -> str:
 def use_backend(name: Optional[str]) -> Iterator[Optional[str]]:
     """Temporarily switch the ambient default backend::
 
-        with use_backend("fast"):
+        with use_backend("reference"):
             result = run_apsp(g)
 
     ``use_backend(None)`` is a no-op, so callers threading an *optional*
@@ -132,9 +120,9 @@ def make_network(graph: Any, program_factory: Callable[[int], Program],
                  *, backend: Optional[str] = None, **kwargs: Any):
     """Construct a simulator network on the selected backend.
 
-    ``backend`` is a :data:`BACKENDS` name (``"reference"``, ``"fast"``,
+    ``backend`` is a :data:`BACKENDS` name (``"reference"``,
     ``"columnar"``) or ``None`` (use the ambient default).  Every hook
-    kwarg is honored by every backend, so selection never depends on
+    kwarg is honored by both backends, so selection never depends on
     the hooks a call carries.
     """
     name = _validated(backend) if backend is not None else _resolved_default()
@@ -142,7 +130,6 @@ def make_network(graph: Any, program_factory: Callable[[int], Program],
 
 
 __all__ = [
-    "BACKENDS", "ColumnarNetwork", "FastNetwork",
-    "make_network", "set_default_backend", "get_default_backend",
+    "BACKENDS", "ColumnarNetwork", "make_network", "get_default_backend",
     "use_backend",
 ]

@@ -1,13 +1,14 @@
-"""The columnar bulk-synchronous simulator backend.
+"""The columnar bulk-synchronous simulator engine.
 
-:class:`ColumnarNetwork` is the third registered backend
-(``backend="columnar"`` / ``REPRO_BACKEND=columnar``).  Where the fast
-backend removed the reference loop's per-round O(n) scans (PR 3-4) and
-the node-state kernels removed the per-entry list scans (PR 5), the
-remaining per-message cost on the hot path is *Python object traffic*:
-an :class:`~repro.congest.message.Envelope` allocation, a payload tuple,
-a ``Counter`` update, and several method calls for every single message.
-At n in the tens of thousands that object traffic dominates wall-clock.
+:class:`ColumnarNetwork` is the production backend and the default
+(``backend="columnar"``).  Its event-driven loop
+(:class:`~repro.perf.fast_network.FastNetwork`) removes the reference
+loop's per-round O(n) scans and the node-state kernels remove the
+per-entry list scans; the remaining per-message cost on the hot path is
+*Python object traffic*: an :class:`~repro.congest.message.Envelope`
+allocation, a payload tuple, a ``Counter`` update, and several method
+calls for every single message.  At n in the tens of thousands that
+object traffic dominates wall-clock.
 
 The columnar engine eliminates it for two program families: the
 **relaxation family** (:class:`~repro.core.bellman_ford.BellmanFordProgram`
@@ -44,7 +45,9 @@ The pipelined kernel shares the CSR gather, the vectorized candidate
 computation and the per-edge accounting, but keeps no columns of
 program state: it schedules sends on each node's own list and hands
 every arrival its vectorized reject pass keeps to the program's own
-receive step (see :mod:`repro.perf.columnar_pipelined`).
+receive step -- or, in a round with few deliveries, every arrival,
+straight from the send columns (see
+:mod:`repro.perf.columnar_pipelined`).
 
 Equality is pinned, not hoped for: ``tests/backend_conformance.py``
 drives every backend in :data:`repro.perf.backends.BACKENDS` through
@@ -56,11 +59,11 @@ so ``outputs()``, resumption, checkpointing, and post-mortems read the
 exact state the reference execution would have left behind.
 
 Programs outside the vectorizable family -- and any run with a fault
-plan, monitor, tracer, or record window attached -- execute on the
-inherited event-driven loop
-(:class:`~repro.perf.fast_network.FastNetwork`), which honors the full
-hook surface with reference semantics.  That is the explicit-vs-ambient
-rule of :mod:`repro.perf.backends` taken seriously: an explicit
+plan, monitor, tracer, or record window attached, or with path sums a
+kernel cannot add exactly (:func:`edges_bulk_safe`) -- execute on the
+inherited event-driven loop, which honors the full hook surface with
+reference semantics.  That is the explicit-vs-ambient rule of
+:mod:`repro.perf.backends` taken seriously: an explicit
 ``backend="columnar"`` must never silently diverge, so the bulk path is
 taken exactly when it is provably equivalent.  Eligibility has two
 tiers: the *static* facts (program family, uniform parameters, graph
@@ -138,7 +141,29 @@ def set_corruption(mode: Optional[str]) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# shared accounting
+# shared eligibility and accounting
+
+
+def edges_bulk_safe(net) -> bool:
+    """The graph facts both kernels need: plain-``int`` weights and
+    duplicate-free out-neighbours, so CONGEST channel enforcement can
+    never trigger on a bulk path (a duplicated channel must raise the
+    reference backend's ``CongestionError``, which the generic loop
+    does); and every path sum below 2^53, where the kernels' float64
+    distance comparisons (and the pipelined kernel's int64 sums) stop
+    being exact.  A simple path has at most ``n - 1`` edges; past the
+    bound the network runs on the per-message loop, which adds in
+    Python ints like the reference."""
+    max_w = 0
+    for ctx in net.contexts:
+        seen = set()
+        for u, w in ctx.out_edges:
+            if type(w) is not int or u in seen:
+                return False
+            seen.add(u)
+            if w > max_w:
+                max_w = w
+    return (net.n - 1) * max_w < 2 ** 53
 
 
 def _flush(kernel, msg_count: int, payload_words: int) -> None:
@@ -176,8 +201,8 @@ class _RelaxationKernel:
     and materializes the columns back into the program objects in a
     ``finally`` -- so between ``run()`` calls the programs remain the
     single source of truth (outputs, resumption, checkpoints, and
-    post-mortems never see kernel-private state), exactly as the fast
-    backend rebuilds its worklist heap on every entry.
+    post-mortems never see kernel-private state), exactly as the
+    event-driven loop rebuilds its worklist heap on every entry.
     """
 
     @staticmethod
@@ -192,11 +217,10 @@ class _RelaxationKernel:
 
         * one hop cutoff shared by all nodes (the silent-round cutoff
           is applied to the whole wavefront at once);
-        * plain-``int`` weights and duplicate-free out-neighbours, so
-          float64 columns reproduce the reference's output types
-          exactly and CONGEST channel enforcement can never trigger on
-          the bulk path (a duplicated channel must raise the reference
-          backend's ``CongestionError``, which the generic loop does).
+        * the graph facts of :func:`edges_bulk_safe`: plain-``int``
+          weights (so float64 columns reproduce the reference's output
+          types exactly), duplicate-free out-neighbours, and path sums
+          exact in float64.
 
         Per-run dynamic conditions live in :meth:`revalidate`.
         """
@@ -208,13 +232,7 @@ class _RelaxationKernel:
         for p in programs:
             if type(p) is not BellmanFordProgram or p.max_hops != hops_cap:
                 return False
-        for ctx in net.contexts:
-            seen = set()
-            for u, w in ctx.out_edges:
-                if type(w) is not int or u in seen:
-                    return False
-                seen.add(u)
-        return True
+        return edges_bulk_safe(net)
 
     def revalidate(self) -> bool:
         """Per-run dynamic eligibility, re-checked at every ``run()``

@@ -56,6 +56,18 @@ The fold runs over what the pass keeps, and the rows of the cells a
 round changed are rewritten afterwards.  Accounting is taken before
 the pass, on every delivery.
 
+Small rounds
+------------
+The gather and the reject pass cost a fixed 60-100 us of numpy calls
+per round, whatever the round carries.  A round with fewer than
+:data:`SMALL_ROUND_DELIVERIES` deliveries -- the send phase sums its
+senders' out-degrees as it collects them -- instead expands its
+deliveries from the Python CSR lists and folds every one
+(:meth:`_PipelinedKernel._gather_small`); it skips the reject pass,
+which only drops arrivals the fold rejects anyway.  The tallies, the
+fold, the snapshot refresh, the receiver epilogue and the rescheduling
+are the same code on both paths.
+
 Scheduling touches only what moved: a sender whose list the round left
 unchanged fires next at its following index (the schedule
 ``ceil(kappa_i + i + 1)`` strictly increases in ``i``), only receivers
@@ -83,6 +95,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import ceil as _ceil, inf as _INF
+from operator import itemgetter
 from time import perf_counter as _perf
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -100,6 +113,12 @@ _PAYLOAD_WORDS = 5
 #: Reject-pass snapshot row of a (node, source) cell without entries:
 #: an unset best, so every delivery to it is kept (each one promotes).
 _EMPTY_ROW = (_INF, _INF, -1.0, 0.0, -_INF, -_INF)
+
+_DESTINATION = itemgetter(0)
+
+#: Below this many deliveries a round takes the small path (module
+#: docstring); the measured crossover is in docs/PERFORMANCE.md.
+SMALL_ROUND_DELIVERIES = 32
 
 
 class _PipelinedKernel:
@@ -121,19 +140,17 @@ class _PipelinedKernel:
           per-send events the bulk path never materializes (paranoid
           mode forces ``record_sends`` on, so a paranoid process also
           stays on the instrumented loop);
-        * ``list_v`` is the indexed :class:`~repro.core.node_list.NodeList`,
-          whose key column and per-source key lists the kernel reads
-          directly (a ``list_kernel="reference"`` program takes the
-          generic loop);
         * ``max_message_words >= 5``: a smaller budget must raise the
           reference's ``MessageSizeError``, which the generic loop
           does;
-        * ``int`` weights and duplicate-free broadcast targets, so
+        * the graph facts of :func:`repro.perf.columnar.edges_bulk_safe`
+          (``int`` weights, duplicate-free out-neighbours, path sums
+          exact in float64, where the reject pass compares distances)
+          and, in undirected mode, duplicate-free broadcast targets, so
           channel enforcement can never trigger on the bulk path
           (``channel_capacity >= 1`` is construction-enforced).
         """
         from ..core.pipelined import PipelinedSSPProgram
-        from ..core.node_list import NodeList
         programs = net.programs
         if not programs or type(programs[0]) is not PipelinedSSPProgram:
             return False
@@ -148,17 +165,12 @@ class _PipelinedKernel:
                     or tuple(p.sources) != sources0
                     or (p.h, p.gamma, p.cutoff_round, p.directed_broadcast,
                         p.budget) != params0
-                    or p.trace is not None or p.record_sends
-                    or type(p.list_v) is not NodeList):
+                    or p.trace is not None or p.record_sends):
                 return False
-        directed = p0.directed_broadcast
-        for ctx in net.contexts:
-            seen = set()
-            for u, w in ctx.out_edges:
-                if type(w) is not int or u in seen:
-                    return False
-                seen.add(u)
-            if not directed:
+        if not _cmod.edges_bulk_safe(net):
+            return False
+        if not p0.directed_broadcast:
+            for ctx in net.contexts:
                 neigh = ctx.comm_neighbors
                 if len(set(neigh)) != len(neigh):
                     return False
@@ -215,6 +227,8 @@ class _PipelinedKernel:
             indptr.append(len(heads))
         self._indptr = indptr
         self._heads = heads
+        self._weights = weights
+        self._wok = wok
         self._all_wok = all(wok)
         self._np_indptr = np.asarray(indptr, dtype=np.int64)
         self._np_heads = np.asarray(heads, dtype=np.int64)
@@ -302,6 +316,7 @@ class _PipelinedKernel:
         lists = self._lists
         node_sends = metrics.node_sends
         indptr = self._indptr
+        small = SMALL_ROUND_DELIVERIES
         nu_pad = 2 if _cmod._CORRUPTION == "nu-off-by-one" else 1
         pos_off = 0 if _cmod._CORRUPTION == "send-rank-off-by-one" else 1
         cutoff = self.cutoff
@@ -343,15 +358,17 @@ class _PipelinedKernel:
                     t_round = _perf()
 
                 # Step 1: collect the round's senders (ascending node id,
-                # matching the fast backend's pop order) and their
-                # payload columns.  The firing entry sits at the cached
-                # index; nu is its per-source index + 1 (NodeList.nu_of).
-                # flag_sp is not collected: no receiver reads it.
+                # matching the event-driven loop's pop order), their
+                # payload columns and the round's delivery count.  The
+                # firing entry sits at the cached index; nu is its
+                # per-source index + 1 (NodeList.nu_of).  flag_sp is not
+                # collected: no receiver reads it.
                 senders: List[int] = []
                 send_d: List[int] = []
                 send_l: List[int] = []
                 send_x: List[int] = []
                 send_nu: List[int] = []
+                total = 0
                 while heap and heap[0][0] == r:
                     _, v = heappop(heap)
                     if sched[v] != r:
@@ -364,20 +381,23 @@ class _PipelinedKernel:
                     send_x.append(e.x)
                     send_nu.append(e._li + nu_pad)
                     programs[v].sends += 1
+                    degree = indptr[v + 1] - indptr[v]
+                    if degree:
+                        total += degree
+                        node_sends[v] += 1
 
-                # Steps 2-13: expand deliveries through the CSR, fold
-                # per-destination candidates in ascending-source order.
-                total, changed = self._round(
-                    r, senders, send_d, send_l, send_x, send_nu)
-
+                # Steps 2-13: deliver and fold per-destination arrivals
+                # in ascending-source order.
                 if total:
                     msg_count += total
                     metrics.active_rounds += 1
                     if r > metrics.rounds:
                         metrics.rounds = r
-                    for v in senders:
-                        if indptr[v + 1] > indptr[v]:
-                            node_sends[v] += 1
+                    changed = self._round(
+                        r, total < small,
+                        senders, send_d, send_l, send_x, send_nu)
+                else:
+                    changed = {}
 
                 # Reschedule what moved.  A sender whose list the round
                 # left unchanged fires next at its following index: the
@@ -435,24 +455,54 @@ class _PipelinedKernel:
                     registry, metrics, state=net._published)
         return metrics
 
-    # -- one round: delivery expansion -------------------------------------
+    # -- one round: delivery and fold --------------------------------------
 
-    def _round(self, r, senders, send_d, send_l, send_x, send_nu):
-        """The vectorized round: one CSR gather for the whole edge
-        batch, candidate ``(d', l', kappa')`` as vector ops, the reject
-        pass against the snapshot, then the sequential per-destination
-        fold over the deliveries the pass keeps.  Returns
-        ``(messages_sent, changed)``: *changed* holds the receivers
-        whose lists the fold changed, ascending."""
+    def _round(self, r, small, senders, send_d, send_l, send_x, send_nu):
+        """Deliver round *r*'s sends (:meth:`_gather_small` if *small*,
+        else :meth:`_gather`) and fold the arrivals, per destination in
+        ascending-source order, through
+        :meth:`~repro.core.pipelined.PipelinedSSPProgram.fold`.
+        Returns the receivers whose lists changed, ascending, as a
+        dict."""
+        gather = self._gather_small if small else self._gather
+        programs = self._programs
+        changed: Dict[int, None] = {}
+        changed_cells = set()
+        for u, y, d, l, kap, x, nu, c in gather(
+                senders, send_d, send_l, send_x, send_nu):
+            if programs[u].fold(r, y, d, l, kap, x, nu):
+                changed[u] = None
+                changed_cells.add(c)
+        if changed_cells:
+            idx = list(changed_cells)
+            self._snap[idx] = [self._snap_row(c) for c in idx]
+
+        # Receiver epilogue: the stats only move for lists that changed,
+        # and for delivered-to nodes whose stats lag their list.
+        for u in changed:
+            programs[u].finish_receive()
+        lag = self._lag
+        if lag:
+            indptr, heads = self._indptr, self._heads
+            delivered = set()
+            for y in senders:
+                delivered.update(heads[indptr[y]:indptr[y + 1]])
+            for u in lag & delivered:
+                programs[u].finish_receive()
+                lag.discard(u)
+        return changed
+
+    def _gather(self, senders, send_d, send_l, send_x, send_nu):
+        """The vectorized delivery: one CSR gather for the whole edge
+        batch, candidate ``(d', l', kappa')`` as vector ops, then the
+        reject pass against the snapshot.  Returns the kept arrivals as
+        ``(u, y, d, l, kappa, x, nu, cell)`` rows in fold order."""
         sv = np.asarray(senders, dtype=np.int64)
         starts = self._np_indptr[sv]
         counts = self._np_indptr[sv + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return 0, {}
         offs = np.repeat(starts - np.concatenate(
             ([0], np.cumsum(counts)[:-1])), counts)
-        edges = np.arange(total, dtype=np.int64) + offs
+        edges = np.arange(int(counts.sum()), dtype=np.int64) + offs
         dsts = self._np_heads[edges]
         # Accounting first: every delivery is counted, kept or not.
         self._np_edge_msgs[edges] += 1
@@ -496,32 +546,32 @@ class _PipelinedKernel:
             reject |= ~self._np_wok[edges]
         (kept,) = np.nonzero(~reject)
         kept = kept[np.argsort(dsts[kept], kind="stable")]
+        return zip(dsts[kept].tolist(), ys[kept].tolist(),
+                   cand_d[kept].tolist(), cand_l[kept].tolist(),
+                   kappa[kept].tolist(), xs[kept].tolist(),
+                   nus[kept].tolist(), cells[kept].tolist())
 
-        programs = self._programs
-        changed: Dict[int, None] = {}
-        changed_cells = set()
-        for u, y, d, l, kap, x, nu, c in zip(
-                dsts[kept].tolist(), ys[kept].tolist(),
-                cand_d[kept].tolist(), cand_l[kept].tolist(),
-                kappa[kept].tolist(), xs[kept].tolist(),
-                nus[kept].tolist(), cells[kept].tolist()):
-            if programs[u].fold(r, y, d, l, kap, x, nu):
-                changed[u] = None
-                changed_cells.add(c)
-        if changed_cells:
-            idx = list(changed_cells)
-            self._snap[idx] = [self._snap_row(c) for c in idx]
-
-        # Receiver epilogue: the stats only move for lists that changed,
-        # and for delivered-to nodes whose stats lag their list.
-        for u in changed:
-            programs[u].finish_receive()
-        lag = self._lag
-        if lag:
-            for u in lag.intersection(dsts.tolist()):
-                programs[u].finish_receive()
-                lag.discard(u)
-        return total, changed
+    def _gather_small(self, senders, send_d, send_l, send_x, send_nu):
+        """:meth:`_gather` for a round too small to repay numpy's fixed
+        cost: the same tallies and arrival rows from the Python CSR
+        lists, and no reject pass."""
+        indptr, heads = self._indptr, self._heads
+        weights, wok = self._weights, self._wok
+        tally = self._np_edge_msgs
+        gamma, k, xi = self.gamma, self.k, self._xi
+        rows = []
+        for y, d_in, l_in, x, nu in zip(senders, send_d, send_l, send_x,
+                                        send_nu):
+            l = l_in + 1
+            c = xi[x]
+            for e in range(indptr[y], indptr[y + 1]):
+                tally[e] += 1
+                if wok[e]:
+                    u = heads[e]
+                    d = d_in + weights[e]
+                    rows.append((u, y, d, l, d * gamma + l, x, nu, u * k + c))
+        rows.sort(key=_DESTINATION)  # stable: senders stay ascending
+        return rows
 
 
 # Self-registration (see the note at the end of repro/perf/columnar.py).

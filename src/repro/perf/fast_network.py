@@ -1,11 +1,14 @@
-"""The fast-path CONGEST simulator backend.
+"""The per-message event-driven loop of the columnar engine.
 
-:class:`FastNetwork` implements the exact ``run(max_rounds) -> RunMetrics``
-contract of :class:`repro.congest.network.Network` -- same constructor
-signature, same validation errors, same resumption semantics, same
-post-mortem on :class:`~repro.congest.network.RoundLimitExceeded` -- but
-replaces the reference backend's per-round O(n) scans with an
-event-driven worklist, so a round costs O(active nodes) instead of O(n).
+:class:`FastNetwork` is the loop :class:`~repro.perf.columnar.ColumnarNetwork`
+inherits and runs for every program no bulk kernel covers and for every
+hooked run; it is not a registered backend of its own.  It implements
+the exact ``run(max_rounds) -> RunMetrics`` contract of
+:class:`repro.congest.network.Network` -- same constructor signature,
+same validation errors, same resumption semantics, same post-mortem on
+:class:`~repro.congest.network.RoundLimitExceeded` -- but replaces the
+reference backend's per-round O(n) scans with an event-driven worklist,
+so a round costs O(active nodes) instead of O(n).
 
 Where the time goes (and comes back)
 ------------------------------------
@@ -18,9 +21,9 @@ The reference loop pays, *per executed round*:
 regardless of how many nodes are actually active.  Under the pipelined
 schedule most nodes are quiescent in most rounds (entries fire at
 ``ceil(kappa + pos)``, so activity thins out as the run drains), which
-makes those scans the dominant cost at interesting ``n``.  The fast
-backend instead keeps a lazy min-heap of ``(round, node)`` schedule
-entries next to a ``sched`` array holding each node's current schedule;
+makes those scans the dominant cost at interesting ``n``.  The loop
+instead keeps a lazy min-heap of ``(round, node)`` schedule entries
+next to a ``sched`` array holding each node's current schedule;
 stale heap entries (from reschedules) are dropped when they surface.
 Because heap entries are ``(round, node)`` tuples, equal-round pops come
 out in increasing node order -- exactly the reference backend's
@@ -36,11 +39,12 @@ tuple allocation; the persistent ``channel_messages`` Counter keeps its
 public tuple keys).
 
 Equivalence is *pinned*, not hoped for: ``tests/differential.py`` runs
-both backends on the same seeded programs -- including fault-injected,
-monitored, traced, and event-recorded runs -- and asserts identical
-outputs, round counts, message statistics, fault statistics, trace
-event streams, and post-mortems, over Hypothesis-generated graphs and
-the committed golden fixtures (see docs/PERFORMANCE.md).
+the loop and the reference on the same seeded programs -- including
+fault-injected, monitored, traced, and event-recorded runs -- and
+asserts identical outputs, round counts, message statistics, fault
+statistics, trace event streams, and post-mortems, over
+Hypothesis-generated graphs and the committed golden fixtures (see
+docs/PERFORMANCE.md).
 
 Hook support
 ------------
@@ -87,7 +91,8 @@ _SRC = attrgetter("src")
 
 
 class FastNetwork:
-    """Drop-in fast backend for :class:`repro.congest.network.Network`.
+    """The event-driven loop, a drop-in for
+    :class:`repro.congest.network.Network`.
 
     Accepts the same constructor arguments, raises the same validation
     errors, and honors the same hooks (``fault_plan``, ``monitor``,

@@ -282,8 +282,6 @@ EXPERIMENT_SWEEPS: Dict[str, SweepSpec] = {
     "E18": SweepSpec("repro.analysis.sweep:sweep_fault_tolerance"),
     "E19": SweepSpec("repro.analysis.sweep:sweep_backend_speedup",
                      seed_splittable=False),  # wall-clock timing: one task
-    "E20": SweepSpec("repro.analysis.sweep:sweep_node_kernels",
-                     seed_splittable=False),  # wall-clock timing: one task
     "E21": SweepSpec("repro.analysis.sweep:sweep_recovery"),
     "E22": SweepSpec("repro.analysis.sweep:sweep_serving",
                      seed_splittable=False),  # wall-clock timing: one task

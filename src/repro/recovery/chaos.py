@@ -228,7 +228,7 @@ def run_chaos_case(case: ChaosCase, *,
 
 def run_chaos_campaign(seeds: Sequence[int] = (0, 1, 2), *,
                        case_kwargs: Optional[Dict[str, Any]] = None,
-                       backends: Sequence[str] = ("reference", "fast")
+                       backends: Sequence[str] = ("reference", "columnar")
                        ) -> List[Dict[str, Any]]:
     """Run every seed on every backend; raise ``AssertionError`` on any
     oracle mismatch or cross-backend digest divergence.  Returns one
@@ -275,7 +275,7 @@ def main(argv: Optional[Sequence[int]] = None) -> int:
         args.seeds, case_kwargs={"n": args.n, "batches": args.batches})
     for row in rows:
         print("  ".join(f"{k}={v}" for k, v in row.items()))
-    print(f"chaos campaign OK: {len(rows)} seeds x reference+fast, "
+    print(f"chaos campaign OK: {len(rows)} seeds x reference+columnar, "
           f"all oracle-verified, digests bit-identical")
     return 0
 

@@ -239,8 +239,8 @@ class RunCheckpoint:
 
     Backend-agnostic by construction -- neither backend's scheduling
     structures appear here (both rebuild them from the programs), so a
-    checkpoint captured on the reference backend restores onto the fast
-    one and vice versa.
+    checkpoint captured on the reference backend restores onto the
+    columnar one and vice versa.
     """
 
     round: int

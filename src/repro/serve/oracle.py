@@ -117,8 +117,8 @@ class DistanceOracle:
         way.
     method / backend:
         Passed to :func:`repro.core.api.k_ssp` (``"auto"`` is resolved
-        once, for the whole source set) -- the fast backend serves
-        strictly fresher tables for the same wall-clock.
+        once, for the whole source set) -- the default columnar engine
+        serves strictly fresher tables for the same wall-clock.
     cache_size:
         LRU route-cache capacity (0 disables caching).
     registry:

@@ -4,9 +4,10 @@ pinned to the reference backend by the same battery of checks.
 Any entry in :data:`repro.perf.backends.BACKENDS` other than
 ``"reference"`` is automatically parametrized through every test here
 -- add a backend to the registry and it is conformance-tested by
-construction, with no hand-copied test modules.  The battery is the
-machinery the fast backend was pinned with in PRs 3-5, extracted from
-``tests/test_differential_backend.py`` and generalized over the
+construction, with no hand-copied test modules -- and so is the
+columnar engine's per-message loop (:data:`differential.LOOP`).  The
+battery was first written for that loop, in
+``tests/test_differential_backend.py``, then generalized over the
 registry:
 
 * Hypothesis graph corpora (directed/undirected, zero-weight-heavy,
@@ -23,11 +24,13 @@ registry:
 * constructor-validation parity: the exact reference error texts;
 * registry selection: explicit ``backend=`` and the ambient default.
 
-The columnar backend gets two extra treatments: fixed cases that pin
-each bulk kernel (entry point, per-program state, resumption) and
-check that the bulk path is really taken, and the *mutation* tests at
-the bottom that corrupt a columnar round on purpose to prove this
-suite would catch a broken bulk kernel (the paranoid-mode trick of
+The columnar backend gets three extra treatments: fixed cases that pin
+each bulk kernel (entry point, per-program state, resumption,
+checkpoints) and check that the bulk path is really taken; the
+pipelined corpus run on each of the pipelined kernel's two delivery
+paths (:func:`forced_round_path`); and the *mutation* tests at the
+bottom that corrupt a columnar round on purpose to prove this suite
+would catch a broken bulk kernel (the paranoid-mode trick of
 ``tests/test_node_list_kernels.py``).
 
 Collected through ``tests/test_backend_conformance.py`` (pytest only
@@ -36,6 +39,7 @@ here.
 """
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional
 
@@ -43,9 +47,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from differential import (
+    ENGINES,
+    LOOP,
     assert_entrypoint_equivalent,
     assert_instrumented_equivalent,
     assert_networks_equivalent,
+    engine,
     metrics_summary,
     post_mortem_summary,
     program_states,
@@ -57,7 +64,13 @@ from repro.congest import (
     Program,
     RoundLimitExceeded,
 )
-from repro.core import run_apsp, run_apsp_blocker, run_hk_ssp, run_short_range
+from repro.core import (
+    apsp,
+    run_apsp,
+    run_apsp_blocker,
+    run_hk_ssp,
+    run_short_range,
+)
 from repro.core.bellman_ford import BellmanFordProgram, run_bellman_ford
 from repro.core.keys import gamma_for
 from repro.core.pipelined import PipelinedSSPProgram, theorem11_round_bound
@@ -70,13 +83,33 @@ from repro.graphs.reference import weak_delta_bound
 from repro.obs import ProfileSession, Tracer
 from repro.perf import ColumnarNetwork, make_network, use_backend
 from repro.perf import columnar as columnar_mod
+from repro.perf import columnar_pipelined
 from repro.perf.backends import BACKENDS
+from repro.recovery import (
+    RunCheckpoint,
+    checkpoint_network,
+    resume_from_checkpoint,
+)
 
-#: Every registered backend except the reference itself -- the
-#: parametrization axis of this whole module.
-CONFORMANCE_BACKENDS = sorted(b for b in BACKENDS if b != "reference")
+#: The parametrization axis of this whole module.
+backends = pytest.mark.parametrize("backend", ENGINES)
 
-backends = pytest.mark.parametrize("backend", CONFORMANCE_BACKENDS)
+#: The pipelined kernel's delivery paths and the threshold that forces
+#: each on every round: 0 sends every round through the numpy gather
+#: and reject pass, a count above any round's deliveries through the
+#: small-round path.
+ROUND_PATHS = {"numpy": 0, "small": 10 ** 9}
+
+
+@contextmanager
+def forced_round_path(path):
+    """Run the body with every pipelined-kernel round on *path*."""
+    saved = columnar_pipelined.SMALL_ROUND_DELIVERIES
+    columnar_pipelined.SMALL_ROUND_DELIVERIES = ROUND_PATHS[path]
+    try:
+        yield
+    finally:
+        columnar_pipelined.SMALL_ROUND_DELIVERIES = saved
 
 
 # p=0.0 gives totally disconnected graphs, zero_fraction=1.0 all-zero
@@ -154,10 +187,12 @@ def test_pipelined_hk_ssp_differential(backend, data):
     sources = sorted(data.draw(st.sets(st.integers(0, n - 1),
                                        min_size=1, max_size=min(n, 4))))
     h = data.draw(st.integers(1, max(1, n - 1)))
-    assert_entrypoint_equivalent(run_hk_ssp, g, sources, h,
-                                 compare=("dist", "sources", "delta"),
-                                 backend=backend)
-    assert_pipelined_states_equivalent(g, sources, h, backend)
+    for path in ROUND_PATHS:
+        with forced_round_path(path):
+            assert_entrypoint_equivalent(
+                run_hk_ssp, g, sources, h,
+                compare=("dist", "sources", "delta"), backend=backend)
+            assert_pipelined_states_equivalent(g, sources, h, backend)
 
 
 @backends
@@ -170,6 +205,65 @@ def test_short_range_differential(backend, data):
     assert_entrypoint_equivalent(run_short_range, g, source, h,
                                  compare=("dist", "hops", "parent"),
                                  backend=backend)
+
+
+def _wide_graph(w, off):
+    """Arcs 0->1 (w), 1->2 (1), 0->2 (w + off), 2->3 (w).  With off = 3
+    the distance 0 -> 3 is 2w + 1, which float64 rounds once w reaches
+    2^52; at 2^62 and up the path sums leave int64 too."""
+    return WeightedDigraph.from_edges(
+        4, [(0, 1, w), (1, 2, 1), (0, 2, w + off), (2, 3, w)])
+
+
+@backends
+@pytest.mark.parametrize("method, w, off", [
+    ("bellman-ford", 2 ** 52, 3), ("bellman-ford", 2 ** 53 + 1, 3),
+    ("bellman-ford", 2 ** 62, 3), ("pipelined", 2 ** 62, 0),
+    ("pipelined", 2 ** 64, 0)],
+    ids=["bf-2^52", "bf-2^53+1", "bf-2^62", "pipelined-2^62",
+         "pipelined-2^64"])
+def test_wide_weights_match_reference(backend, method, w, off):
+    """Every weight the graph model accepts gets the reference's exact
+    answer and round count, including path sums past float64's
+    53-bit mantissa and past int64."""
+    assert_entrypoint_equivalent(apsp, _wide_graph(w, off), method=method,
+                                 compare=("dist",), backend=backend)
+
+
+@st.composite
+def boundary_graphs(draw):
+    """Random graphs whose largest weight sits one below or one above
+    ``2^53 // (n - 1)``: the bulk kernels run below it and refuse the
+    network above it, where ``(n - 1) * W`` reaches 2^53."""
+    n = draw(st.integers(2, 8))
+    top = 2 ** 53 // (n - 1) + draw(st.sampled_from([-1, 1]))
+    base = random_graph(n, p=draw(st.floats(0.2, 0.8)), w_max=9,
+                        zero_fraction=draw(st.floats(0.0, 0.4)),
+                        seed=draw(st.integers(0, 10_000)))
+    edges = [(u, v, top - w) for u, v, w in base.edges() if (u, v) != (0, 1)]
+    return WeightedDigraph.from_edges(n, edges + [(0, 1, top)])
+
+
+@backends
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_boundary_weights_differential(backend, data):
+    g = data.draw(boundary_graphs())
+    source = data.draw(st.integers(0, g.n - 1))
+    assert_entrypoint_equivalent(run_bellman_ford, g, source,
+                                 compare=("dist", "hops", "parent"),
+                                 backend=backend)
+    for path in ROUND_PATHS:
+        with forced_round_path(path):
+            assert_entrypoint_equivalent(
+                run_hk_ssp, g, [source], g.n - 1,
+                compare=("dist", "sources", "delta"), backend=backend)
+    bulk = (g.n - 1) * g.max_weight < 2 ** 53
+    bf = ColumnarNetwork(g, lambda v: BellmanFordProgram(v, source))
+    assert (bf._columnar_kernel() is not None) == bulk
+    pipelined = ColumnarNetwork(
+        g, lambda v: PipelinedSSPProgram(v, (source,), h=g.n - 1, gamma=1.0))
+    assert (pipelined._columnar_kernel() is not None) == bulk
 
 
 @backends
@@ -323,7 +417,8 @@ def test_resumption_conformance(backend, budgets):
     g = random_graph(15, p=0.3, w_max=5, zero_fraction=0.2, seed=8,
                      directed=False)
     ref = _run_resumed(Network, g, 0, budgets)
-    got = _run_resumed(BACKENDS[backend], g, 0, budgets)
+    with engine(backend) as name:
+        got = _run_resumed(BACKENDS[name], g, 0, budgets)
     assert got == ref, (
         f"{backend} backend diverged from reference across resumption: "
         + "; ".join(f"{k}: {backend}={got[k]!r} ref={ref[k]!r}"
@@ -353,24 +448,29 @@ def test_constructor_validation_parity(backend):
     for args, kwargs in bad_calls:
         with pytest.raises((ValueError, TypeError)) as ref_exc:
             Network(*args, **kwargs)
-        with pytest.raises(type(ref_exc.value)) as got_exc:
-            BACKENDS[backend](*args, **kwargs)
+        with engine(backend) as name, \
+                pytest.raises(type(ref_exc.value)) as got_exc:
+            BACKENDS[name](*args, **kwargs)
         assert str(got_exc.value) == str(ref_exc.value), (backend, kwargs)
 
 
 @backends
 def test_registry_selection(backend, monkeypatch):
     """``make_network(backend=name)`` and the ``REPRO_BACKEND``
-    environment default both construct the registered class."""
+    environment default both construct the registered class -- and
+    under :data:`LOOP` a network that runs the per-message loop."""
     from repro.perf import backends as backends_mod
 
     g = path_graph(3, w=1)
     factory = lambda v: BellmanFordProgram(v, 0)
-    assert type(make_network(g, factory, backend=backend)) \
-        is BACKENDS[backend]
-    monkeypatch.setenv("REPRO_BACKEND", backend)
-    monkeypatch.setattr(backends_mod, "_default_backend", None)
-    assert type(make_network(g, factory)) is BACKENDS[backend]
+    with engine(backend) as name:
+        net = make_network(g, factory, backend=name)
+        assert type(net) is BACKENDS[name]
+        if backend == LOOP:
+            assert net._columnar_kernel() is None
+        monkeypatch.setenv("REPRO_BACKEND", name)
+        monkeypatch.setattr(backends_mod, "_default_backend", None)
+        assert type(make_network(g, factory)) is BACKENDS[name]
 
 
 # --- targeted accounting regressions: rounds that carry no payload ----
@@ -476,13 +576,16 @@ def test_golden_fixture_differential(backend, name):
                 for row in mat]
     frozen = json.loads((DATA / f"{name}.metrics.json").read_text())
 
-    _ref, got = assert_entrypoint_equivalent(run_apsp, g, backend=backend)
-    assert got.dist == {x: expected[x] for x in range(g.n)}
-    assert _golden_summary(got.metrics) == frozen["pipelined"], name
+    for path in ROUND_PATHS:
+        with forced_round_path(path):
+            _ref, got = assert_entrypoint_equivalent(run_apsp, g,
+                                                     backend=backend)
+        assert got.dist == {x: expected[x] for x in range(g.n)}
+        assert _golden_summary(got.metrics) == frozen["pipelined"], name
 
     # The blocker algorithm reaches the backend through the ambient
     # default (multi-phase; no per-call backend plumbing).
-    with use_backend(backend):
+    with engine(backend) as name, use_backend(name):
         blk = run_apsp_blocker(g)
     assert blk.dist == {x: expected[x] for x in range(g.n)}
     assert _golden_summary(blk.metrics) == frozen["blocker"], name
@@ -531,21 +634,33 @@ def test_columnar_relaxation_kernel_agrees():
 
 
 def test_columnar_pipelined_kernel_agrees():
-    """The pipelined bulk kernel matches the reference -- entry point,
-    per-program state, and resumption, both list kernels' state rebuilt
-    in place."""
+    """The pipelined bulk kernel matches the reference on both delivery
+    paths -- entry point, per-program state, resumption, and a
+    checkpoint taken mid-run and resumed from its JSON."""
     g = random_graph(14, p=0.35, w_max=6, zero_fraction=0.3, seed=7,
                      directed=True)
-    assert_entrypoint_equivalent(run_hk_ssp, g, [0, 4, 9], 5,
-                                 compare=("dist", "sources", "delta"),
-                                 backend="columnar")
-    assert_pipelined_states_equivalent(g, [0, 4, 9], 5, "columnar")
     factory = lambda v: PipelinedSSPProgram(v, (0, 4, 9), h=5, gamma=1.5)
     ref = _run_resumed(Network, g, 0, (5, 10 ** 5), factory=factory,
                        states=True)
-    got = _run_resumed(ColumnarNetwork, g, 0, (5, 10 ** 5),
-                       factory=factory, states=True)
-    assert got == ref
+    for path in ROUND_PATHS:
+        with forced_round_path(path):
+            assert_entrypoint_equivalent(
+                run_hk_ssp, g, [0, 4, 9], 5,
+                compare=("dist", "sources", "delta"), backend="columnar")
+            assert_pipelined_states_equivalent(g, [0, 4, 9], 5, "columnar")
+            got = _run_resumed(ColumnarNetwork, g, 0, (5, 10 ** 5),
+                               factory=factory, states=True)
+            assert got == ref, path
+
+            net = ColumnarNetwork(g, factory)
+            with pytest.raises(RoundLimitExceeded):
+                net.run(max_rounds=5)
+            ckpt = RunCheckpoint.from_json(checkpoint_network(net).to_json())
+            outs, metrics, resumed = resume_from_checkpoint(
+                ckpt, g, factory, 10 ** 5, backend="columnar")
+            assert (outs, metrics_summary(metrics),
+                    program_states(resumed)) == \
+                (ref["outputs"], ref["metrics"], ref["states"]), path
 
 
 def test_columnar_pipelined_kernel_folds_through_the_program(monkeypatch):
@@ -564,12 +679,14 @@ def test_columnar_pipelined_kernel_folds_through_the_program(monkeypatch):
                      directed=True)
     want = run_hk_ssp(g, [0, 4, 9], 5, backend="reference")
     monkeypatch.setattr(PipelinedSSPProgram, "fold", spy)
-    with ProfileSession() as prof:
-        got = run_hk_ssp(g, [0, 4, 9], 5, backend="columnar")
-    assert prof.timers["columnar.pipelined.round"].count >= 1
-    assert calls
-    assert (got.dist, got.hops, got.parent, got.metrics.rounds) == \
-        (want.dist, want.hops, want.parent, want.metrics.rounds)
+    for path in ROUND_PATHS:
+        calls.clear()
+        with forced_round_path(path), ProfileSession() as prof:
+            got = run_hk_ssp(g, [0, 4, 9], 5, backend="columnar")
+        assert prof.timers["columnar.pipelined.round"].count >= 1, path
+        assert calls, path
+        assert (got.dist, got.hops, got.parent, got.metrics.rounds) == \
+            (want.dist, want.hops, want.parent, want.metrics.rounds), path
 
 
 def test_columnar_pipelined_state_two_node_cycle():
@@ -581,9 +698,12 @@ def test_columnar_pipelined_state_two_node_cycle():
     epilogue for receivers whose every arrival is rejected drifts here,
     and checkpoints capture the drift."""
     g = WeightedDigraph.from_edges(2, [(0, 1, 3), (1, 0, 3)])
-    _ref, alt = assert_pipelined_states_equivalent(g, [0], 1, "columnar")
-    assert alt._columnar_kernel() is not None
-    assert alt.programs[0].max_list_len_seen == 1
+    for path in ROUND_PATHS:
+        with forced_round_path(path):
+            _ref, alt = assert_pipelined_states_equivalent(g, [0], 1,
+                                                           "columnar")
+        assert alt._columnar_kernel() is not None
+        assert alt.programs[0].max_list_len_seen == 1
 
 
 def test_columnar_bulk_path_engaged():
@@ -709,29 +829,35 @@ class TestConformanceCatchesCorruption:
     def test_corrupted_pipelined_round_is_caught(self, mode):
         """A corrupted send-schedule rank (entries firing a round early)
         and a corrupted nu-count (one entry of padding too many) must
-        both be caught on *every* corpus instance.
+        both be caught on *every* corpus instance, on both delivery
+        paths.
 
         A corrupted reject pass (dropping deliveries whose nu is one
-        above the count, which the quota admits) drops only
-        non-promotions, which the single-source path never receives --
-        so it must be caught on every multi-source instance.  What it drops is padding, so the
-        corrupted run either diverges or trips the kernel's inline
+        above the count, which the quota admits) exists only on the
+        numpy path, and drops only non-promotions, which the
+        single-source path graph never receives -- so it must be caught
+        on every multi-source instance.  What it drops is padding, so
+        the corrupted run either diverges or trips the kernel's inline
         Invariant 1 check on an insert the padding would have pushed
         later; the reference run of each instance is clean (see the
         uncorrupted control)."""
         corpus = self._pipelined_corpus()
         caught = "columnar backend diverged"
+        paths = list(ROUND_PATHS)
         if mode == "reject-filter-off-by-one":
             corpus = [c for c in corpus if len(c[1]) > 1]
             caught += "|Invariant 1 violated"
+            paths = ["numpy"]
         prev = columnar_mod.set_corruption(mode)
         try:
-            for g, srcs, h in corpus:
-                with pytest.raises(AssertionError, match=caught):
-                    assert_entrypoint_equivalent(
-                        run_hk_ssp, g, srcs, h,
-                        compare=("dist", "sources", "delta"),
-                        backend="columnar")
+            for path in paths:
+                for g, srcs, h in corpus:
+                    with forced_round_path(path), \
+                            pytest.raises(AssertionError, match=caught):
+                        assert_entrypoint_equivalent(
+                            run_hk_ssp, g, srcs, h,
+                            compare=("dist", "sources", "delta"),
+                            backend="columnar")
         finally:
             columnar_mod.set_corruption(prev)
 
@@ -741,11 +867,15 @@ class TestConformanceCatchesCorruption:
         assert_entrypoint_equivalent(
             run_bellman_ford, self._graph(), 0,
             compare=("dist", "hops", "parent"), backend="columnar")
-        for g, srcs, h in self._pipelined_corpus():
-            assert_entrypoint_equivalent(
-                run_hk_ssp, g, srcs, h,
-                compare=("dist", "sources", "delta"), backend="columnar")
-            assert_pipelined_states_equivalent(g, srcs, h, "columnar")
+        for path in ROUND_PATHS:
+            with forced_round_path(path):
+                for g, srcs, h in self._pipelined_corpus():
+                    assert_entrypoint_equivalent(
+                        run_hk_ssp, g, srcs, h,
+                        compare=("dist", "sources", "delta"),
+                        backend="columnar")
+                    assert_pipelined_states_equivalent(g, srcs, h,
+                                                       "columnar")
 
     def test_unknown_corruption_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown corruption mode"):

@@ -1,9 +1,10 @@
-"""Differential harness pinning the alternative simulator backends to
-the reference one.
+"""Differential harness pinning the production simulator engine to the
+reference one.
 
-A non-reference backend (:class:`repro.perf.FastNetwork`,
-:class:`repro.perf.ColumnarNetwork`, or any future entry in
-:data:`repro.perf.backends.BACKENDS`) is only allowed to exist because
+A non-reference backend (:class:`repro.perf.ColumnarNetwork`, or any
+future entry in :data:`repro.perf.backends.BACKENDS`) -- and the
+engine's per-message loop (:class:`repro.perf.fast_network.FastNetwork`)
+-- is only allowed to exist because
 nothing observable distinguishes it from the reference
 :class:`repro.congest.Network`: same per-node outputs, same round
 counts, same message/word/congestion accounting, envelope for envelope
@@ -14,8 +15,8 @@ is defined, so the registry-parametrized conformance suite
 (tests/backend_conformance.py), the golden fixtures, and the E19/E23
 speedup sweeps all enforce the *same* notion of "identical".
 
-Each assertion helper takes ``backend=`` (a registry name, default
-``"fast"``) naming the backend under test; the reference backend is
+Each assertion helper takes ``backend=`` (an :data:`ENGINES` id, default
+``"columnar"``) naming the engine under test; the reference backend is
 always the other side of the comparison.  Three entry points:
 
 * :func:`assert_networks_equivalent` -- construct both backends from one
@@ -34,13 +35,35 @@ always the other side of the comparison.  Three entry points:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.congest import Network, RoundLimitExceeded, RunMetrics
 from repro.faults.monitor import InvariantViolation
 from repro.obs import Tracer
-from repro.perf import FastNetwork
 from repro.perf.backends import BACKENDS
+from repro.perf.columnar import COLUMNAR_KERNELS
+
+#: Test id of the columnar engine's per-message loop (``FastNetwork``),
+#: which it takes only for hooked and ineligible runs; :func:`engine`
+#: sends every run under this id down that loop.
+LOOP = "fast"
+#: Every engine pinned to the reference, by test id.
+ENGINES = sorted([b for b in BACKENDS if b != "reference"] + [LOOP])
+
+
+@contextmanager
+def engine(name: str) -> Iterator[str]:
+    """Yield the registry name that runs engine *name*: the name itself,
+    or for :data:`LOOP` ``"columnar"`` with its bulk kernels unregistered."""
+    saved = list(COLUMNAR_KERNELS)
+    if name == LOOP:
+        COLUMNAR_KERNELS.clear()
+    try:
+        yield "columnar" if name == LOOP else name
+    finally:
+        COLUMNAR_KERNELS[:] = saved
 
 
 def metrics_summary(m: RunMetrics) -> Dict[str, Any]:
@@ -68,7 +91,7 @@ def metrics_summary(m: RunMetrics) -> Dict[str, Any]:
 
 
 def assert_metrics_equal(got_m: RunMetrics, ref_m: RunMetrics,
-                         label: str = "", backend: str = "fast") -> None:
+                         label: str = "", backend: str = "columnar") -> None:
     got, want = metrics_summary(got_m), metrics_summary(ref_m)
     assert got == want, (
         f"{backend} backend diverged from reference on metrics"
@@ -110,7 +133,7 @@ def program_states(net) -> List[Dict[str, Any]]:
 
 
 def assert_networks_equivalent(graph, program_factory, *, max_rounds: int,
-                               backend: str = "fast", states: bool = False,
+                               backend: str = "columnar", states: bool = False,
                                **kwargs) -> Tuple[Network, Any]:
     """Run the same program on the reference backend and on *backend*;
     assert equal outputs and equal metrics summaries -- and, with
@@ -119,9 +142,10 @@ def assert_networks_equivalent(graph, program_factory, *, max_rounds: int,
     build fresh program state each call (every factory in this repo
     does).  Returns both networks for follow-up assertions."""
     ref = Network(graph, program_factory, **kwargs)
-    alt = BACKENDS[backend](graph, program_factory, **kwargs)
     m_ref = ref.run(max_rounds=max_rounds)
-    m_alt = alt.run(max_rounds=max_rounds)
+    with engine(backend) as name:
+        alt = BACKENDS[name](graph, program_factory, **kwargs)
+        m_alt = alt.run(max_rounds=max_rounds)
     assert alt.outputs() == ref.outputs(), \
         f"{backend} backend diverged from reference on node outputs"
     assert_metrics_equal(m_alt, m_ref, backend=backend)
@@ -176,7 +200,7 @@ def assert_instrumented_equivalent(graph, program_factory, *,
                                    max_rounds: int,
                                    fault_plan=None, monitor_factory=None,
                                    with_tracer=False, record_window: int = 0,
-                                   backend: str = "fast",
+                                   backend: str = "columnar",
                                    **kwargs) -> Dict[str, Any]:
     """Run the reference backend and *backend* with the given hooks
     attached and assert every observation -- including the failure mode
@@ -187,11 +211,12 @@ def assert_instrumented_equivalent(graph, program_factory, *,
                        monitor_factory=monitor_factory,
                        with_tracer=with_tracer,
                        record_window=record_window, **kwargs)
-    alt = run_observed(BACKENDS[backend], graph, program_factory,
-                       max_rounds=max_rounds, fault_plan=fault_plan,
-                       monitor_factory=monitor_factory,
-                       with_tracer=with_tracer,
-                       record_window=record_window, **kwargs)
+    with engine(backend) as name:
+        alt = run_observed(BACKENDS[name], graph, program_factory,
+                           max_rounds=max_rounds, fault_plan=fault_plan,
+                           monitor_factory=monitor_factory,
+                           with_tracer=with_tracer,
+                           record_window=record_window, **kwargs)
     for key in ("outcome", "outputs", "metrics", "trace", "recorded",
                 "monitor_rounds"):
         assert alt[key] == ref[key], (
@@ -202,7 +227,7 @@ def assert_instrumented_equivalent(graph, program_factory, *,
 
 def assert_entrypoint_equivalent(run: Callable[..., Any], *args,
                                  compare: Sequence[str] = ("dist",),
-                                 backend: str = "fast",
+                                 backend: str = "columnar",
                                  **kwargs) -> Tuple[Any, Any]:
     """Run ``run(*args, backend=..., **kwargs)`` on the reference
     backend and on *backend*, and assert the fields named in
@@ -211,7 +236,8 @@ def assert_entrypoint_equivalent(run: Callable[..., Any], *args,
     instrumented runs compare the same way.  Returns
     ``(reference_result, backend_result)``."""
     ref = run(*args, backend="reference", **kwargs)
-    alt = run(*args, backend=backend, **kwargs)
+    with engine(backend) as name:
+        alt = run(*args, backend=name, **kwargs)
     for attr in compare:
         got, want = getattr(alt, attr), getattr(ref, attr)
         assert got == want, (

@@ -98,7 +98,7 @@ class TestSpecValidation:
             CampaignSpec.load(p)
 
     def test_round_trips_through_json(self, tmp_path):
-        spec = tiny_spec(backend="fast")
+        spec = tiny_spec(backend="reference")
         p = tmp_path / "spec.json"
         p.write_text(json.dumps(spec.as_dict()))
         assert CampaignSpec.load(p) == spec
@@ -130,11 +130,11 @@ class TestExpansion:
     def test_entry_backend_overrides_campaign_backend(self):
         spec = CampaignSpec("x", (
             ExperimentGrid("E2", seeds=(0,)),
-            ExperimentGrid("E3", seeds=(0,), backend="fast"),
+            ExperimentGrid("E3", seeds=(0,), backend="reference"),
         ), backend="reference")
         t2, t3 = expand(spec)
         assert t2.task.backend == "reference"
-        assert t3.task.backend == "fast"
+        assert t3.task.backend == "reference"
 
     def test_expansion_is_deterministic(self):
         assert expand(dry_spec()) == expand(dry_spec())
@@ -158,7 +158,7 @@ class TestResultStoreKeys:
         base = key(seeds=(0,), sizes=(8,))
         assert key(seeds=(1,), sizes=(8,)) != base
         assert key(seeds=(0,), sizes=(10,)) != base
-        assert key(seeds=(0,), sizes=(8,), backend="fast") != base
+        assert key(seeds=(0,), sizes=(8,), backend="reference") != base
 
     def test_defaulted_and_explicit_params_share_a_key(self, tmp_path):
         """Canonicalization binds the signature and applies defaults, so

@@ -216,21 +216,21 @@ class TestFaults:
 
 
 class TestBackendFlag:
-    """`--backend fast` on the instrumented commands: accepted, honored,
+    """`--backend` on the instrumented commands: accepted, honored,
     identical output -- and backend errors stay one-line, exit 2."""
 
-    def test_faults_backend_fast_matches_reference(self, graph_file):
+    def test_faults_backend_columnar_matches_reference(self, graph_file):
         args = ("faults", graph_file, "--fault-seed", "2",
                 "--drop-rate", "0.2", "--delay-rate", "0.2", "-q")
         rc_ref, out_ref = run_cli(*args, "--backend", "reference")
-        rc_fast, out_fast = run_cli(*args, "--backend", "fast")
+        rc_col, out_col = run_cli(*args, "--backend", "columnar")
         assert rc_ref == 0
-        assert (rc_fast, out_fast) == (rc_ref, out_ref)
+        assert (rc_col, out_col) == (rc_ref, out_ref)
 
-    def test_faults_backend_fast_short_range(self, graph_file):
+    def test_faults_backend_columnar_short_range(self, graph_file):
         rc, out = run_cli("faults", graph_file, "--algorithm",
                           "short-range", "--hops", "5", "--drop-rate",
-                          "0.1", "-q", "--backend", "fast")
+                          "0.1", "-q", "--backend", "columnar")
         assert rc == 0
         assert "RESULT: correct" in out
 
@@ -249,7 +249,7 @@ class TestServeCommand:
     def test_serve_bench_reports_speedup(self, graph_file):
         rc, out = run_cli("serve", "bench", graph_file,
                           "--queries", "800", "--seed", "7",
-                          "--backend", "fast", "--jobs", "2")
+                          "--backend", "reference", "--jobs", "2")
         assert rc == 0
         assert "queries/sec" in out
         assert "speedup" in out and "hit rate" in out

@@ -8,12 +8,8 @@ unstable.  Two independent runs must agree on everything measurable.
 
 import pytest
 
+from differential import ENGINES, engine
 from repro.perf.backends import BACKENDS
-
-#: Every registered backend except the reference itself: each must
-#: reproduce the reference digests bit for bit.  Derived from the
-#: registry so a new backend is covered the moment it is registered.
-ALT_BACKENDS = sorted(b for b in BACKENDS if b != "reference")
 
 from repro.core import (
     run_approx_apsp,
@@ -64,8 +60,9 @@ def fault_digest(backend="reference"):
     g = random_graph(12, p=0.35, w_max=8, seed=7)
     plan = FaultPlan(seed=3, drop_rate=0.15, duplicate_rate=0.1,
                      delay_rate=0.1, corrupt_rate=0.05, max_delay=3)
-    res = run_bellman_ford(g, 0, fault_plan=plan, resilient=True,
-                           backend=backend)
+    with engine(backend) as name:
+        res = run_bellman_ford(g, 0, fault_plan=plan, resilient=True,
+                               backend=name)
     m = res.metrics
     blob = repr((res.dist, res.parent, m.rounds, m.messages, m.words,
                  sorted(m.channel_messages.items()),
@@ -80,7 +77,7 @@ def test_fault_injected_runs_identical():
     assert fault_digest() == fault_digest()
 
 
-@pytest.mark.parametrize("backend", ALT_BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 def test_fault_digest_backend_independent(backend):
     """The resilient ack/retransmit run -- the E18 workload -- produces
     the identical digest on every registered backend."""
@@ -100,10 +97,11 @@ def instrumented_digest(backend):
     g = random_graph(12, p=0.35, w_max=8, zero_fraction=0.2, seed=9)
     plan = FaultPlan(seed=4, drop_rate=0.1, duplicate_rate=0.15,
                      delay_rate=0.2, corrupt_rate=0.05, max_delay=4)
-    obs = run_observed(BACKENDS[backend], g,
-                       lambda v: BellmanFordProgram(v, 0),
-                       max_rounds=800, fault_plan=plan, with_tracer=True,
-                       record_window=3)
+    with engine(backend) as name:
+        obs = run_observed(BACKENDS[name], g,
+                           lambda v: BellmanFordProgram(v, 0),
+                           max_rounds=800, fault_plan=plan,
+                           with_tracer=True, record_window=3)
     m = obs["metrics"]
     blob = repr((obs["outcome"], obs["outputs"],
                  {k: (sorted(v.items()) if isinstance(v, dict) else v)
@@ -112,7 +110,7 @@ def instrumented_digest(backend):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("backend", ALT_BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 def test_instrumented_digest_backend_independent(backend):
     assert instrumented_digest(backend) == instrumented_digest("reference")
 
@@ -138,7 +136,8 @@ def backend_digest(backend):
     import hashlib
 
     g = random_graph(14, p=0.3, w_max=6, zero_fraction=0.3, seed=11)
-    res = run_apsp(g, backend=backend)
+    with engine(backend) as name:
+        res = run_apsp(g, backend=name)
     m = res.metrics
     blob = repr((res.dist, m.rounds, m.messages, m.words,
                  m.active_rounds, m.skipped_rounds,
@@ -147,7 +146,7 @@ def backend_digest(backend):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("backend", ALT_BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 def test_backend_digest_matches_reference(backend):
     """The simulator backends are not merely equivalent-ish: the full
     observable digest is identical, and stable across runs."""

@@ -1,6 +1,6 @@
-"""Contract tests for the fast simulator backend beyond the
+"""Contract tests for the columnar engine's per-message loop beyond the
 differential harness: constructor parity, hook support, resumption,
-registry publishing, and backend selection semantics."""
+registry publishing -- and backend selection semantics."""
 
 import os
 import subprocess
@@ -12,12 +12,12 @@ from repro.congest import Network, RoundLimitExceeded
 from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry, Tracer
 from repro.perf import (
-    FastNetwork,
+    ColumnarNetwork,
     get_default_backend,
     make_network,
-    set_default_backend,
     use_backend,
 )
+from repro.perf.fast_network import FastNetwork
 from test_congest_network import Pinger, Relay, line
 
 
@@ -25,7 +25,7 @@ from test_congest_network import Pinger, Relay, line
 def clean_backend(monkeypatch):
     """Run with no ambient backend chosen and no REPRO_BACKEND set, so
     selection-precedence assertions hold even when the surrounding test
-    process exports REPRO_BACKEND=fast (the CI matrix does exactly
+    process exports REPRO_BACKEND=reference (the CI matrix does exactly
     that).  monkeypatch restores both afterwards."""
     from repro.perf import backends
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -61,7 +61,7 @@ class TestConstructorParity:
 
 
 class TestHookSupport:
-    """Every Network hook is honored by the fast backend (deep parity is
+    """Every Network hook is honored by the per-message loop (deep parity is
     pinned by tests/differential.py; these are the direct contract
     checks that each hook actually *fires*)."""
 
@@ -74,7 +74,7 @@ class TestHookSupport:
 
     def test_trivial_fault_plan_accepted(self):
         """An all-zero plan injects nothing -- the reference backend
-        treats it as the zero-overhead path and so does the fast one."""
+        treats it as the zero-overhead path and so does the loop."""
         net = FastNetwork(line(3), Pinger, fault_plan=FaultPlan())
         m = net.run(max_rounds=10)
         assert m.messages == 1
@@ -212,56 +212,51 @@ class TestRegistrySupport:
 
 
 class TestBackendSelection:
-    def test_default_is_reference(self, clean_backend):
-        assert get_default_backend() == "reference"
-        assert isinstance(make_network(line(3), Relay), Network)
+    def test_default_is_columnar(self, clean_backend):
+        assert get_default_backend() == "columnar"
+        assert isinstance(make_network(line(3), Relay), ColumnarNetwork)
 
-    def test_explicit_fast(self):
-        assert isinstance(make_network(line(3), Relay, backend="fast"),
-                          FastNetwork)
+    def test_explicit_reference(self):
+        net = make_network(line(3), Relay, backend="reference")
+        assert type(net) is Network
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown simulator backend"):
             make_network(line(3), Relay, backend="turbo")
 
-    def test_explicit_fast_with_hooks_constructs_fast(self):
-        """Hooks no longer influence selection: an explicit fast request
-        with a tracer gets a FastNetwork, not an error."""
-        net = make_network(line(3), Relay, backend="fast", tracer=Tracer())
-        assert isinstance(net, FastNetwork)
+    def test_explicit_columnar_with_hooks_constructs_columnar(self):
+        """Hooks do not influence selection: an explicit columnar
+        request with a tracer gets a ColumnarNetwork, not an error."""
+        net = make_network(line(3), Relay, backend="columnar",
+                           tracer=Tracer())
+        assert isinstance(net, ColumnarNetwork)
 
-    def test_ambient_fast_with_hooks_stays_fast(self):
-        """The old silent fall-back to the reference backend for
-        instrumented ambient calls is gone."""
-        with use_backend("fast"):
+    def test_ambient_columnar_with_hooks_stays_columnar(self):
+        """Hooks never send an ambient call to the reference backend."""
+        with use_backend("columnar"):
             net = make_network(line(3), Relay, tracer=Tracer(),
                                fault_plan=FaultPlan(seed=1, drop_rate=0.2),
                                record_window=2)
-        assert isinstance(net, FastNetwork)
+        assert isinstance(net, ColumnarNetwork)
 
-    def test_ambient_fast_without_hooks_sticks(self, clean_backend):
-        with use_backend("fast"):
-            assert isinstance(make_network(line(3), Relay), FastNetwork)
-        assert get_default_backend() == "reference"
+    def test_ambient_reference_sticks(self, clean_backend):
+        with use_backend("reference"):
+            assert type(make_network(line(3), Relay)) is Network
+        assert get_default_backend() == "columnar"
 
     def test_use_backend_none_is_noop(self, clean_backend):
         with use_backend(None):
-            assert get_default_backend() == "reference"
+            assert get_default_backend() == "columnar"
 
     def test_use_backend_restores_unresolved_env(self, monkeypatch):
         """use_backend() inside a not-yet-resolved REPRO_BACKEND process
         restores the *unresolved* state, so the env var still wins
         afterwards."""
         from repro.perf import backends
-        monkeypatch.setenv("REPRO_BACKEND", "fast")
+        monkeypatch.setenv("REPRO_BACKEND", "reference")
         monkeypatch.setattr(backends, "_default_backend", None)
-        with use_backend("reference"):
-            assert get_default_backend() == "reference"
-        assert get_default_backend() == "fast"
-
-    def test_set_default_backend_validates(self, clean_backend):
-        with pytest.raises(ValueError, match="unknown simulator backend"):
-            set_default_backend("turbo")
+        with use_backend("columnar"):
+            assert get_default_backend() == "columnar"
         assert get_default_backend() == "reference"
 
 
@@ -280,12 +275,12 @@ class TestEnvSelection:
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
             env=env, capture_output=True, text=True, timeout=120)
 
-    def test_env_fast(self):
-        proc = self._run("fast",
+    def test_env_reference(self):
+        proc = self._run("reference",
                          "from repro.perf import get_default_backend; "
                          "print(get_default_backend())")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "fast"
+        assert proc.stdout.strip() == "reference"
 
     def test_env_typo_import_survives(self):
         """Importing the package (and building the CLI parser -- what

@@ -30,7 +30,6 @@ gates = _load_gates()
 OLD_CI_FLOORS = [
     ("backend_speedup", {"hooks": "none"}, 2.0),
     ("backend_speedup", {"hooks": "full"}, 1.5),
-    ("node_kernels", {}, 1.5),
     ("serving", {"row": "serve"}, 5.0),
     ("columnar", {}, 2.0),
     ("columnar_pipelined", {}, 2.0),
@@ -71,9 +70,8 @@ def test_every_gate_is_pinned():
     floored = {name for name, _, _ in OLD_CI_FLOORS}
     assert set(gates.GATES) == floored | {"recovery"}
     assert {name: exp for name, (exp, _, _) in gates.GATES.items()} == {
-        "backend_speedup": "E19", "node_kernels": "E20",
-        "recovery": "E21", "serving": "E22", "columnar": "E23",
-        "columnar_pipelined": "E24"}
+        "backend_speedup": "E19", "recovery": "E21", "serving": "E22",
+        "columnar": "E23", "columnar_pipelined": "E24"}
 
 
 def _recovery_report(repair, full):

@@ -43,6 +43,12 @@ class TestMalformedInput:
         ("n 2 directed\nz 1\n", "unknown record"),
         ("", "no 'n' record"),
         ("n 2 sideways\n", "malformed 'n'"),
+        ("n abc directed\n", "^line 1: invalid literal for int.*'abc'"),
+        ("n 0 directed\n", "^line 1: graph needs at least one node"),
+        ("n 2 directed\ne 0 1 1.5\n", "^line 2: invalid literal.*'1.5'"),
+        ("n 2 directed\n\ne 0 1 -4\n", "^line 3: negative edge weight"),
+        ("n 2 directed\ne 0 2 1\n", "^line 2: edge \\(0,2\\) out of range"),
+        ("n 2 directed\ne 1 1 1\n", "^line 2: self-loop at node 1"),
     ])
     def test_errors(self, text, match):
         with pytest.raises(GraphError, match=match):

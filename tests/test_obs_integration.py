@@ -7,6 +7,7 @@ import io
 
 import pytest
 
+from differential import LOOP, engine
 from repro.core import apsp, run_apsp, run_kssp_blocker
 from repro.graphs import random_graph
 from repro.obs import (
@@ -79,12 +80,13 @@ class TestPassivity:
 
 
 class TestProfiling:
-    # Explicit backends: the ambient one (REPRO_BACKEND) may be the
-    # columnar engine, whose bulk kernel records its own round timer.
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    # The per-message loops: the reference and the columnar engine's own
+    # loop.  The engine's bulk kernel records its own round timer
+    # instead (next test).
+    @pytest.mark.parametrize("backend", ["reference", LOOP])
     def test_hot_loops_report_timers(self, g, backend):
-        with ProfileSession() as prof:
-            run_apsp(g, backend=backend)
+        with ProfileSession() as prof, engine(backend) as name:
+            run_apsp(g, backend=name)
         names = set(prof.timers)
         assert {"network.round", "node.send_many",
                 "node_list.fire_at", "node_list.next_fire_after"} <= names

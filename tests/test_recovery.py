@@ -25,12 +25,13 @@ import pickle
 
 import pytest
 
+from differential import ENGINES, engine
 from repro.congest import Network, RoundLimitExceeded
 from repro.core.bellman_ford import BellmanFordProgram
 from repro.faults import CrashWindow, FaultPlan
 from repro.graphs import random_graph
 from repro.graphs.reference import dijkstra
-from repro.perf.backends import BACKENDS, make_network
+from repro.perf.backends import make_network
 from repro.recovery import (
     CheckpointError,
     CheckpointStore,
@@ -178,21 +179,22 @@ def _suspend(net, at_round):
 
 
 class TestRunCheckpoint:
-    @pytest.mark.parametrize("suspend_backend", sorted(BACKENDS))
-    @pytest.mark.parametrize("resume_backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("suspend_backend", ["reference", *ENGINES])
+    @pytest.mark.parametrize("resume_backend", ["reference", *ENGINES])
     def test_resume_equals_uninterrupted(self, suspend_backend,
                                          resume_backend):
         g = random_graph(10, p=0.4, w_max=6, zero_fraction=0.2, seed=3)
-        full = make_network(g, bf_factory(), backend=resume_backend)
-        m_full = full.run(max_rounds=60)
-
-        net = make_network(g, bf_factory(), backend=suspend_backend)
-        ckpt = _suspend(net, at_round=3)
+        with engine(suspend_backend) as name:
+            net = make_network(g, bf_factory(), backend=name)
+            ckpt = _suspend(net, at_round=3)
         # Through the serialized form: what resumes is the JSON, not the
         # live object graph.
         ckpt = RunCheckpoint.from_json(ckpt.to_json())
-        outs, metrics, _ = resume_from_checkpoint(
-            ckpt, g, bf_factory(), 60, backend=resume_backend)
+        with engine(resume_backend) as name:
+            full = make_network(g, bf_factory(), backend=name)
+            m_full = full.run(max_rounds=60)
+            outs, metrics, _ = resume_from_checkpoint(
+                ckpt, g, bf_factory(), 60, backend=name)
         assert outs == full.outputs()
         assert metrics.rounds == m_full.rounds
         assert metrics.messages == m_full.messages
@@ -305,13 +307,14 @@ class TestCrashRecovery:
         return FaultPlan(crashes=(CrashWindow(
             node, crash, restart, restart_from="checkpoint"),), **kwargs)
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("backend", ["reference", *ENGINES])
     def test_converges_to_dijkstra_after_rollback(self, backend):
         g = random_graph(10, p=0.4, w_max=6, zero_fraction=0.2, seed=3)
         true, _ = dijkstra(g, 0)
-        outs, _, _, stats = run_recoverable(
-            g, bf_factory(), 600, fault_plan=self._plan(),
-            checkpoint_every=3, backend=backend)
+        with engine(backend) as name:
+            outs, _, _, stats = run_recoverable(
+                g, bf_factory(), 600, fault_plan=self._plan(),
+                checkpoint_every=3, backend=name)
         assert [o[0] for o in outs] == list(true)
         assert stats.rollbacks >= 1
         assert stats.replayed_frames > 0
@@ -583,7 +586,7 @@ class TestCrashDuringUpdate:
             seed=9, delay_rate=0.15, duplicate_rate=0.1, max_delay=2,
             crashes=(CrashWindow(3, 4, 10, restart_from="checkpoint"),))
         digests = {}
-        for backend in ("reference", "fast"):
+        for backend in ("reference", "columnar"):
             run = DynamicRun(g, [0, 5, 9], fault_plan=plan,
                              checkpoint_every=4, backend=backend,
                              monitor_factory=lambda gr, srcs:
@@ -593,7 +596,7 @@ class TestCrashDuringUpdate:
             assert run.oracle_check() == [], f"{backend} diverged"
             assert run.metrics.rounds_to_repair > 0
             digests[backend] = run.digest()
-        assert digests["reference"] == digests["fast"]
+        assert digests["reference"] == digests["columnar"]
 
 
 class TestChaos:
@@ -601,7 +604,7 @@ class TestChaos:
     def test_chaos_case_oracle_clean_and_backend_pinned(self, seed):
         case = ChaosCase(seed=seed, n=8, batches=2, events_per_batch=2)
         ref = run_chaos_case(case, backend="reference")
-        fast = run_chaos_case(case, backend="fast")
-        assert ref.ok and fast.ok
-        assert ref.digest_recoverable == fast.digest_recoverable
-        assert ref.digest_pipelined == fast.digest_pipelined
+        col = run_chaos_case(case, backend="columnar")
+        assert ref.ok and col.ok
+        assert ref.digest_recoverable == col.digest_recoverable
+        assert ref.digest_pipelined == col.digest_pipelined

@@ -442,14 +442,14 @@ class TestThreadedServing:
 class TestCrossBackendDigests:
     def test_bit_identical_build_and_refresh(self, graph):
         digests = {}
-        for backend in ("reference", "fast"):
+        for backend in ("reference", "columnar"):
             o = DistanceOracle(graph, num_shards=3,
                                method="pipelined", backend=backend)
             u, v, w = max(graph.edges(), key=lambda e: e[2])
             o.refresh(EdgeUpdate(u, v, 0))
             assert o.oracle_check() == []
             digests[backend] = o.digest()
-        assert digests["reference"] == digests["fast"]
+        assert digests["reference"] == digests["columnar"]
 
 
 class TestAsyncFrontend:

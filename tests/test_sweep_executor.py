@@ -61,11 +61,11 @@ class TestDeterministicParallelism:
         seq = sweep_mod.sweep_theorem11_apsp(seeds=(0,), sizes=(8,))
         assert rows_as_tuples(rep) == rows_as_tuples(seq)
 
-    def test_fast_backend_tasks_match_reference(self):
+    def test_reference_backend_tasks_match_default(self):
         seq = sweep_mod.sweep_theorem11_apsp(seeds=(0, 1), sizes=(8, 12))
-        (fast,) = SweepExecutor(jobs=2, backend="fast").run(
+        (ref,) = SweepExecutor(jobs=2, backend="reference").run(
             experiment_tasks("E2", jobs=2, seeds=(0, 1), sizes=(8, 12)))
-        assert rows_as_tuples(fast) == rows_as_tuples(seq)
+        assert rows_as_tuples(ref) == rows_as_tuples(seq)
 
     def test_multi_report_sweep_merges_in_order(self):
         """E5 returns two reports (dilation + congestion); per-seed tasks
