@@ -12,7 +12,8 @@ pipelined bulk kernel, with the served-table digests asserted
 bit-equal.  Alongside the timed rows it exercises an incremental
 refresh (minimum-weight edge deleted; only affected sources recomputed,
 only their shards epoch-swapped, only their cache entries invalidated;
-post-refresh answers Dijkstra-checked through the cached path) and pins
+post-refresh distances and paths Dijkstra-checked, the paths through
+the route cache) and pins
 the served-table digests bit-identical across both simulator
 backends.
 

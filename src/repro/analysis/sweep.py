@@ -657,8 +657,9 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
       a minimum-weight edge; ``measured`` is
       ``rounds_to_repair`` (deterministic), with the affected-source /
       rebuilt-shard / invalidated-cache-entry counts alongside, and the
-      post-refresh tables re-checked against Dijkstra through the
-      *cached* query path (``correct``).
+      post-refresh distances and paths re-checked against Dijkstra
+      (:meth:`DistanceOracle.oracle_check`), the paths through the
+      route cache (``correct``).
     * ``row=digest`` -- a small oracle built and refreshed identically
       on both simulator backends (reference, columnar); asserts
       bit-identical :meth:`DistanceOracle.digest` values
@@ -666,9 +667,9 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
 
     ``timing=False`` switches to the deterministic mode used by the
     CI smoke campaign (``benchmarks/campaigns/smoke.json``): no clocks
-    -- ``row=serve`` reports the
-    table-build round count with the cache hit/miss tallies (exact
-    replays of a seeded stream, so bit-stable across machines),
+    -- ``row=serve`` reports the table-build round count with the path
+    cache's hit/miss tallies (exact replays of a seeded stream, so
+    bit-stable across machines),
     ``row=build`` reports the (backend-invariant) build round count
     with the digest comparison still enforced; the refresh and digest
     rows are clock-free by construction.

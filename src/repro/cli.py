@@ -28,7 +28,7 @@ Commands operate on graph files in the plain-text format of
 * ``serve`` -- the distance-oracle serving layer: ``serve bench``
   replays a seeded Zipf query workload through the asyncio front-end
   (:mod:`repro.serve`) and reports naive vs batched+cached queries/sec
-  with the cache hit rate, ``serve demo`` answers point queries and
+  with the path cache's hit rate, ``serve demo`` answers point queries and
   re-serves them after ``--update``/``--leave``/``--join`` churn (only
   affected sources recomputed; answers Dijkstra-checked);
 * ``obs``   -- the observability subsystem: ``obs run`` executes an
@@ -489,8 +489,8 @@ def cmd_serve(args, out) -> int:
             out.write(f"RESULT: INCORRECT at {len(mismatches)} pair(s): "
                       f"{mismatches[:5]}\n")
             return 1
-        out.write("RESULT: correct (every served distance matches "
-                  "Dijkstra)\n")
+        out.write("RESULT: correct (every served distance and path "
+                  "matches Dijkstra)\n")
         return 0
 
     # serve bench: replay a seeded Zipf workload, naive vs batched+cached
@@ -515,7 +515,7 @@ def cmd_serve(args, out) -> int:
     out.write(f"batched+cached: {len(wl) / cached_s:12.0f} queries/sec "
               f"({args.jobs} worker(s))\n")
     out.write(f"speedup: {naive_s / cached_s:.2f}x   "
-              f"cache hit rate: {stats['hit_rate']:.3f} "
+              f"path cache hit rate: {stats['hit_rate']:.3f} "
               f"({int(stats['hits'])} hits / "
               f"{int(stats['misses'])} misses, "
               f"size {int(stats['size'])})\n")

@@ -166,12 +166,11 @@ def edges_bulk_safe(net) -> bool:
     return (net.n - 1) * max_w < 2 ** 53
 
 
-def _flush(kernel, msg_count: int, payload_words: int) -> None:
-    """A bulk kernel's accumulated accounting -> RunMetrics (idempotent:
+def _flush(kernel, metrics, msg_count: int, payload_words: int) -> None:
+    """A bulk kernel's accumulated accounting -> *metrics* (idempotent:
     the per-edge tallies are zeroed as they are drained).  Both kernels
     keep the same CSR tally columns and differ only in words per
     payload."""
-    metrics = kernel.net.metrics
     if msg_count:
         metrics.messages += msg_count
         metrics.words += payload_words * msg_count
@@ -234,7 +233,7 @@ class _RelaxationKernel:
                 return False
         return edges_bulk_safe(net)
 
-    def revalidate(self) -> bool:
+    def revalidate(self, net: "ColumnarNetwork") -> bool:
         """Per-run dynamic eligibility, re-checked at every ``run()``
         entry on the memoized kernel: a *single* wavefront -- every
         scheduled node announces in the same round.  True throughout
@@ -244,7 +243,7 @@ class _RelaxationKernel:
         (that run only -- the bulk path returns once the stagger
         drains)."""
         wave_round = None
-        for p in self.net.programs:
+        for p in net.programs:
             a = p._announce
             if a is not None:
                 if wave_round is None:
@@ -254,7 +253,6 @@ class _RelaxationKernel:
         return True
 
     def __init__(self, net: "ColumnarNetwork") -> None:
-        self.net = net
         self.n = net.n
         self.max_hops = net.programs[0].max_hops
         # CSR of the outgoing directed edges (broadcast_out targets),
@@ -280,10 +278,9 @@ class _RelaxationKernel:
 
     # -- load / store ------------------------------------------------------
 
-    def _load(self):
+    def _load(self, programs):
         """Program state -> columns.  Distances as float64 (exact for
         the ``int`` weights :meth:`matches` guarantees; inf = unset)."""
-        programs = self.net.programs
         n = self.n
         d = [0.0] * n
         hops = [0.0] * n
@@ -301,13 +298,12 @@ class _RelaxationKernel:
                 np.asarray(hops, dtype=np.float64),
                 np.asarray(parent, dtype=np.int64), wave, wave_round)
 
-    def _store(self, d, hops, parent, wave, wave_round) -> None:
+    def _store(self, programs, d, hops, parent, wave, wave_round) -> None:
         """Columns -> program state, as plain Python scalars (the
         digest tests ``repr()`` the outputs, and the reference backend
         produces ``int`` distances for ``int`` weights -- an
         ``np.int64`` or stray ``5.0`` leaking out would change the
         bytes)."""
-        programs = self.net.programs
         scheduled = set(wave)
         for v, p in enumerate(programs):
             dv = float(d[v])
@@ -320,8 +316,7 @@ class _RelaxationKernel:
 
     # -- the round loop ----------------------------------------------------
 
-    def run(self, max_rounds: int) -> Any:
-        net = self.net
+    def run(self, net: "ColumnarNetwork", max_rounds: int) -> Any:
         metrics = net.metrics
         registry = net.registry
         profile = _HOT.session
@@ -334,7 +329,7 @@ class _RelaxationKernel:
                 p.on_start(contexts[v])
             net._started = True
 
-        d, hops, parent, wave, wave_round = self._load()
+        d, hops, parent, wave, wave_round = self._load(net.programs)
         node_sends = metrics.node_sends
         indptr = self._indptr
         hops_cap = self.max_hops
@@ -344,7 +339,7 @@ class _RelaxationKernel:
             while wave:
                 r = wave_round
                 if r > max_rounds:
-                    _flush(self, msg_count, 1)
+                    _flush(self, metrics, msg_count, 1)
                     msg_count = 0
                     sched: List[Optional[int]] = [None] * self.n
                     for v in wave:
@@ -390,8 +385,8 @@ class _RelaxationKernel:
                     if profile is not None:
                         profile.record("columnar.round", dt)
         finally:
-            self._store(d, hops, parent, wave, wave_round)
-            _flush(self, msg_count, 1)  # (d,) payloads: 1 word each
+            self._store(net.programs, d, hops, parent, wave, wave_round)
+            _flush(self, metrics, msg_count, 1)  # (d,) payloads: 1 word each
             if registry is not None:
                 from ..obs.registry import publish_run_metrics
                 net._published = publish_run_metrics(
@@ -461,7 +456,10 @@ class ColumnarNetwork(FastNetwork):
     #: Memoized static-eligibility verdict (a kernel instance or None);
     #: class attribute as the default, shadowed per instance on first
     #: scan.  Programs and topology are fixed at construction, so the
-    #: verdict can never go stale.
+    #: verdict can never go stale.  A kernel is handed its network on
+    #: every call and keeps no link back to it: the cycle would keep
+    #: each solved network's programs and lists alive until a full
+    #: garbage collection instead of freeing them by reference count.
     _kernel_cache: Any = _UNSET
     #: Number of O(n + m) eligibility scans performed -- pinned by the
     #: memoization regression test (one per network, however many
@@ -496,7 +494,7 @@ class ColumnarNetwork(FastNetwork):
                     kernel = kernel_cls(self)
                     break
             self._kernel_cache = kernel
-        if kernel is not None and not kernel.revalidate():
+        if kernel is not None and not kernel.revalidate(self):
             return None
         return kernel
 
@@ -504,7 +502,7 @@ class ColumnarNetwork(FastNetwork):
         kernel = self._columnar_kernel()
         if kernel is None:
             return FastNetwork.run(self, max_rounds)
-        return kernel.run(max_rounds)
+        return kernel.run(self, max_rounds)
 
 
 # The pipelined (h, k)-SSP bulk kernel lives in its own module (it is

@@ -176,7 +176,7 @@ class _PipelinedKernel:
                     return False
         return True
 
-    def revalidate(self) -> bool:
+    def revalidate(self, net) -> bool:
         """Per-run dynamic eligibility on the memoized kernel: paranoid
         mode may have been toggled since the static scan (it re-checks
         ``fire_at`` / ``next_fire_after`` against the linear scan, and
@@ -185,7 +185,6 @@ class _PipelinedKernel:
         return not _node_list.PARANOID
 
     def __init__(self, net) -> None:
-        self.net = net
         self.n = net.n
         p0 = net.programs[0]
         self.gamma: float = p0.gamma
@@ -241,7 +240,7 @@ class _PipelinedKernel:
 
     # -- per-run state -----------------------------------------------------
 
-    def _load(self) -> None:
+    def _load(self, programs) -> None:
         """Bind the programs' lists for the run and build the reject
         pass's inputs: the snapshot rows (one per (node, source) cell,
         see :meth:`_snap_row`) and the set of nodes whose receive stats
@@ -249,7 +248,6 @@ class _PipelinedKernel:
         state) -- the reference refreshes those stats in every
         ``on_receive``, including one whose arrivals are all rejected,
         so :meth:`_round` still runs ``finish_receive`` for them."""
-        programs = self.net.programs
         self._programs = programs
         self._lists = [p.list_v for p in programs]
         snap = np.empty((self.n * self.k, 6))
@@ -296,8 +294,7 @@ class _PipelinedKernel:
 
     # -- the round loop ----------------------------------------------------
 
-    def run(self, max_rounds: int) -> Any:
-        net = self.net
+    def run(self, net, max_rounds: int) -> Any:
         metrics = net.metrics
         registry = net.registry
         profile = _HOT.session
@@ -310,7 +307,7 @@ class _PipelinedKernel:
                 p.on_start(contexts[v])
             net._started = True
 
-        self._load()
+        self._load(net.programs)
         n = self.n
         programs = self._programs
         lists = self._lists
@@ -343,7 +340,7 @@ class _PipelinedKernel:
                     break
                 r = heap[0][0]
                 if r > max_rounds:
-                    _cmod._flush(self, msg_count, _PAYLOAD_WORDS)
+                    _cmod._flush(self, metrics, msg_count, _PAYLOAD_WORDS)
                     msg_count = 0
                     raise RoundLimitExceeded(
                         f"no quiescence by round {max_rounds}; "
@@ -448,7 +445,7 @@ class _PipelinedKernel:
                     if profile is not None:
                         profile.record("columnar.pipelined.round", dt)
         finally:
-            _cmod._flush(self, msg_count, _PAYLOAD_WORDS)
+            _cmod._flush(self, metrics, msg_count, _PAYLOAD_WORDS)
             if registry is not None:
                 from ..obs.registry import publish_run_metrics
                 net._published = publish_run_metrics(

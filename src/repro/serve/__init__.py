@@ -7,16 +7,17 @@ closes that loop:
 * :class:`DistanceOracle` (:mod:`repro.serve.oracle`) materializes
   :class:`~repro.core.RoutingTable` shards per source-partition by
   running the k-source pipeline (either simulator backend), answers
-  ``distance``/``path`` point queries through an LRU route cache with
-  batched same-source execution, and refreshes incrementally under
-  churn via :class:`repro.recovery.DynamicRun` with epoch-versioned
-  atomic table swaps;
+  ``distance`` point queries with a table-row read and ``path`` point
+  queries through an LRU route cache, with batched same-source
+  execution, and refreshes incrementally under churn via
+  :class:`repro.recovery.DynamicRun` with epoch-versioned atomic table
+  swaps;
 * :class:`AsyncFrontend` (:mod:`repro.serve.frontend`) puts an asyncio
   + thread-pool query front-end over it, micro-batching concurrent
   point queries;
-* :class:`RouteCache` (:mod:`repro.serve.cache`) is the LRU with
-  per-source invalidation and hit/miss counters published to the
-  :class:`repro.obs.MetricsRegistry`;
+* :class:`RouteCache` (:mod:`repro.serve.cache`) is the LRU of path
+  routes with per-source invalidation and hit/miss counters published
+  to the :class:`repro.obs.MetricsRegistry`;
 * :func:`generate_workload` (:mod:`repro.serve.workload`) produces the
   seeded Zipf-skewed query streams the benchmarks (E22,
   ``benchmarks/bench_serving.py``) and the ``repro serve`` CLI replay.

@@ -1,18 +1,21 @@
-"""The serving layer's LRU route cache.
+"""The serving layer's LRU cache of path routes.
 
-One entry per ``(source, target)`` pair, holding the fully materialized
-answer (a :class:`~repro.core.routing.Route`, or ``None`` for an
-unreachable pair -- negative answers are cached too, they cost the same
-table walk to recompute).  Hit/miss/eviction/invalidation counters are
-mirrored into an :class:`repro.obs.MetricsRegistry` when one is
-attached (``serve.cache_hits`` etc.), the same registry the simulator
-publishes round metrics into, so one dashboard snapshot covers both the
-build and the serve side.
+One entry per ``(source, target)`` pair a ``path`` query asked for,
+holding the materialized :class:`~repro.core.routing.Route`, or
+``None`` for an unreachable pair -- negative answers are cached too,
+they cost the same table walk to recompute.  Distance queries never
+touch the cache: :meth:`repro.serve.DistanceOracle.query_batch` answers
+them with one read of the epoch's ``dist`` row, so the hit/miss
+counters count path probes only.  Hit/miss/eviction/invalidation
+counters are mirrored into an :class:`repro.obs.MetricsRegistry` when
+one is attached (``serve.cache_hits`` etc.), the same registry the
+simulator publishes round metrics into, so one dashboard snapshot
+covers both the build and the serve side.
 
 Invalidation is *per source*: a refresh epoch recomputes only the
 affected sources' table rows (see
 :meth:`repro.serve.DistanceOracle.refresh`), so only those sources'
-cached answers can be stale -- entries for unaffected sources survive
+cached routes can be stale -- entries for unaffected sources survive
 the swap.  ``tests/test_serve_churn.py`` property-checks that no stale
 entry ever survives a refresh.
 
@@ -32,7 +35,7 @@ _MISSING = object()
 
 
 class RouteCache:
-    """A bounded LRU map ``(source, target) -> answer`` with counters.
+    """A bounded LRU map ``(source, target) -> route`` with counters.
 
     ``capacity <= 0`` disables caching entirely (every get is a miss,
     puts are dropped) -- the configuration the naive serving baseline

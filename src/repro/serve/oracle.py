@@ -5,7 +5,10 @@ for.  It materializes full distance + next-hop tables with **one**
 k-source pipeline over every served source, slices the rows into
 round-robin **shards** (the unit a refresh rebuilds and swaps), wraps
 each shard in a :class:`~repro.core.RoutingTable`, and answers
-``distance(u, v)`` / ``path(u, v)`` point queries out of them.
+``distance(u, v)`` / ``path(u, v)`` point queries out of them.  A
+distance answer is one read of the epoch's ``dist[u][v]`` (the exact
+distance Theorem I.1 leaves at every node); only path answers walk the
+parent chain, and only they are cached.
 
 Epoch-versioned tables
 ----------------------
@@ -16,13 +19,13 @@ objects for the affected sources and publishes a whole new view -- can
 never show a query a half-swapped table.  In-flight queries simply
 finish against the epoch they started on.
 
-The route cache holds answers of the current view only.  Its one lock
-(:attr:`RouteCache.lock`) is taken twice per batch -- once to resolve
-the view and probe, once to write the misses back -- and once per
-refresh, around publishing the new view and invalidating the affected
-sources.  A batch whose view is no longer current neither reads nor
-writes the cache, so an answer computed on a superseded table can
-never land after the invalidation that should have dropped it.
+The route cache holds path routes of the current view only.  Its one
+lock (:attr:`RouteCache.lock`) is taken twice per batch -- once to
+resolve the view and probe, once to write the misses back -- and once
+per refresh, around publishing the new view and invalidating the
+affected sources.  A batch whose view is no longer current neither
+reads nor writes the cache, so a route computed on a superseded table
+can never land after the invalidation that should have dropped it.
 Refreshes are serialized by their own lock.
 
 Incremental refresh
@@ -30,18 +33,20 @@ Incremental refresh
 Edge/node churn goes through :class:`repro.recovery.DynamicRun` (with
 ``keep_parents``): only the sources the update can affect are
 recomputed by the k-source pipeline, only the shards containing them
-are rebuilt, and only those sources' cache entries are invalidated --
-answers for unaffected sources stay cached and correct across the
+are rebuilt, and only those sources' cached routes are invalidated --
+routes for unaffected sources stay cached and correct across the
 swap.  ``tests/test_serve_churn.py`` property-checks the end-to-end
 guarantee against the Dijkstra oracle.
 
 Batched execution
 -----------------
-:meth:`DistanceOracle.query_batch` groups a batch by source, binds each
-group's distance/parent rows once, and walks paths with local-variable
-lookups -- the per-query shard/attribute overhead is paid once per
-group instead of once per query.  The asyncio front-end
-(:mod:`repro.serve.frontend`) feeds batches through a thread pool.
+:meth:`DistanceOracle.query_batch` probes the cache for the batch's
+path queries, groups the rest by source, binds each group's
+distance/parent rows once, reads distances and walks the missed paths
+with local-variable lookups -- the per-query shard/attribute overhead
+is paid once per group instead of once per query.  The asyncio
+front-end (:mod:`repro.serve.frontend`) feeds batches through a thread
+pool.
 """
 
 from __future__ import annotations
@@ -101,6 +106,19 @@ class RefreshRecord:
     invalidated_entries: int
 
 
+def _walked_weight(graph: WeightedDigraph,
+                   path: Sequence[int]) -> Optional[float]:
+    """The summed arc weights along *path* in *graph*, or ``None`` if
+    it uses an arc the graph does not have."""
+    total = 0
+    for a, b in zip(path, path[1:]):
+        w = graph.weight(a, b)
+        if w is None:
+            return None
+        total += w
+    return total
+
+
 class DistanceOracle:
     """Serve point-to-point shortest-path queries from pipelined APSP.
 
@@ -120,7 +138,7 @@ class DistanceOracle:
         once, for the whole source set) -- the default columnar engine
         serves strictly fresher tables for the same wall-clock.
     cache_size:
-        LRU route-cache capacity (0 disables caching).
+        LRU capacity of the path-route cache (0 disables caching).
     registry:
         Optional :class:`repro.obs.MetricsRegistry`; the oracle
         publishes ``serve.queries``, ``serve.batches``,
@@ -233,14 +251,18 @@ class DistanceOracle:
                     *, view: Optional[TableView] = None) -> List[Any]:
         """Answer a batch, grouped by source, in input order.
 
-        Distance queries yield floats (``inf`` when unreachable), path
-        queries yield :class:`~repro.core.routing.Route` or ``None``.
-        The whole batch reads one :class:`TableView` -- epoch-consistent
-        even if a refresh lands mid-batch.  A *view* that is not the
-        current one bypasses the cache (see the module docstring).
+        Distance queries yield floats (``inf`` when unreachable), read
+        straight from the view's ``dist`` row; path queries yield
+        :class:`~repro.core.routing.Route` or ``None``, through the
+        route cache.  The whole batch reads one :class:`TableView` --
+        epoch-consistent even if a refresh lands mid-batch.  A *view*
+        that is not the current one bypasses the cache (see the module
+        docstring).
         """
         cache = self.cache
         out: List[Any] = [None] * len(queries)
+        # Per source: its distance queries and the path queries the
+        # cache did not answer.
         by_source: Dict[int, List[int]] = {}
         with cache.lock:
             current = self._view
@@ -251,35 +273,37 @@ class DistanceOracle:
                 data = cache.batch_view()
                 data_get = data.get
                 bump = data.move_to_end
-                hits = 0
+                hits = probes = 0
                 for i, q in enumerate(queries):
-                    key = (q.u, q.v)
-                    cached = data_get(key, _MISS)
-                    if cached is not _MISS:
-                        bump(key)
-                        hits += 1
-                        out[i] = (INF if cached is None
-                                  else cached.distance) \
-                            if q.kind == "distance" else cached
-                    else:
-                        by_source.setdefault(q.u, []).append(i)
-                cache.count_batch(hits, len(queries) - hits)
+                    if q.kind == "path":
+                        probes += 1
+                        key = (q.u, q.v)
+                        cached = data_get(key, _MISS)
+                        if cached is not _MISS:
+                            bump(key)
+                            hits += 1
+                            out[i] = cached
+                            continue
+                    by_source.setdefault(q.u, []).append(i)
+                cache.count_batch(hits, probes - hits)
         if not cached_ok:
             for i, q in enumerate(queries):
                 by_source.setdefault(q.u, []).append(i)
+        n = self.graph.n
         fresh: List[Tuple[Tuple[int, int], Optional[Route]]] = []
         for u, idxs in by_source.items():
-            shard = view.shard_for(u)
-            table = shard.table
+            table = view.shard_for(u).table
             dist_row = table.dist[u]
             parent_row = table.parent[u]
-            n = self.graph.n
             for i in idxs:
                 q = queries[i]
                 v = q.v
                 if not (0 <= v < n):
                     raise ValueError(
                         f"target {v} out of range for n={n}")
+                if q.kind == "distance":
+                    out[i] = dist_row[v]
+                    continue
                 if dist_row[v] == INF:
                     route = None
                 else:
@@ -295,8 +319,7 @@ class DistanceOracle:
                     route = Route(source=u, target=v,
                                   distance=dist_row[v], path=tuple(path))
                 fresh.append(((u, v), route))
-                out[i] = (INF if route is None else route.distance) \
-                    if q.kind == "distance" else route
+                out[i] = route
         if cached_ok and fresh:
             with cache.lock:
                 if self._view is view:
@@ -404,11 +427,21 @@ class DistanceOracle:
     # -- verification -------------------------------------------------
 
     def oracle_check(self, *, sample: Optional[int] = None,
-                     seed: int = 0) -> List[Tuple[int, int, float, float]]:
-        """Mismatches ``(u, v, served, true)`` between served distances
-        (through the cached path) and a fresh Dijkstra run on the
-        current graph.  ``sample`` limits the check to that many random
-        pairs (seeded); default checks every served pair."""
+                     seed: int = 0) -> List[Tuple[int, int, Any, float]]:
+        """Mismatches ``(u, v, served, true)`` between the served answers
+        and a fresh Dijkstra run on the current graph.
+
+        Each pair is asked twice through the public query path: its
+        ``distance()`` (a table-row read) and its ``path()`` (through
+        the route cache, so a cached route that outlived its epoch
+        shows).  The route must be ``None`` iff the pair is
+        unreachable, and both its ``distance`` and its weight walked on
+        the current graph must equal the true distance.  ``served`` is
+        the first wrong value: the distance answer, else the route's
+        distance (``inf`` for ``None``), else its walked weight
+        (``None`` if it uses a missing arc).  ``sample`` limits the
+        check to that many random pairs (seeded); default checks every
+        served pair."""
         from ..graphs.reference import dijkstra
         import random as _random
         pairs: Iterable[Tuple[int, int]]
@@ -420,14 +453,21 @@ class DistanceOracle:
             pairs = ((rng.choice(self.sources),
                       rng.randrange(self.graph.n))
                      for _ in range(sample))
+        graph = self.graph
         truth: Dict[int, List[float]] = {}
         bad = []
         for u, v in pairs:
             if u not in truth:
-                truth[u] = dijkstra(self.graph, u)[0]
-            served = self.distance(u, v)
-            if served != truth[u][v]:
-                bad.append((u, v, served, truth[u][v]))
+                truth[u] = dijkstra(graph, u)[0]
+            want = truth[u][v]
+            served: Any = self.distance(u, v)
+            if served == want:
+                route = self.path(u, v)
+                served = INF if route is None else route.distance
+                if route is not None and served == want:
+                    served = _walked_weight(graph, route.path)
+            if served != want:
+                bad.append((u, v, served, want))
         return bad
 
     def validate_shards(self) -> List[str]:

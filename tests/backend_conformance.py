@@ -38,7 +38,9 @@ picks up ``test_*.py`` files); import the strategies and helpers from
 here.
 """
 
+import gc
 import json
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional
@@ -774,6 +776,28 @@ def test_columnar_eligibility_scan_memoized():
     net.run(max_rounds=10)
     net.run(max_rounds=10)
     assert net._eligibility_scans == 1
+
+
+def test_columnar_network_freed_by_refcount():
+    """The memoized kernel holds no link back to its network, so a
+    solved network -- programs, lists and entries -- is freed when its
+    last outside reference goes, not at the next full collection."""
+    g = random_graph(12, p=0.4, w_max=5, seed=2, directed=True)
+    factories = (lambda v: BellmanFordProgram(v, 0),
+                 lambda v: PipelinedSSPProgram(v, (0, 3), h=4, gamma=1.25))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for factory in factories:
+            net = ColumnarNetwork(g, factory)
+            net.run(max_rounds=10 ** 5)
+            assert net._columnar_kernel() is not None
+            alive = weakref.ref(net)
+            del net
+            assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 #: Which corruption mode perturbs which bulk kernel (the partition test

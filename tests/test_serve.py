@@ -241,6 +241,11 @@ class TestOracleQueries:
 
     def test_batched_equals_naive(self, graph, oracle):
         wl = generate_workload(graph.n, 1500, seed=4)
+        assert {q.kind for q in wl} == {"distance", "path"}
+        assert oracle.serve(wl) == oracle.serve_naive(wl)
+        # ...and after a refresh, with the cache warm from the pass above.
+        u, v, w = max(graph.edges(), key=lambda e: e[2])
+        oracle.refresh(EdgeUpdate(u, v, 0))
         assert oracle.serve(wl) == oracle.serve_naive(wl)
 
     def test_batch_cache_consistency_second_pass(self, graph, oracle):
@@ -254,12 +259,29 @@ class TestOracleQueries:
         o = DistanceOracle(graph, sources=[3, 8], num_shards=2,
                            method="bellman-ford")
         assert o.distance(3, 5) == dijkstra(graph, 3)[0][5]
-        with pytest.raises(KeyError):
-            o.distance(4, 5)
+        for ask in (o.distance, o.path):
+            with pytest.raises(KeyError):
+                ask(4, 5)
 
     def test_out_of_range_target_rejected(self, oracle, graph):
-        with pytest.raises(ValueError):
-            oracle.serve([Query(0, graph.n + 3, "distance")])
+        # A negative target must not index the distance row from its end.
+        for kind in ("distance", "path"):
+            for v in (graph.n + 3, -1):
+                with pytest.raises(ValueError):
+                    oracle.serve([Query(0, v, kind)])
+
+    def test_distance_queries_bypass_the_cache(self, graph, oracle):
+        # Distances are row reads: no probe, no write-back, no
+        # eviction, even after path queries filled the cache.
+        oracle.serve([Query(0, v, "path") for v in range(graph.n)])
+        cache = oracle.cache
+        before = (cache.hits, cache.misses, cache.evictions, len(cache))
+        want = truth(graph)
+        qs = [Query(u, v, "distance") for u in (0, 5) for v in
+              range(graph.n)]
+        assert oracle.query_batch(qs) == [want[q.u][q.v] for q in qs]
+        assert (cache.hits, cache.misses, cache.evictions,
+                len(cache)) == before
 
     def test_constructor_validation(self, graph):
         with pytest.raises(ValueError):
@@ -346,14 +368,15 @@ class TestRefresh:
 
     def test_superseded_view_never_writes_the_cache(self):
         # A batch on a view captured before a refresh reads that view's
-        # table, but must not cache its old-epoch answer after the
+        # table, but must not cache its old-epoch route after the
         # refresh invalidated the source.
         g = WeightedDigraph.from_edges(3, [(0, 1, 1), (1, 2, 0), (0, 2, 7)])
         o = DistanceOracle(g, method="pipelined")
         view = o.view
         o.refresh(EdgeUpdate(0, 1, 51))
-        assert o.query_batch([Query(0, 2, "distance")], view=view) == [1]
-        assert o.distance(0, 2) == dijkstra(o.graph, 0)[0][2] == 7
+        [old] = o.query_batch([Query(0, 2, "path")], view=view)
+        assert (old.distance, old.path) == (1, (0, 1, 2))
+        assert o.path(0, 2).distance == dijkstra(o.graph, 0)[0][2] == 7
 
     def test_only_affected_cache_entries_dropped(self, graph):
         o = DistanceOracle(graph, num_shards=4, method="bellman-ford")

@@ -5,20 +5,22 @@ The serving-layer guarantee under churn: after **any** stream of
 cache is hot across every refresh epoch -- every distance the oracle
 serves equals the Dijkstra ground truth on the current graph.  Stale
 cache entries surviving a refresh would break exactly this, so the
-assertions go through the *cached* query path (``distance()`` and the
-batched ``query_batch``), never the raw tables.
+assertions go through the public query path -- ``path()``, whose
+routes the cache holds, next to ``distance()``, a table-row read --
+never the raw tables.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import dijkstra, random_graph
+from repro.graphs import WeightedDigraph, dijkstra, random_graph
 from repro.recovery import EdgeUpdate
-from repro.serve import DistanceOracle, Query
+from repro.serve import DistanceOracle, Query, RouteCache
 
 INF = float("inf")
 
@@ -55,16 +57,28 @@ def churn_scenarios(draw):
 
 
 def assert_all_served_match_dijkstra(oracle: DistanceOracle) -> None:
-    """Every (source, target) distance through the cached path equals
-    ground truth on the oracle's *current* graph."""
+    """Every (source, target) answer equals ground truth on the
+    oracle's *current* graph: the distance, and the route through the
+    cache -- ``None`` iff unreachable, else its distance and its weight
+    walked on the current graph."""
     g = oracle.graph
     for u in oracle.sources:
         want = dijkstra(g, u)[0]
         for v in range(g.n):
+            at = f"{u}->{v} (epoch {oracle.epoch})"
             got = oracle.distance(u, v)
             assert got == want[v], (
-                f"stale answer {u}->{v}: served {got}, true {want[v]} "
-                f"(epoch {oracle.epoch})")
+                f"stale distance {at}: served {got}, true {want[v]}")
+            route = oracle.path(u, v)
+            if want[v] == INF:
+                assert route is None, f"route to unreachable {at}: {route}"
+                continue
+            assert route is not None, f"no route {at}, true {want[v]}"
+            walked = [g.weight(a, b)
+                      for a, b in zip(route.path, route.path[1:])]
+            ok = (route.distance == want[v] and None not in walked
+                  and sum(walked) == want[v])
+            assert ok, f"stale route {at}: {route}, true {want[v]}"
 
 
 @settings(max_examples=40, deadline=None,
@@ -109,18 +123,19 @@ def test_paths_stay_genuine_after_churn(scenario):
                             cache_size=256)
     for batch in batches:
         oracle.refresh(*batch)
-    cur = oracle.graph
-    for u in oracle.sources:
-        want = dijkstra(cur, u)[0]
-        for v in range(cur.n):
-            r = oracle.path(u, v)
-            if want[v] == INF:
-                assert r is None
-                continue
-            assert r.distance == want[v]
-            total = 0
-            for a, b in zip(r.path, r.path[1:]):
-                w = cur.weight(a, b)
-                assert w is not None, f"path uses dead edge {a}->{b}"
-                total += w
-            assert total == want[v]
+    assert_all_served_match_dijkstra(oracle)
+
+
+def test_stale_route_check_has_teeth(monkeypatch):
+    """``assert_all_served_match_dijkstra`` must catch a cached route
+    that outlives its epoch: with per-source invalidation disabled, the
+    route 0 -> 1 -> 2 (weight 1) cached before the refresh survives
+    it."""
+    monkeypatch.setattr(RouteCache, "invalidate_sources",
+                        lambda self, sources: 0)
+    g = WeightedDigraph.from_edges(3, [(0, 1, 1), (1, 2, 0), (0, 2, 7)])
+    oracle = DistanceOracle(g, method="pipelined")
+    assert oracle.path(0, 2).distance == 1
+    oracle.refresh(EdgeUpdate(0, 1, 51))
+    with pytest.raises(AssertionError, match="stale route 0->2"):
+        assert_all_served_match_dijkstra(oracle)
