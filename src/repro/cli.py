@@ -28,9 +28,11 @@ Commands operate on graph files in the plain-text format of
 * ``serve`` -- the distance-oracle serving layer: ``serve bench``
   replays a seeded Zipf query workload through the asyncio front-end
   (:mod:`repro.serve`) and reports naive vs batched+cached queries/sec
-  with the path cache's hit rate, ``serve demo`` answers point queries and
-  re-serves them after ``--update``/``--leave``/``--join`` churn (only
-  affected sources recomputed; answers Dijkstra-checked);
+  (and the same stream through ``DistanceOracle.serve`` alone, so the
+  front-end's cost shows) with the path cache's hit rate, ``serve
+  demo`` answers point queries and re-serves them after
+  ``--update``/``--leave``/``--join`` churn (only affected sources
+  recomputed; answers Dijkstra-checked);
 * ``obs``   -- the observability subsystem: ``obs run`` executes an
   algorithm with tracing/metrics/profiling attached and renders an
   ASCII dashboard (optionally exporting the trace as JSONL), ``obs
@@ -501,10 +503,12 @@ def cmd_serve(args, out) -> int:
     naive_s = _time.perf_counter() - t0
     oracle.serve(wl)  # warm the cache
     t0 = _time.perf_counter()
-    served = serve_stream(oracle, wl, batch_size=args.batch_size,
-                          max_workers=args.jobs)
+    direct = oracle.serve(wl, batch_size=args.batch_size)
+    direct_s = _time.perf_counter() - t0
+    t0 = _time.perf_counter()
+    served = serve_stream(oracle, wl, batch_size=args.batch_size)
     cached_s = _time.perf_counter() - t0
-    if served != naive:
+    if served != naive or direct != naive:
         out.write("RESULT: INCORRECT -- batched+cached answers diverge "
                   "from the naive baseline\n")
         return 1
@@ -513,7 +517,9 @@ def cmd_serve(args, out) -> int:
               f"skew={args.skew}, {wl.distinct_pairs()} distinct pairs\n")
     out.write(f"naive:          {len(wl) / naive_s:12.0f} queries/sec\n")
     out.write(f"batched+cached: {len(wl) / cached_s:12.0f} queries/sec "
-              f"({args.jobs} worker(s))\n")
+              f"(asyncio front-end)\n")
+    out.write(f"oracle.serve:   {len(wl) / direct_s:12.0f} queries/sec "
+              f"(same stream, no front-end)\n")
     out.write(f"speedup: {naive_s / cached_s:.2f}x   "
               f"path cache hit rate: {stats['hit_rate']:.3f} "
               f"({int(stats['hits'])} hits / "
@@ -799,7 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
     svb = svsub.add_parser(
         "bench",
         help="replay a seeded Zipf workload: naive vs batched+cached "
-             "queries/sec through the asyncio front-end")
+             "queries/sec, through the asyncio front-end and without "
+             "it")
     svb.add_argument("graph")
     svb.add_argument("--queries", type=int, default=10000,
                      help="workload length (default 10000)")
@@ -814,9 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="source partitions (default ~sqrt(n))")
     svb.add_argument("--batch-size", type=int, default=256,
                      help="queries per executor batch")
-    svb.add_argument("--jobs", type=int, default=2, metavar="N",
-                     help="thread-pool workers behind the asyncio "
-                          "front-end")
     svb.add_argument("--method", default="auto",
                      choices=["auto", "pipelined", "blocker",
                               "bellman-ford"])

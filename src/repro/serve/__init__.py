@@ -14,7 +14,7 @@ closes that loop:
   swaps;
 * :class:`AsyncFrontend` (:mod:`repro.serve.frontend`) puts an asyncio
   + thread-pool query front-end over it, micro-batching concurrent
-  point queries;
+  point queries and running a stream as one pool job;
 * :class:`RouteCache` (:mod:`repro.serve.cache`) is the LRU of path
   routes with per-source invalidation and hit/miss counters published
   to the :class:`repro.obs.MetricsRegistry`;

@@ -1,24 +1,36 @@
 """Asyncio query front-end over the :class:`DistanceOracle`.
 
-The oracle's table reads are pure CPU work over immutable
-:class:`~repro.serve.oracle.TableView` snapshots, so concurrency is a
-thread-pool problem: the event loop accepts queries, an internal
-micro-batcher coalesces whatever arrived while the previous batch was
-executing (same-source queries then share one row binding inside
-:meth:`DistanceOracle.query_batch`), and the batch runs on a
-``ThreadPoolExecutor`` worker.  ``await``-ing callers get their
-individual answers back in submission order.
+The event loop accepts queries and hands every read to a
+``ThreadPoolExecutor`` worker, so it stays free to accept more while a
+read runs.  Table reads are pure Python over immutable
+:class:`~repro.serve.oracle.TableView` snapshots, so under the GIL the
+pool runs no two reads in parallel; what it buys is a responsive loop.
+Each pool trip therefore carries as much work as it can:
 
-Because a query batch captures one table view, a concurrent
+* point queries (``distance``/``path``) go through a micro-batcher
+  that coalesces whatever arrived while the previous chunk was
+  executing, up to ``max_batch`` queries, into one
+  :meth:`DistanceOracle.query_batch` trip; ``await``-ing callers get
+  their own answers back;
+* a stream (``serve``) is one pool job: :meth:`DistanceOracle.serve`
+  answers it one ``query_batch`` per ``batch_size`` chunk, in stream
+  order.
+
+Point chunks keep their trip rather than running on the loop itself:
+measured that way, the open-loop median latency rose by half, because
+the query generator's wake-ups came late (docs/PERFORMANCE.md).
+
+Because each ``query_batch`` captures one table view, a concurrent
 :meth:`DistanceOracle.refresh` from another task or thread is safe by
 construction: batches that started before the swap finish on the old
 epoch, batches that start after it see the new one, and nothing in
-between.
+between.  A stream that a refresh crosses answers its earlier batches
+on the old epoch and its later ones on the new.
 
 >>> async with AsyncFrontend(oracle) as fe:
 ...     d = await fe.distance(0, 5)
 ...     route = await fe.path(0, 5)
-...     answers = await fe.serve(workload)     # batched fan-in
+...     answers = await fe.serve(workload)     # one pool job
 """
 
 from __future__ import annotations
@@ -35,10 +47,11 @@ from .workload import Query
 class AsyncFrontend:
     """Async facade: awaitable ``distance``/``path`` plus stream serving.
 
-    ``max_workers`` sizes the thread pool (1 is enough for correctness;
-    more lets independent batches of a large stream overlap).
-    ``max_batch`` caps how many pending point queries one executor trip
-    coalesces.
+    ``max_workers`` sizes the thread pool.  One worker serves
+    everything; a second lets a :meth:`refresh` run beside a stream or
+    a point chunk instead of queueing behind it.  Under the GIL more
+    workers add no read throughput.  ``max_batch`` caps how many
+    pending point queries one executor trip coalesces.
     """
 
     def __init__(self, oracle: DistanceOracle, *, max_workers: int = 2,
@@ -118,16 +131,13 @@ class AsyncFrontend:
 
     async def serve(self, queries: Iterable[Query], *,
                     batch_size: int = 256) -> List[Any]:
-        """Serve a whole stream: split into batches, fan them out to
-        the pool, gather answers in stream order."""
-        queries = list(queries)
+        """Serve a whole stream as one pool job:
+        :meth:`DistanceOracle.serve` answers it one ``query_batch`` per
+        *batch_size* chunk, in stream order."""
         loop = asyncio.get_running_loop()
-        jobs = [
-            loop.run_in_executor(self._pool, self.oracle.query_batch,
-                                 queries[lo:lo + batch_size])
-            for lo in range(0, len(queries), max(1, batch_size))]
-        chunks = await asyncio.gather(*jobs)
-        return [ans for chunk in chunks for ans in chunk]
+        return await loop.run_in_executor(
+            self._pool,
+            lambda: self.oracle.serve(queries, batch_size=batch_size))
 
     async def refresh(self, *events: Any):
         """Run a table refresh on the pool (epoch swap is atomic, so
@@ -138,13 +148,12 @@ class AsyncFrontend:
 
 
 def serve_stream(oracle: DistanceOracle, queries: Iterable[Query], *,
-                 batch_size: int = 256, max_workers: int = 2) -> List[Any]:
+                 batch_size: int = 256) -> List[Any]:
     """Synchronous convenience: spin an event loop, serve *queries*
     through an :class:`AsyncFrontend`, return the answers."""
 
     async def _run() -> List[Any]:
-        async with AsyncFrontend(oracle, max_workers=max_workers,
-                                 max_batch=batch_size) as fe:
+        async with AsyncFrontend(oracle) as fe:
             return await fe.serve(queries, batch_size=batch_size)
 
     return asyncio.run(_run())

@@ -20,12 +20,13 @@ never show a query a half-swapped table.  In-flight queries simply
 finish against the epoch they started on.
 
 The route cache holds path routes of the current view only.  Its one
-lock (:attr:`RouteCache.lock`) is taken twice per batch -- once to
-resolve the view and probe, once to write the misses back -- and once
-per refresh, around publishing the new view and invalidating the
-affected sources.  A batch whose view is no longer current neither
-reads nor writes the cache, so a route computed on a superseded table
-can never land after the invalidation that should have dropped it.
+lock (:attr:`RouteCache.lock`) is taken twice per batch -- once for
+the pass that resolves the view, reads the distances and probes, once
+to write the misses back -- and once per refresh, around publishing
+the new view and invalidating the affected sources.  A batch whose
+view is no longer current neither reads nor writes the cache, so a
+route computed on a superseded table can never land after the
+invalidation that should have dropped it.
 Refreshes are serialized by their own lock.
 
 Incremental refresh
@@ -40,13 +41,14 @@ guarantee against the Dijkstra oracle.
 
 Batched execution
 -----------------
-:meth:`DistanceOracle.query_batch` probes the cache for the batch's
-path queries, groups the rest by source, binds each group's
-distance/parent rows once, reads distances and walks the missed paths
-with local-variable lookups -- the per-query shard/attribute overhead
-is paid once per group instead of once per query.  The asyncio
-front-end (:mod:`repro.serve.frontend`) feeds batches through a thread
-pool.
+:meth:`DistanceOracle.query_batch` makes one pass over the batch: a
+distance query is one lookup of its source's row in
+:attr:`TableView.dist`, a path query one cache probe.  Only the path
+misses are grouped by source; each group binds its distance/parent
+rows once and walks the parents with local-variable lookups.
+:meth:`DistanceOracle.serve` cuts a stream into batches, and the
+asyncio front-end (:mod:`repro.serve.frontend`) runs a whole stream as
+one thread-pool job.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.routing import INF, Route, RoutingTable
@@ -79,14 +81,23 @@ class TableShard:
 class TableView:
     """An immutable snapshot of every shard at one epoch.
 
-    ``shard_of`` maps source -> shard index.  A refresh replaces the
-    whole view; readers that captured the old one keep a complete,
-    consistent table for the duration of their query.
+    ``shard_of`` maps source -> shard index, and ``dist`` maps source
+    -> its shard's distance row (gathered once per view, so a distance
+    read is one lookup).  A refresh replaces the whole view; readers
+    that captured the old one keep a complete, consistent table for
+    the duration of their query.
     """
 
     epoch: int
     shards: Tuple[TableShard, ...]
     shard_of: Dict[int, int]
+    dist: Dict[int, List[float]] = field(init=False, repr=False,
+                                         compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dist", {
+            s: shard.table.dist[s]
+            for shard in self.shards for s in shard.sources})
 
     def shard_for(self, source: int) -> TableShard:
         idx = self.shard_of.get(source)
@@ -249,61 +260,67 @@ class DistanceOracle:
 
     def query_batch(self, queries: Sequence[Query],
                     *, view: Optional[TableView] = None) -> List[Any]:
-        """Answer a batch, grouped by source, in input order.
+        """Answer a batch in input order.
 
-        Distance queries yield floats (``inf`` when unreachable), read
-        straight from the view's ``dist`` row; path queries yield
-        :class:`~repro.core.routing.Route` or ``None``, through the
-        route cache.  The whole batch reads one :class:`TableView` --
+        One pass over the batch answers each distance query with a
+        float (``inf`` when unreachable) read from the view's ``dist``
+        row, and probes the route cache for each path query.  Only the
+        path misses are then grouped by source and walked into
+        :class:`~repro.core.routing.Route` objects (``None`` when
+        unreachable).  The whole batch reads one :class:`TableView` --
         epoch-consistent even if a refresh lands mid-batch.  A *view*
         that is not the current one bypasses the cache (see the module
         docstring).
         """
         cache = self.cache
+        n = self.graph.n
         out: List[Any] = [None] * len(queries)
-        # Per source: its distance queries and the path queries the
-        # cache did not answer.
-        by_source: Dict[int, List[int]] = {}
+        # Per source, the path queries the cache did not answer.
+        misses: Dict[int, List[int]] = {}
         with cache.lock:
             current = self._view
             if view is None:
                 view = current
             cached_ok = view is current
-            if cached_ok:
-                data = cache.batch_view()
-                data_get = data.get
-                bump = data.move_to_end
-                hits = probes = 0
-                for i, q in enumerate(queries):
-                    if q.kind == "path":
-                        probes += 1
-                        key = (q.u, q.v)
-                        cached = data_get(key, _MISS)
-                        if cached is not _MISS:
-                            bump(key)
-                            hits += 1
-                            out[i] = cached
-                            continue
-                    by_source.setdefault(q.u, []).append(i)
-                cache.count_batch(hits, probes - hits)
-        if not cached_ok:
+            rows_get = view.dist.get
+            data = cache.batch_view()
+            data_get = data.get
+            bump = data.move_to_end
+            hits = probes = 0
             for i, q in enumerate(queries):
-                by_source.setdefault(q.u, []).append(i)
-        n = self.graph.n
+                u = q.u
+                if q.kind == "distance":
+                    row = rows_get(u)
+                    if row is None:
+                        view.shard_for(u)  # not served: raises KeyError
+                    v = q.v
+                    if not (0 <= v < n):
+                        raise ValueError(
+                            f"target {v} out of range for n={n}")
+                    out[i] = row[v]
+                    continue
+                if cached_ok:
+                    probes += 1
+                    key = (u, q.v)
+                    cached = data_get(key, _MISS)
+                    if cached is not _MISS:
+                        bump(key)
+                        hits += 1
+                        out[i] = cached
+                        continue
+                misses.setdefault(u, []).append(i)
+            if cached_ok:
+                cache.count_batch(hits, probes - hits)
         fresh: List[Tuple[Tuple[int, int], Optional[Route]]] = []
-        for u, idxs in by_source.items():
+        for u, idxs in misses.items():
             table = view.shard_for(u).table
             dist_row = table.dist[u]
             parent_row = table.parent[u]
             for i in idxs:
-                q = queries[i]
-                v = q.v
+                v = queries[i].v
                 if not (0 <= v < n):
                     raise ValueError(
                         f"target {v} out of range for n={n}")
-                if q.kind == "distance":
-                    out[i] = dist_row[v]
-                    continue
                 if dist_row[v] == INF:
                     route = None
                 else:

@@ -249,10 +249,14 @@ class TestServeCommand:
     def test_serve_bench_reports_speedup(self, graph_file):
         rc, out = run_cli("serve", "bench", graph_file,
                           "--queries", "800", "--seed", "7",
-                          "--backend", "reference", "--jobs", "2")
+                          "--backend", "reference")
         assert rc == 0
         assert "queries/sec" in out
         assert "speedup" in out and "hit rate" in out
+        # The same stream without the front-end, beside its figure.
+        [line] = [ln for ln in out.splitlines()
+                  if ln.startswith("oracle.serve:")]
+        assert "queries/sec" in line and "no front-end" in line
 
     def test_serve_bench_seed_replays_same_workload(self, graph_file):
         rc1, out1 = run_cli("serve", "bench", graph_file,

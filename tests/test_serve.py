@@ -3,7 +3,7 @@
 import asyncio
 import sys
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -498,29 +498,77 @@ class TestAsyncFrontend:
         got = serve_stream(oracle, wl, batch_size=64)
         assert got == oracle.serve_naive(wl)
 
+    def test_stream_is_one_pool_job(self, graph, oracle):
+        # A multi-batch stream crosses to the pool once; the batches
+        # are DistanceOracle.serve's, so the answers are its answers.
+        wl = generate_workload(graph.n, 600, seed=8)
+        want = oracle.serve(wl, batch_size=64)
+
+        async def main():
+            async with AsyncFrontend(oracle) as fe:
+                submit = fe._pool.submit
+                jobs = []
+
+                def counting_submit(fn, *args, **kwargs):
+                    jobs.append(fn)
+                    return submit(fn, *args, **kwargs)
+
+                fe._pool.submit = counting_submit
+                answers = await fe.serve(wl, batch_size=64)
+            return jobs, answers
+
+        jobs, answers = asyncio.run(main())
+        assert len(jobs) == 1
+        assert answers == want
+
     def test_concurrent_refresh_epoch_consistency(self, graph):
         o = DistanceOracle(graph, num_shards=2, method="bellman-ford")
-        wl = generate_workload(graph.n, 400, seed=3)
-        u, v, w = max(graph.edges(), key=lambda e: e[2])
+        wl = list(generate_workload(graph.n, 80000, seed=3))
+        # Raise the arc that the most shortest-path routes run through:
+        # many answers change, so a batch mixing epochs would show.
+        through = Counter()
+        for s in range(graph.n):
+            parent = dijkstra(graph, s)[1]
+            for t in range(graph.n):
+                while parent[t] is not None:
+                    through[parent[t], t] += 1
+                    t = parent[t]
+        [((u, v), _)] = through.most_common(1)
+        batch = 50
 
         async def main():
             async with AsyncFrontend(o, max_workers=2) as fe:
                 serving = asyncio.ensure_future(
-                    fe.serve(wl, batch_size=50))
-                await fe.refresh(EdgeUpdate(u, v, 0))
+                    fe.serve(wl, batch_size=batch))
+                await asyncio.sleep(0)  # the stream's job goes first
+                await fe.refresh(
+                    EdgeUpdate(u, v, graph.weight(u, v) + 20))
                 answers = await serving
             return answers
 
-        answers = asyncio.run(main())
-        # Every answer comes from epoch 0's or epoch 1's table -- both
-        # internally consistent; distance answers must match one of the
-        # two truths.
-        old = truth(graph)
-        new = {q.u: dijkstra(o.graph, q.u)[0] for q in wl}
-        for q, a in zip(wl, answers):
-            d = a if q.kind == "distance" else (
+        # The stream and the refresh run on the two workers, and a
+        # short switch interval interleaves them: the stream is long
+        # enough that the swap often lands mid-stream.
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            answers = asyncio.run(main())
+        finally:
+            sys.setswitchinterval(prev)
+        # Each batch reads one view: all its answers (distances and
+        # route distances) match one epoch's truth, and the epochs
+        # never go backwards along the stream.
+        truths = [truth(graph), truth(o.graph)]
+        epoch = 0
+        for lo in range(0, len(wl), batch):
+            qs = wl[lo:lo + batch]
+            got = [a if q.kind == "distance" else (
                 INF if a is None else a.distance)
-            assert d in (old[q.u][q.v], new[q.u][q.v])
+                for q, a in zip(qs, answers[lo:lo + batch])]
+            fits = [e for e in range(epoch, len(truths))
+                    if got == [truths[e][q.u][q.v] for q in qs]]
+            assert fits, f"batch at {lo} matches no epoch from {epoch} on"
+            epoch = fits[0]
         assert o.oracle_check() == []
 
     def test_frontend_validation(self, oracle):
