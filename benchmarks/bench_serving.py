@@ -11,9 +11,9 @@ materialization on the columnar engine's per-message loop vs its
 pipelined bulk kernel, with the served-table digests asserted
 bit-equal.  Alongside the timed rows it exercises an incremental
 refresh (minimum-weight edge deleted; only affected sources recomputed,
-only their shards epoch-swapped, only their cache entries invalidated;
-post-refresh distances and paths Dijkstra-checked, the paths through
-the route cache) and pins
+only their shards epoch-swapped, only their route rows dropped;
+post-refresh distances and paths Dijkstra-checked, the paths read from
+the route-row store) and pins
 the served-table digests bit-identical across both simulator
 backends.
 

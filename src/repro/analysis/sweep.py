@@ -642,8 +642,8 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
       :class:`~repro.serve.DistanceOracle` (default engine).  The batched
       answers are always asserted identical to the naive baseline's.
       In timing mode ``measured`` is naive seconds / batched+cached
-      steady-state seconds (cache warmed by one pass, then best of
-      ``repeats``) -- the quantity the >= 5x CI gate
+      steady-state seconds (route rows built by one pass, then best
+      of ``repeats``) -- the quantity the >= 5x CI gate
       (benchmarks/gates.py) checks at the largest size.
     * ``row=build`` -- shard materialization wall-clock on
       ``backend="columnar"``, the engine's per-message loop (the kernel
@@ -656,10 +656,10 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
     * ``row=refresh`` -- an :class:`~repro.recovery.EdgeUpdate` deleting
       a minimum-weight edge; ``measured`` is
       ``rounds_to_repair`` (deterministic), with the affected-source /
-      rebuilt-shard / invalidated-cache-entry counts alongside, and the
-      post-refresh distances and paths re-checked against Dijkstra
-      (:meth:`DistanceOracle.oracle_check`), the paths through the
-      route cache (``correct``).
+      rebuilt-shard / dropped-route-row (``invalidated``) counts
+      alongside, and the post-refresh distances and paths re-checked
+      against Dijkstra (:meth:`DistanceOracle.oracle_check`), the paths
+      read from the route-row store (``correct``).
     * ``row=digest`` -- a small oracle built and refreshed identically
       on both simulator backends (reference, columnar); asserts
       bit-identical :meth:`DistanceOracle.digest` values
@@ -667,9 +667,9 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
 
     ``timing=False`` switches to the deterministic mode used by the
     CI smoke campaign (``benchmarks/campaigns/smoke.json``): no clocks
-    -- ``row=serve`` reports the table-build round count with the path
-    cache's hit/miss tallies (exact replays of a seeded stream, so
-    bit-stable across machines),
+    -- ``row=serve`` reports the table-build round count with the
+    route-row store's hit/miss tallies of path probes (exact replays of
+    a seeded stream, so bit-stable across machines),
     ``row=build`` reports the (backend-invariant) build round count
     with the digest comparison still enforced; the refresh and digest
     rows are clock-free by construction.
@@ -686,7 +686,7 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
         oracle = DistanceOracle(g, num_shards=4)
         wl = generate_workload(n, num_queries, seed=seed, skew=skew)
         naive = oracle.serve_naive(wl)
-        served = oracle.serve(wl)   # cold pass; also warms the cache
+        served = oracle.serve(wl)   # cold pass; also builds route rows
         if served != naive:
             raise AssertionError(
                 f"E22 n={n}: batched+cached answers diverge from the "
@@ -723,7 +723,7 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
                  "skew": skew, "row": "build"}
         def build():
             return DistanceOracle(g, num_shards=4, method="pipelined",
-                                  backend="columnar", cache_size=0)
+                                  backend="columnar")
         (loop_s, loop_o), (col_s, col_o) = _best_of(
             repeats if timing else 1, _on_loop(build), build)
         if (loop_o.digest() != col_o.digest()

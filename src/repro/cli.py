@@ -29,7 +29,7 @@ Commands operate on graph files in the plain-text format of
   replays a seeded Zipf query workload through the asyncio front-end
   (:mod:`repro.serve`) and reports naive vs batched+cached queries/sec
   (and the same stream through ``DistanceOracle.serve`` alone, so the
-  front-end's cost shows) with the path cache's hit rate, ``serve
+  front-end's cost shows) with the route-row hit rate, ``serve
   demo`` answers point queries and re-serves them after
   ``--update``/``--leave``/``--join`` churn (only affected sources
   recomputed; answers Dijkstra-checked);
@@ -449,8 +449,7 @@ def cmd_serve(args, out) -> int:
     registry = MetricsRegistry()
     oracle = DistanceOracle(
         g, num_shards=args.shards, method=args.method,
-        backend=args.backend, cache_size=args.cache_size,
-        registry=registry)
+        backend=args.backend, registry=registry)
     out.write(f"oracle: n={g.n} sources={len(oracle.sources)} "
               f"shards={len(oracle.view.shards)} "
               f"build rounds={oracle.build_rounds}\n")
@@ -476,8 +475,8 @@ def cmd_serve(args, out) -> int:
             out.write(f"refresh: epoch {rec.epoch}, "
                       f"{len(rec.affected_sources)} affected source(s), "
                       f"{len(rec.rebuilt_shards)} shard(s) rebuilt, "
-                      f"{rec.invalidated_entries} cache entries "
-                      f"invalidated, {rec.rounds_to_repair} repair "
+                      f"{rec.invalidated_entries} route row(s) "
+                      f"dropped, {rec.rounds_to_repair} repair "
                       f"rounds\n")
             for u, v in pairs:
                 r = oracle.path(u, v)
@@ -501,7 +500,7 @@ def cmd_serve(args, out) -> int:
     t0 = _time.perf_counter()
     naive = oracle.serve_naive(wl)
     naive_s = _time.perf_counter() - t0
-    oracle.serve(wl)  # warm the cache
+    oracle.serve(wl)  # build every asked source's route row
     t0 = _time.perf_counter()
     direct = oracle.serve(wl, batch_size=args.batch_size)
     direct_s = _time.perf_counter() - t0
@@ -521,10 +520,10 @@ def cmd_serve(args, out) -> int:
     out.write(f"oracle.serve:   {len(wl) / direct_s:12.0f} queries/sec "
               f"(same stream, no front-end)\n")
     out.write(f"speedup: {naive_s / cached_s:.2f}x   "
-              f"path cache hit rate: {stats['hit_rate']:.3f} "
+              f"path hit rate: {stats['hit_rate']:.3f} "
               f"({int(stats['hits'])} hits / "
               f"{int(stats['misses'])} misses, "
-              f"size {int(stats['size'])})\n")
+              f"{int(stats['size'])} route rows)\n")
     return 0
 
 
@@ -815,12 +814,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "stream)")
     svb.add_argument("--skew", type=float, default=1.2,
                      help="Zipf popularity skew (default 1.2)")
-    svb.add_argument("--cache-size", type=int, default=4096,
-                     help="LRU route-cache capacity (0 disables)")
     svb.add_argument("--shards", type=int, default=None,
                      help="source partitions (default ~sqrt(n))")
     svb.add_argument("--batch-size", type=int, default=256,
-                     help="queries per executor batch")
+                     help="queries per query_batch call (>= 1)")
     svb.add_argument("--method", default="auto",
                      choices=["auto", "pipelined", "blocker",
                               "bellman-ford"])
@@ -842,7 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
     svd.add_argument("--join", action="append", metavar="V:U-V-W;...",
                      help="(re-)attach node V with the given edges; "
                           "repeatable")
-    svd.add_argument("--cache-size", type=int, default=4096)
     svd.add_argument("--shards", type=int, default=None)
     svd.add_argument("--method", default="auto",
                      choices=["auto", "pipelined", "blocker",

@@ -105,6 +105,46 @@ class RoutingTable:
         return Route(source=x, target=v, distance=self.dist[x][v],
                      path=tuple(path))
 
+    def routes(self, x: int) -> List[Optional[Route]]:
+        """Every route from *x*, indexed by target: entry ``v`` equals
+        :meth:`route` ``(x, v)``.
+
+        One pass over x's parent tree: a path is its parent's path plus
+        one node, so each node's path is built once and no chain is
+        walked twice.  A broken chain raises the :class:`ValueError`
+        :meth:`route` raises for the first target (in index order) it
+        breaks.
+        """
+        if x not in self.dist:
+            raise KeyError(f"{x} is not a routed source")
+        dist, parent = self.dist[x], self.parent[x]
+        n = self.graph.n
+        paths: List[Optional[Tuple[int, ...]]] = [None] * n
+        paths[x] = (x,)
+        out: List[Optional[Route]] = [None] * n
+        for v in range(n):
+            d = dist[v]
+            if d == INF:
+                continue
+            path = paths[v]
+            if path is None:
+                # Climb to the nearest node whose path is known, then
+                # extend that path back down the climbed nodes.
+                stack = []
+                cur = v
+                while path is None:
+                    stack.append(cur)
+                    cur = parent[cur]
+                    if cur is None or len(stack) > n:
+                        raise ValueError(
+                            f"broken parent chain routing {x} -> {v}")
+                    path = paths[cur]
+                for node in reversed(stack):
+                    path += (node,)
+                    paths[node] = path
+            out[v] = Route(x, v, d, path)
+        return out
+
     def next_hop(self, x: int, v: int) -> Optional[int]:
         """The first edge to take from *x* towards *v* (``None`` if
         unreachable or if v == x)."""

@@ -8,22 +8,23 @@ closes that loop:
   :class:`~repro.core.RoutingTable` shards per source-partition by
   running the k-source pipeline (either simulator backend), answers
   ``distance`` point queries with a table-row read and ``path`` point
-  queries through an LRU route cache, with batched same-source
-  execution, and refreshes incrementally under churn via
+  queries with a read of the source's route row, in batches, and
+  refreshes incrementally under churn via
   :class:`repro.recovery.DynamicRun` with epoch-versioned atomic table
   swaps;
 * :class:`AsyncFrontend` (:mod:`repro.serve.frontend`) puts an asyncio
   + thread-pool query front-end over it, micro-batching concurrent
   point queries and running a stream as one pool job;
-* :class:`RouteCache` (:mod:`repro.serve.cache`) is the LRU of path
-  routes with per-source invalidation and hit/miss counters published
+* :class:`RouteCache` (:mod:`repro.serve.cache`) stores one route row
+  per source (every route from it, built in one pass over its parent
+  row), with per-source invalidation and hit/miss counters published
   to the :class:`repro.obs.MetricsRegistry`;
 * :func:`generate_workload` (:mod:`repro.serve.workload`) produces the
   seeded Zipf-skewed query streams the benchmarks (E22,
   ``benchmarks/bench_serving.py``) and the ``repro serve`` CLI replay.
 
 See docs/SERVING.md for the architecture, epoch/refresh semantics, and
-cache policy.
+the route-row store.
 """
 
 from .cache import RouteCache

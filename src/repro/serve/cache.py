@@ -1,25 +1,32 @@
-"""The serving layer's LRU cache of path routes.
+"""The serving layer's store of route rows.
 
-One entry per ``(source, target)`` pair a ``path`` query asked for,
-holding the materialized :class:`~repro.core.routing.Route`, or
-``None`` for an unreachable pair -- negative answers are cached too,
-they cost the same table walk to recompute.  Distance queries never
-touch the cache: :meth:`repro.serve.DistanceOracle.query_batch` answers
-them with one read of the epoch's ``dist`` row, so the hit/miss
-counters count path probes only.  Hit/miss/eviction/invalidation
-counters are mirrored into an :class:`repro.obs.MetricsRegistry` when
-one is attached (``serve.cache_hits`` etc.), the same registry the
-simulator publishes round metrics into, so one dashboard snapshot
-covers both the build and the serve side.
+Theorem I.1 leaves every node, per source, the exact distance and the
+last edge of a shortest path, so one pass over a source's parent row
+yields every route from it.  The store keeps that pass's result: one
+*route row* per source, a list of ``n`` answers indexed by target --
+a :class:`~repro.core.routing.Route`, or ``None`` where the target is
+unreachable.  A path answer is then one read of ``row[v]``.
+
+There is no capacity and no eviction: the store holds at most one row
+per served source, at most ``k * n`` routes -- the shape of the
+distance and parent tables every view already holds.  Distance
+queries never touch it: :meth:`repro.serve.DistanceOracle.query_batch`
+answers them with one read of the epoch's ``dist`` row, so the
+hit/miss counters count path probes only (a hit when the query's
+source has a row).  Hit/miss/invalidation counters are mirrored into
+an :class:`repro.obs.MetricsRegistry` when one is attached
+(``serve.cache_hits`` etc.), the same registry the simulator publishes
+round metrics into, so one dashboard snapshot covers both the build
+and the serve side.
 
 Invalidation is *per source*: a refresh epoch recomputes only the
 affected sources' table rows (see
 :meth:`repro.serve.DistanceOracle.refresh`), so only those sources'
-cached routes can be stale -- entries for unaffected sources survive
-the swap.  ``tests/test_serve_churn.py`` property-checks that no stale
-entry ever survives a refresh.
+route rows can be stale -- rows of unaffected sources survive the
+swap.  ``tests/test_serve_churn.py`` property-checks that no stale
+route ever survives a refresh.
 
-Thread safety: the methods take no lock themselves.  A cache shared
+Thread safety: the methods take no lock themselves.  A store shared
 between threads is guarded by its one :attr:`RouteCache.lock`, held
 around every compound probe, write-back and invalidation --
 :class:`~repro.serve.DistanceOracle` does exactly that.
@@ -28,84 +35,60 @@ around every compound probe, write-back and invalidation --
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Any, Dict, Iterable, Tuple
+from typing import Any, Dict, Iterable, List
 
 _MISSING = object()
 
 
 class RouteCache:
-    """A bounded LRU map ``(source, target) -> route`` with counters.
+    """A map ``source -> route row`` with hit/miss counters."""
 
-    ``capacity <= 0`` disables caching entirely (every get is a miss,
-    puts are dropped) -- the configuration the naive serving baseline
-    benchmarks against.
-    """
-
-    def __init__(self, capacity: int, *, registry: Any = None,
+    def __init__(self, *, registry: Any = None,
                  prefix: str = "serve") -> None:
-        self.capacity = capacity
-        self._data: "OrderedDict[Tuple[int, int], Any]" = OrderedDict()
-        #: Guards ``_data`` and the counters for threaded callers (see
+        self._rows: Dict[int, List[Any]] = {}
+        #: Guards ``_rows`` and the counters for threaded callers (see
         #: the module docstring).
         self.lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.invalidations = 0
         self._counters = None
         if registry is not None:
             self._counters = {
                 "hits": registry.counter(f"{prefix}.cache_hits"),
                 "misses": registry.counter(f"{prefix}.cache_misses"),
-                "evictions": registry.counter(f"{prefix}.cache_evictions"),
                 "invalidations": registry.counter(
                     f"{prefix}.cache_invalidations"),
             }
 
     def __len__(self) -> int:
-        return len(self._data)
+        """The number of rows held."""
+        return len(self._rows)
 
-    def get(self, key: Tuple[int, int], default: Any = None) -> Any:
-        """The cached answer, counting the hit/miss; ``default`` on miss
-        (distinguish a cached-``None`` unreachable answer from a miss by
-        passing a sentinel default)."""
-        found = self._data.get(key, _MISSING)
+    def get(self, source: int, default: Any = None) -> Any:
+        """The source's route row, counting the hit/miss; ``default``
+        when the source has none."""
+        found = self._rows.get(source, _MISSING)
         if found is _MISSING:
-            self.misses += 1
-            if self._counters is not None:
-                self._counters["misses"].inc()
+            self.count_batch(0, 1)
             return default
-        self._data.move_to_end(key)
-        self.hits += 1
-        if self._counters is not None:
-            self._counters["hits"].inc()
+        self.count_batch(1, 0)
         return found
 
-    def put(self, key: Tuple[int, int], value: Any) -> None:
-        if self.capacity <= 0:
-            return
-        data = self._data
-        if key in data:
-            data.move_to_end(key)
-        data[key] = value
-        if len(data) > self.capacity:
-            data.popitem(last=False)
-            self.evictions += 1
-            if self._counters is not None:
-                self._counters["evictions"].inc()
+    def put(self, source: int, row: List[Any]) -> None:
+        """Store the source's route row (replacing any it had)."""
+        self._rows[source] = row
 
-    def batch_view(self) -> "OrderedDict[Tuple[int, int], Any]":
-        """The raw LRU map, for the batched hot path.
+    def batch_view(self) -> Dict[int, List[Any]]:
+        """The raw ``source -> row`` map, for the batched hot path.
 
-        :meth:`DistanceOracle.query_batch` probes thousands of keys per
-        call; going through :meth:`get` costs a Python method call per
-        probe, which dominates the warm-cache serving profile.  The
-        contract for callers: ``move_to_end(key)`` after every hit (LRU
-        recency), insert only through :meth:`put` (eviction), and report
-        totals once through :meth:`count_batch`.
+        :meth:`DistanceOracle.query_batch` probes thousands of queries
+        per call; going through :meth:`get` costs a Python method call
+        per probe.  The contract for callers: never mutate a row or
+        the map (insert through :meth:`put`), and report totals once
+        through :meth:`count_batch`.
         """
-        return self._data
+        return self._rows
 
     def count_batch(self, hits: int, misses: int) -> None:
         """Bulk hit/miss accounting for a :meth:`batch_view` pass."""
@@ -118,29 +101,29 @@ class RouteCache:
                 self._counters["misses"].inc(misses)
 
     def invalidate_sources(self, sources: Iterable[int]) -> int:
-        """Drop every entry whose *source* is listed; returns the count.
+        """Drop the rows of the listed sources; returns how many rows
+        were dropped.
 
-        This is the refresh-epoch hook: answers for unaffected sources
-        stay cached across the table swap.
+        This is the refresh-epoch hook: rows of unaffected sources stay
+        across the table swap.
         """
-        drop = set(sources)
-        if not drop:
-            return 0
-        stale = [k for k in self._data if k[0] in drop]
-        for k in stale:
-            del self._data[k]
-        self.invalidations += len(stale)
-        if self._counters is not None and stale:
-            self._counters["invalidations"].inc(len(stale))
+        stale = [s for s in set(sources) if s in self._rows]
+        for s in stale:
+            del self._rows[s]
+        self._count_invalidations(len(stale))
         return len(stale)
 
     def clear(self) -> int:
-        n = len(self._data)
-        self._data.clear()
+        """Drop every row; returns how many were dropped."""
+        n = len(self._rows)
+        self._rows.clear()
+        self._count_invalidations(n)
+        return n
+
+    def _count_invalidations(self, n: int) -> None:
         self.invalidations += n
         if self._counters is not None and n:
             self._counters["invalidations"].inc(n)
-        return n
 
     @property
     def hit_rate(self) -> float:
@@ -149,9 +132,8 @@ class RouteCache:
 
     def stats(self) -> Dict[str, float]:
         return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions,
                 "invalidations": self.invalidations,
-                "size": len(self._data), "hit_rate": self.hit_rate}
+                "size": len(self._rows), "hit_rate": self.hit_rate}
 
 
 __all__ = ["RouteCache"]

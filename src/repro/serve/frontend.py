@@ -11,7 +11,8 @@ Each pool trip therefore carries as much work as it can:
   that coalesces whatever arrived while the previous chunk was
   executing, up to ``max_batch`` queries, into one
   :meth:`DistanceOracle.query_batch` trip; ``await``-ing callers get
-  their own answers back;
+  their own answers back, and a query that raises (an unserved source,
+  a target out of range) fails only its own caller;
 * a stream (``serve``) is one pool job: :meth:`DistanceOracle.serve`
   answers it one ``query_batch`` per ``batch_size`` chunk, in stream
   order.
@@ -110,14 +111,32 @@ class AsyncFrontend:
             try:
                 answers = await loop.run_in_executor(
                     self._pool, self.oracle.query_batch, queries)
-            except Exception as exc:
-                for _, fut in chunk:
-                    if not fut.done():
-                        fut.set_exception(exc)
-                continue
-            for (_, fut), ans in zip(chunk, answers):
-                if not fut.done():
+            except Exception:
+                # One bad query fails its whole batch: answer each query
+                # alone, in one more trip, so only its own future fails.
+                outcomes = await loop.run_in_executor(
+                    self._pool, self._answer_each, queries)
+            else:
+                outcomes = [(ans, None) for ans in answers]
+            for (_, fut), (ans, exc) in zip(chunk, outcomes):
+                if fut.done():
+                    continue
+                if exc is None:
                     fut.set_result(ans)
+                else:
+                    fut.set_exception(exc)
+
+    def _answer_each(self, queries: List[Query]
+                     ) -> List[Tuple[Any, Optional[Exception]]]:
+        """Each query as its own batch: ``(answer, None)``, or
+        ``(None, exc)`` for a query that raised."""
+        outcomes: List[Tuple[Any, Optional[Exception]]] = []
+        for q in queries:
+            try:
+                outcomes.append((self.oracle.query_batch([q])[0], None))
+            except Exception as exc:
+                outcomes.append((None, exc))
+        return outcomes
 
     async def distance(self, u: int, v: int) -> float:
         """Awaitable shortest-path distance (``inf`` if unreachable)."""

@@ -7,8 +7,10 @@ round-robin **shards** (the unit a refresh rebuilds and swaps), wraps
 each shard in a :class:`~repro.core.RoutingTable`, and answers
 ``distance(u, v)`` / ``path(u, v)`` point queries out of them.  A
 distance answer is one read of the epoch's ``dist[u][v]`` (the exact
-distance Theorem I.1 leaves at every node); only path answers walk the
-parent chain, and only they are cached.
+distance Theorem I.1 leaves at every node), and a path answer one read
+of its source's *route row*: every route from that source, built in
+one pass over its parent row the first time the epoch is asked for
+one (:mod:`repro.serve.cache`).
 
 Epoch-versioned tables
 ----------------------
@@ -19,33 +21,33 @@ objects for the affected sources and publishes a whole new view -- can
 never show a query a half-swapped table.  In-flight queries simply
 finish against the epoch they started on.
 
-The route cache holds path routes of the current view only.  Its one
-lock (:attr:`RouteCache.lock`) is taken twice per batch -- once for
-the pass that resolves the view, reads the distances and probes, once
-to write the misses back -- and once per refresh, around publishing
-the new view and invalidating the affected sources.  A batch whose
-view is no longer current neither reads nor writes the cache, so a
-route computed on a superseded table can never land after the
-invalidation that should have dropped it.
-Refreshes are serialized by their own lock.
+The route store holds rows of the current view only.  Its one lock
+(:attr:`RouteCache.lock`) is taken twice per batch -- once for the
+pass that resolves the view and reads the answers, once to write the
+newly built rows back -- and once per refresh, around publishing the
+new view and dropping the affected sources' rows.  A batch whose view
+is no longer current neither reads nor writes the store, so a row
+built on a superseded table can never land after the invalidation
+that should have dropped it.  Refreshes are serialized by their own
+lock.
 
 Incremental refresh
 -------------------
 Edge/node churn goes through :class:`repro.recovery.DynamicRun` (with
 ``keep_parents``): only the sources the update can affect are
 recomputed by the k-source pipeline, only the shards containing them
-are rebuilt, and only those sources' cached routes are invalidated --
-routes for unaffected sources stay cached and correct across the
-swap.  ``tests/test_serve_churn.py`` property-checks the end-to-end
-guarantee against the Dijkstra oracle.
+are rebuilt, and only those sources' route rows are dropped -- rows
+of unaffected sources stay stored and correct across the swap.
+``tests/test_serve_churn.py`` property-checks the end-to-end guarantee
+against the Dijkstra oracle.
 
 Batched execution
 -----------------
 :meth:`DistanceOracle.query_batch` makes one pass over the batch: a
 distance query is one lookup of its source's row in
-:attr:`TableView.dist`, a path query one cache probe.  Only the path
-misses are grouped by source; each group binds its distance/parent
-rows once and walks the parents with local-variable lookups.
+:attr:`TableView.dist`, a path query one lookup of its source's route
+row in the store.  Only the sources without a row are grouped, and
+each gets its row built once, outside the lock.
 :meth:`DistanceOracle.serve` cuts a stream into batches, and the
 asyncio front-end (:mod:`repro.serve.frontend`) runs a whole stream as
 one thread-pool job.
@@ -63,8 +65,6 @@ from ..core.routing import INF, Route, RoutingTable
 from ..graphs.digraph import WeightedDigraph
 from .cache import RouteCache
 from .workload import Query
-
-_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,8 @@ class RefreshRecord:
     affected_sources: Tuple[int, ...]
     rebuilt_shards: Tuple[int, ...]
     rounds_to_repair: int
+    #: Route rows dropped from the store (one per affected source that
+    #: had one).
     invalidated_entries: int
 
 
@@ -148,8 +150,6 @@ class DistanceOracle:
         Passed to :func:`repro.core.api.k_ssp` (``"auto"`` is resolved
         once, for the whole source set) -- the default columnar engine
         serves strictly fresher tables for the same wall-clock.
-    cache_size:
-        LRU capacity of the path-route cache (0 disables caching).
     registry:
         Optional :class:`repro.obs.MetricsRegistry`; the oracle
         publishes ``serve.queries``, ``serve.batches``,
@@ -162,7 +162,6 @@ class DistanceOracle:
                  num_shards: Optional[int] = None,
                  method: str = "auto",
                  backend: Optional[str] = None,
-                 cache_size: int = 4096,
                  registry: Any = None) -> None:
         if sources is None:
             sources = range(graph.n)
@@ -183,7 +182,7 @@ class DistanceOracle:
         self.method = method
         self.backend = backend
         self.registry = registry
-        self.cache = RouteCache(cache_size, registry=registry)
+        self.cache = RouteCache(registry=registry)
         self._refresh_lock = threading.Lock()
         self._queries = registry.counter("serve.queries") \
             if registry is not None else None
@@ -262,87 +261,62 @@ class DistanceOracle:
                     *, view: Optional[TableView] = None) -> List[Any]:
         """Answer a batch in input order.
 
-        One pass over the batch answers each distance query with a
-        float (``inf`` when unreachable) read from the view's ``dist``
-        row, and probes the route cache for each path query.  Only the
-        path misses are then grouped by source and walked into
-        :class:`~repro.core.routing.Route` objects (``None`` when
-        unreachable).  The whole batch reads one :class:`TableView` --
-        epoch-consistent even if a refresh lands mid-batch.  A *view*
-        that is not the current one bypasses the cache (see the module
-        docstring).
+        One pass over the batch checks each query's source and target
+        and answers it by a row read: a distance query with a float
+        (``inf`` when unreachable) from the view's ``dist`` row, a path
+        query with a :class:`~repro.core.routing.Route` (``None`` when
+        unreachable) from its source's route row in the store.  Only
+        the sources whose row is missing are then built, one row each
+        (:meth:`~repro.core.routing.RoutingTable.routes`).  The whole
+        batch reads one :class:`TableView` -- epoch-consistent even if a
+        refresh lands mid-batch.  A *view* that is not the current one
+        bypasses the store (see the module docstring).
         """
         cache = self.cache
         n = self.graph.n
         out: List[Any] = [None] * len(queries)
-        # Per source, the path queries the cache did not answer.
+        # Per source without a route row, its path queries.
         misses: Dict[int, List[int]] = {}
         with cache.lock:
             current = self._view
             if view is None:
                 view = current
             cached_ok = view is current
-            rows_get = view.dist.get
-            data = cache.batch_view()
-            data_get = data.get
-            bump = data.move_to_end
+            dist_get = view.dist.get
+            rows_get = cache.batch_view().get if cached_ok else {}.get
             hits = probes = 0
             for i, q in enumerate(queries):
                 u = q.u
-                if q.kind == "distance":
-                    row = rows_get(u)
-                    if row is None:
-                        view.shard_for(u)  # not served: raises KeyError
-                    v = q.v
-                    if not (0 <= v < n):
-                        raise ValueError(
-                            f"target {v} out of range for n={n}")
-                    out[i] = row[v]
-                    continue
-                if cached_ok:
-                    probes += 1
-                    key = (u, q.v)
-                    cached = data_get(key, _MISS)
-                    if cached is not _MISS:
-                        bump(key)
-                        hits += 1
-                        out[i] = cached
-                        continue
-                misses.setdefault(u, []).append(i)
-            if cached_ok:
-                cache.count_batch(hits, probes - hits)
-        fresh: List[Tuple[Tuple[int, int], Optional[Route]]] = []
-        for u, idxs in misses.items():
-            table = view.shard_for(u).table
-            dist_row = table.dist[u]
-            parent_row = table.parent[u]
-            for i in idxs:
-                v = queries[i].v
+                v = q.v
+                row = dist_get(u)
+                if row is None:
+                    view.shard_for(u)  # not served: raises KeyError
                 if not (0 <= v < n):
                     raise ValueError(
                         f"target {v} out of range for n={n}")
-                if dist_row[v] == INF:
-                    route = None
+                if q.kind == "distance":
+                    out[i] = row[v]
+                    continue
+                probes += 1
+                routes = rows_get(u)
+                if routes is None:
+                    misses.setdefault(u, []).append(i)
                 else:
-                    path = [v]
-                    cur = v
-                    while cur != u:
-                        cur = parent_row[cur]
-                        if cur is None or len(path) > n:
-                            raise ValueError(
-                                f"broken parent chain routing {u} -> {v}")
-                        path.append(cur)
-                    path.reverse()
-                    route = Route(source=u, target=v,
-                                  distance=dist_row[v], path=tuple(path))
-                fresh.append(((u, v), route))
-                out[i] = route
+                    hits += 1
+                    out[i] = routes[v]
+            if cached_ok:
+                cache.count_batch(hits, probes - hits)
+        fresh: List[Tuple[int, List[Optional[Route]]]] = []
+        for u, idxs in misses.items():
+            routes = view.shard_for(u).table.routes(u)
+            for i in idxs:
+                out[i] = routes[queries[i].v]
+            fresh.append((u, routes))
         if cached_ok and fresh:
             with cache.lock:
                 if self._view is view:
-                    put = cache.put
-                    for key, route in fresh:
-                        put(key, route)
+                    for u, routes in fresh:
+                        cache.put(u, routes)
         if self._queries is not None:
             self._queries.inc(len(queries))
         if self._batches is not None:
@@ -351,10 +325,13 @@ class DistanceOracle:
 
     def serve(self, queries: Iterable[Query], *,
               batch_size: int = 256) -> List[Any]:
-        """Answer a whole stream through the batched path."""
+        """Answer a whole stream through the batched path, one
+        :meth:`query_batch` per *batch_size* queries."""
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         queries = list(queries)
         out: List[Any] = []
-        for lo in range(0, len(queries), max(1, batch_size)):
+        for lo in range(0, len(queries), batch_size):
             out.extend(self.query_batch(queries[lo:lo + batch_size]))
         return out
 
@@ -400,7 +377,7 @@ class DistanceOracle:
         (:class:`~repro.recovery.DynamicRun`), only the shards holding
         them are rebuilt, the new :class:`TableView` is published
         atomically (in-flight queries finish on the old epoch), and
-        only the affected sources' cache entries are dropped.
+        only the affected sources' route rows are dropped.
         Concurrent refreshes run one at a time.
         """
         with self._refresh_lock:
@@ -449,8 +426,8 @@ class DistanceOracle:
         and a fresh Dijkstra run on the current graph.
 
         Each pair is asked twice through the public query path: its
-        ``distance()`` (a table-row read) and its ``path()`` (through
-        the route cache, so a cached route that outlived its epoch
+        ``distance()`` (a table-row read) and its ``path()`` (a
+        route-row read, so a stored route that outlived its epoch
         shows).  The route must be ``None`` iff the pair is
         unreachable, and both its ``distance`` and its weight walked on
         the current graph must equal the true distance.  ``served`` is

@@ -302,6 +302,15 @@ class TestServeCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_serve_bad_batch_size_exits_2(self, graph_file, capsys, size):
+        rc = main(["serve", "bench", graph_file, "--queries", "50",
+                   "--batch-size", size])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "batch_size" in err
+        assert err.count("\n") == 1
+
     def test_serve_bad_shards_exits_2(self, graph_file, capsys):
         rc = main(["serve", "bench", graph_file, "--shards", "99"])
         assert rc == 2

@@ -3,7 +3,7 @@
 import asyncio
 import sys
 import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,8 +30,7 @@ def graph():
 
 @pytest.fixture
 def oracle(graph):
-    return DistanceOracle(graph, num_shards=4, method="bellman-ford",
-                          cache_size=256)
+    return DistanceOracle(graph, num_shards=4, method="bellman-ford")
 
 
 def truth(graph):
@@ -88,124 +87,169 @@ class TestWorkload:
 
 
 class TestRouteCache:
-    def test_lru_eviction_order(self):
-        c = RouteCache(2)
-        c.put((0, 1), "a")
-        c.put((0, 2), "b")
-        assert c.get((0, 1)) == "a"      # refreshes (0,1)
-        c.put((0, 3), "c")               # evicts (0,2)
-        assert c.get((0, 2)) is None
-        assert c.get((0, 1)) == "a"
-        assert c.evictions == 1
-
     def test_counters_and_hit_rate(self):
-        c = RouteCache(8)
-        c.put((1, 2), "x")
-        c.get((1, 2))
-        c.get((9, 9))
+        c = RouteCache()
+        c.put(1, ["x", None])
+        c.get(1)
+        c.get(9)
         assert (c.hits, c.misses) == (1, 1)
         assert c.hit_rate == 0.5
 
     def test_cached_none_distinct_from_miss(self):
-        c = RouteCache(8)
+        # A row's None entries are unreachable targets, not a missing row.
+        c = RouteCache()
         sentinel = object()
-        c.put((1, 2), None)              # cached unreachable answer
-        assert c.get((1, 2), sentinel) is None
-        assert c.get((3, 4), sentinel) is sentinel
-
-    def test_capacity_zero_disables(self):
-        c = RouteCache(0)
-        c.put((0, 1), "a")
-        assert len(c) == 0
-        assert c.get((0, 1)) is None
-        assert c.misses == 1
+        c.put(1, [None, None])
+        assert c.get(1, sentinel) == [None, None]
+        assert c.get(3, sentinel) is sentinel
 
     def test_invalidate_sources_selective(self):
-        c = RouteCache(16)
+        c = RouteCache()
         for u in (0, 1, 2):
-            for v in (5, 6):
-                c.put((u, v), u * 10 + v)
-        dropped = c.invalidate_sources({0, 2})
-        assert dropped == 4
-        assert c.get((1, 5)) == 15
-        assert c.get((0, 5)) is None
+            c.put(u, [u * 10 + v for v in (5, 6)])
+        assert c.invalidate_sources({0, 2, 7}) == 2
+        assert c.get(1) == [15, 16]
+        assert c.get(0) is None
 
     def test_registry_mirroring(self):
         reg = MetricsRegistry()
-        c = RouteCache(4, registry=reg)
-        c.put((0, 1), "a")
-        c.get((0, 1))
-        c.get((0, 2))
+        c = RouteCache(registry=reg)
+        c.put(0, ["a"])
+        c.get(0)
+        c.get(2)
         c.invalidate_sources({0})
         snap = reg.snapshot()["counters"]
         assert snap["serve.cache_hits"] == 1
         assert snap["serve.cache_misses"] == 1
         assert snap["serve.cache_invalidations"] == 1
 
-    # A small key space (4 sources x 4 targets) against capacities 0-5
-    # forces constant collisions, evictions, and whole-source drops.
-    _keys = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    _sources = st.integers(0, 3)
     _ops = st.lists(st.one_of(
-        st.tuples(st.just("put"), _keys, st.integers(0, 9)),
-        st.tuples(st.just("get"), _keys),
-        st.tuples(st.just("invalidate"),
-                  st.sets(st.integers(0, 3), max_size=3)),
+        st.tuples(st.just("put"), _sources, st.integers(0, 9)),
+        st.tuples(st.just("get"), _sources),
+        st.tuples(st.just("invalidate"), st.sets(_sources, max_size=3)),
         st.tuples(st.just("clear")),
     ), max_size=40)
 
     @settings(max_examples=150, deadline=None)
-    @given(capacity=st.integers(0, 5), ops=_ops)
-    def test_model_based_lru_consistency(self, capacity, ops):
-        """Under arbitrary put/get/invalidate/clear sequences the cache
-        tracks a model OrderedDict implementing textbook bounded LRU:
-        same contents, same recency order (checked through
-        ``batch_view``, whose iteration order IS the eviction order),
-        same hit/miss/eviction/invalidation counters after every
-        operation."""
-        c = RouteCache(capacity)
-        model = OrderedDict()
-        counts = {"hits": 0, "misses": 0, "evictions": 0,
-                  "invalidations": 0}
+    @given(ops=_ops)
+    def test_model_based_row_store(self, ops):
+        """Under arbitrary put-row/get/invalidate/clear sequences the
+        store tracks a model dict ``source -> row``: the same rows (by
+        identity), the same hit/miss/invalidation counters after every
+        operation, and nothing is ever evicted."""
+        c = RouteCache()
+        model = {}
+        counts = {"hits": 0, "misses": 0, "invalidations": 0}
         for op in ops:
             if op[0] == "put":
-                _, key, value = op
-                c.put(key, value)
-                if capacity > 0:
-                    if key in model:
-                        model.move_to_end(key)
-                    model[key] = value
-                    if len(model) > capacity:
-                        model.popitem(last=False)
-                        counts["evictions"] += 1
+                _, source, value = op
+                row = [value, None]
+                c.put(source, row)
+                model[source] = row
             elif op[0] == "get":
-                _, key = op
-                got = c.get(key, default="MISS")
-                if key in model:
-                    model.move_to_end(key)
+                _, source = op
+                got = c.get(source, default="MISS")
+                if source in model:
                     counts["hits"] += 1
-                    assert got == model[key]
+                    assert got is model[source]
                 else:
                     counts["misses"] += 1
                     assert got == "MISS"
             elif op[0] == "invalidate":
                 _, sources = op
-                stale = [k for k in model if k[0] in sources]
-                for k in stale:
-                    del model[k]
+                stale = [s for s in model if s in sources]
+                for s in stale:
+                    del model[s]
                 counts["invalidations"] += len(stale)
                 assert c.invalidate_sources(sources) == len(stale)
             else:  # clear
                 counts["invalidations"] += len(model)
                 assert c.clear() == len(model)
                 model.clear()
-            assert list(c.batch_view().items()) == list(model.items())
+            assert c.batch_view() == model
+            assert all(c.batch_view()[s] is row for s, row in model.items())
             assert len(c) == len(model)
-            assert (c.hits, c.misses, c.evictions, c.invalidations) == (
-                counts["hits"], counts["misses"], counts["evictions"],
-                counts["invalidations"])
+            assert (c.hits, c.misses, c.invalidations) == (
+                counts["hits"], counts["misses"], counts["invalidations"])
         total = counts["hits"] + counts["misses"]
         assert c.hit_rate == (counts["hits"] / total if total else 0.0)
         assert c.stats()["size"] == len(model)
+
+
+@st.composite
+def routing_graphs(draw):
+    """Small graphs with zero-weight arcs, nodes some sources cannot
+    reach, and (half the time) undirected edges."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.integers(0, 3)).filter(lambda e: e[0] != e[1]),
+        max_size=2 * n))
+    if draw(st.booleans()):
+        return WeightedDigraph.undirected_from_edges(n, edges)
+    return WeightedDigraph.from_edges(n, edges)
+
+
+class TestRouteRows:
+    @settings(max_examples=60, deadline=None)
+    @given(g=routing_graphs())
+    def test_row_entries_equal_table_routes(self, g):
+        """Every entry of every stored row equals the table's own
+        route walk, ``None`` where unreachable, ``(u,)`` for u -> u."""
+        o = DistanceOracle(g, method="bellman-ford")
+        every = [Query(u, v, "path") for u in range(g.n)
+                 for v in range(g.n)]
+        served = o.serve(every)
+        rows = o.cache.batch_view()
+        assert sorted(rows) == list(range(g.n))
+        for u, row in rows.items():
+            table = o.view.shard_for(u).table
+            assert row == [table.route(u, v) for v in range(g.n)]
+            assert row[u].path == (u,)
+        assert served == [rows[q.u][q.v] for q in every]
+
+    @pytest.mark.parametrize("corrupt", ["orphan", "cycle"])
+    def test_broken_parent_chain_names_the_pair(self, corrupt):
+        # 0 -> 1 -> 2 -> 3 and 0 -> 4: node 3 is a leaf of 0's tree,
+        # so only the pair 0 -> 3 is broken.
+        g = WeightedDigraph.from_edges(
+            5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 4, 1)])
+        o = DistanceOracle(g, method="bellman-ford")
+        parent = o.view.shard_for(0).table.parent[0]
+        if corrupt == "orphan":
+            parent[3] = None
+        else:
+            parent[3], parent[4] = 4, 3
+        with pytest.raises(ValueError, match="routing 0 -> 3"):
+            o.path(0, 3)
+        with pytest.raises(ValueError, match="routing 0 -> 3"):
+            o.path(0, 4)  # the row is built whole
+
+    def test_every_pair_twice_second_pass_never_misses(self):
+        # 65 * 65 = 4225 routes, more than the 4096 a pair-keyed LRU
+        # held: served in order, such a store missed every query of
+        # the second pass.  Rows hold every route of a source.
+        g = random_graph(65, p=0.1, w_max=6, zero_fraction=0.2, seed=3)
+        o = DistanceOracle(g)
+        every = [Query(u, v, "path") for u in range(g.n)
+                 for v in range(g.n)]
+        first = o.serve(every)
+        misses = o.cache.misses
+        assert o.serve(every) == first
+        assert o.cache.misses == misses
+        assert len(o.cache) == g.n
+        rows = dict(o.cache.batch_view())
+        u, v, w = sorted(g.edges())[0]
+        rec = o.refresh(EdgeUpdate(u, v, w + 5))
+        affected = set(rec.affected_sources)
+        assert 0 < len(affected) < g.n
+        assert rec.invalidated_entries == len(affected)
+        assert len(o.cache) == g.n - rec.invalidated_entries
+        # Only the affected sources' rows are rebuilt.
+        assert o.serve(every) == o.serve_naive(every)
+        for s, row in o.cache.batch_view().items():
+            assert (row is rows[s]) == (s not in affected)
 
 
 class TestOracleQueries:
@@ -264,24 +308,37 @@ class TestOracleQueries:
                 ask(4, 5)
 
     def test_out_of_range_target_rejected(self, oracle, graph):
-        # A negative target must not index the distance row from its end.
-        for kind in ("distance", "path"):
-            for v in (graph.n + 3, -1):
-                with pytest.raises(ValueError):
-                    oracle.serve([Query(0, v, kind)])
+        # A negative target must not index a row from its end: checked
+        # cold and again with source 0's route row warm.
+        for warm in (False, True):
+            if warm:
+                oracle.serve([Query(0, 1, "path")])
+                assert 0 in oracle.cache.batch_view()
+            for kind in ("distance", "path"):
+                for v in (graph.n, graph.n + 3, -1):
+                    with pytest.raises(ValueError):
+                        oracle.serve([Query(0, v, kind)])
 
     def test_distance_queries_bypass_the_cache(self, graph, oracle):
-        # Distances are row reads: no probe, no write-back, no
-        # eviction, even after path queries filled the cache.
+        # Distances are row reads: no probe and no write-back, even
+        # after path queries filled the store.
         oracle.serve([Query(0, v, "path") for v in range(graph.n)])
         cache = oracle.cache
-        before = (cache.hits, cache.misses, cache.evictions, len(cache))
+        before = (cache.hits, cache.misses, len(cache))
         want = truth(graph)
         qs = [Query(u, v, "distance") for u in (0, 5) for v in
               range(graph.n)]
         assert oracle.query_batch(qs) == [want[q.u][q.v] for q in qs]
-        assert (cache.hits, cache.misses, cache.evictions,
-                len(cache)) == before
+        assert (cache.hits, cache.misses, len(cache)) == before
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_serve_rejects_non_positive_batch_size(self, graph, oracle,
+                                                   size):
+        wl = generate_workload(graph.n, 12, seed=1)
+        with pytest.raises(ValueError, match="batch_size"):
+            oracle.serve(wl, batch_size=size)
+        with pytest.raises(ValueError, match="batch_size"):
+            serve_stream(oracle, wl, batch_size=size)
 
     def test_constructor_validation(self, graph):
         with pytest.raises(ValueError):
@@ -386,8 +443,8 @@ class TestRefresh:
         rec = o.refresh(EdgeUpdate(u, v, w + 2))
         unaffected = set(range(graph.n)) - set(rec.affected_sources)
         assert len(o.cache) == size_before - rec.invalidated_entries
-        # surviving entries all belong to unaffected sources
-        assert all(k[0] in unaffected for k in o.cache._data)
+        # surviving rows all belong to unaffected sources
+        assert set(o.cache.batch_view()) <= unaffected
 
     def test_node_leave_and_join(self, graph):
         o = DistanceOracle(graph, num_shards=2, method="bellman-ford")
@@ -425,8 +482,7 @@ class TestThreadedServing:
         # interleavings of probes, write-backs and refreshes.  Two
         # writers: a refresh that read a view another one was replacing
         # would lose an epoch.
-        o = DistanceOracle(graph, num_shards=4, method="bellman-ford",
-                           cache_size=64)
+        o = DistanceOracle(graph, num_shards=4, method="bellman-ford")
         wl = list(generate_workload(graph.n, 400, seed=12))
         edges = sorted(graph.edges())[:5]
         errors = []
@@ -570,6 +626,33 @@ class TestAsyncFrontend:
             assert fits, f"batch at {lo} matches no epoch from {epoch} on"
             epoch = fits[0]
         assert o.oracle_check() == []
+
+    def test_bad_point_query_fails_only_its_own_future(self):
+        # Three point queries coalesce into one chunk; the bad target
+        # must not fail its neighbours, and the retry is one more trip.
+        g = random_graph(12, p=0.3, w_max=5, zero_fraction=0.2, seed=4)
+        o = DistanceOracle(g, method="bellman-ford")
+
+        async def main():
+            async with AsyncFrontend(o) as fe:
+                submit = fe._pool.submit
+                jobs = []
+
+                def counting_submit(fn, *args, **kwargs):
+                    jobs.append(fn)
+                    return submit(fn, *args, **kwargs)
+
+                fe._pool.submit = counting_submit
+                answers = await asyncio.gather(
+                    fe.distance(0, 5), fe.distance(0, 99), fe.path(1, 3),
+                    return_exceptions=True)
+            return jobs, answers
+
+        jobs, (good, bad, route) = asyncio.run(main())
+        assert good == o.distance(0, 5) == dijkstra(g, 0)[0][5]
+        assert isinstance(bad, ValueError) and "99" in str(bad)
+        assert route == o.path(1, 3)
+        assert len(jobs) == 2
 
     def test_frontend_validation(self, oracle):
         with pytest.raises(ValueError):

@@ -1,12 +1,12 @@
 """Cache-under-churn property tests for the serving layer.
 
 The serving-layer guarantee under churn: after **any** stream of
-``EdgeUpdate`` events -- with queries interleaved so the LRU route
-cache is hot across every refresh epoch -- every distance the oracle
+``EdgeUpdate`` events -- with queries interleaved so the route-row
+store is warm across every refresh epoch -- every distance the oracle
 serves equals the Dijkstra ground truth on the current graph.  Stale
-cache entries surviving a refresh would break exactly this, so the
+route rows surviving a refresh would break exactly this, so the
 assertions go through the public query path -- ``path()``, whose
-routes the cache holds, next to ``distance()``, a table-row read --
+routes the store holds, next to ``distance()``, a table-row read --
 never the raw tables.
 """
 
@@ -58,9 +58,9 @@ def churn_scenarios(draw):
 
 def assert_all_served_match_dijkstra(oracle: DistanceOracle) -> None:
     """Every (source, target) answer equals ground truth on the
-    oracle's *current* graph: the distance, and the route through the
-    cache -- ``None`` iff unreachable, else its distance and its weight
-    walked on the current graph."""
+    oracle's *current* graph: the distance, and the route from the
+    route-row store -- ``None`` iff unreachable, else its distance and
+    its weight walked on the current graph."""
     g = oracle.graph
     for u in oracle.sources:
         want = dijkstra(g, u)[0]
@@ -86,13 +86,12 @@ def assert_all_served_match_dijkstra(oracle: DistanceOracle) -> None:
 @given(churn_scenarios())
 def test_served_distances_match_dijkstra_after_any_update_stream(scenario):
     g, batches, seed = scenario
-    oracle = DistanceOracle(g, num_shards=2, method="bellman-ford",
-                            cache_size=1024)
+    oracle = DistanceOracle(g, num_shards=2, method="bellman-ford")
     rng = random.Random(seed ^ 0xF00D)
 
     def warm_cache():
-        # Populate the cache with a spread of pairs so every refresh
-        # has live entries to keep or invalidate.
+        # Populate the store with a spread of pairs so every refresh
+        # has live rows to keep or drop.
         qs = [Query(rng.randrange(g.n), rng.randrange(g.n),
                     rng.choice(["distance", "path"]))
               for _ in range(2 * g.n)]
@@ -103,7 +102,7 @@ def test_served_distances_match_dijkstra_after_any_update_stream(scenario):
     for batch in batches:
         oracle.refresh(*batch)
         # The whole point: answers *after* the refresh go through the
-        # same cache the pre-refresh queries populated.
+        # same store the pre-refresh queries populated.
         assert_all_served_match_dijkstra(oracle)
         assert oracle.validate_shards() == []
         warm_cache()
@@ -119,23 +118,23 @@ def test_paths_stay_genuine_after_churn(scenario):
     """Served paths (not just distances) remain walkable on the
     current graph after every refresh."""
     g, batches, _ = scenario
-    oracle = DistanceOracle(g, num_shards=1, method="bellman-ford",
-                            cache_size=256)
+    oracle = DistanceOracle(g, num_shards=1, method="bellman-ford")
     for batch in batches:
         oracle.refresh(*batch)
     assert_all_served_match_dijkstra(oracle)
 
 
 def test_stale_route_check_has_teeth(monkeypatch):
-    """``assert_all_served_match_dijkstra`` must catch a cached route
-    that outlives its epoch: with per-source invalidation disabled, the
-    route 0 -> 1 -> 2 (weight 1) cached before the refresh survives
-    it."""
+    """``assert_all_served_match_dijkstra`` must catch a stored route
+    that outlives its epoch: with per-source invalidation disabled,
+    source 0's row stored before the refresh survives it.  The first
+    stale pair is 0 -> 1 (weight 1, now 51): ``path(0, 2)`` stored the
+    whole row."""
     monkeypatch.setattr(RouteCache, "invalidate_sources",
                         lambda self, sources: 0)
     g = WeightedDigraph.from_edges(3, [(0, 1, 1), (1, 2, 0), (0, 2, 7)])
     oracle = DistanceOracle(g, method="pipelined")
     assert oracle.path(0, 2).distance == 1
     oracle.refresh(EdgeUpdate(0, 1, 51))
-    with pytest.raises(AssertionError, match="stale route 0->2"):
+    with pytest.raises(AssertionError, match="stale route 0->1"):
         assert_all_served_match_dijkstra(oracle)
