@@ -444,8 +444,15 @@ def cmd_serve(args, out) -> int:
 
     from .obs import MetricsRegistry
     from .serve import DistanceOracle, generate_workload, serve_stream
+    from .serve.workload import check_batch_size
 
     g = gio.load(args.graph)
+    if args.serve_command == "bench":
+        # The workload arguments are checked before the oracle build,
+        # so a bad one costs no build.
+        wl = generate_workload(g.n, args.queries, seed=args.seed,
+                               skew=args.skew)
+        check_batch_size(args.batch_size)
     registry = MetricsRegistry()
     oracle = DistanceOracle(
         g, num_shards=args.shards, method=args.method,
@@ -494,9 +501,7 @@ def cmd_serve(args, out) -> int:
                   "matches Dijkstra)\n")
         return 0
 
-    # serve bench: replay a seeded Zipf workload, naive vs batched+cached
-    wl = generate_workload(g.n, args.queries, seed=args.seed,
-                           skew=args.skew)
+    # serve bench: replay the seeded Zipf workload, naive vs batched+cached
     t0 = _time.perf_counter()
     naive = oracle.serve_naive(wl)
     naive_s = _time.perf_counter() - t0

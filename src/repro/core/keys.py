@@ -69,34 +69,26 @@ def send_round(kappa: float, pos: int) -> int:
     return ceil_key(kappa + pos)
 
 
-def next_send_after(keys, r: int, *, pos_offset: int = 1):
-    """Earliest schedule slot strictly after round *r*: returns
-    ``(index, round)`` for the first entry of the sorted key column
-    whose scheduled round ``ceil(kappa_i + i + pos_offset)`` exceeds
-    *r*, or ``None`` when the schedule is exhausted.
+def first_due(keys, r: int, *, lo: int = 0, pos_offset: int = 1) -> int:
+    """Index of the first entry of the sorted ``(kappa, d, x)`` key
+    column whose scheduled round ``ceil(kappa_i + i + pos_offset)``
+    exceeds round *r*, searching from index *lo* (every entry below
+    *lo* must be due at or before *r*); ``len(keys)`` when none is.
 
     The schedule is strictly increasing along the column (sorted keys,
     consecutive positions -- Lemma II.2), so this is an O(log n)
-    bisection and the returned index is also the unique entry that
-    fires in the returned round.  *keys* holds plain kappa floats or
-    ``(kappa, d, x)`` sort keys.
+    bisection and the entry found is also the unique one that fires in
+    its round.  For an integer *r*, ``ceil(y) <= r`` iff ``y <= r``, so
+    the ceil is left out of the loop.
     """
-    if not keys:
-        return None
-    ceil = math.ceil
-    tup = type(keys[0]) is tuple
-    lo, hi = 0, len(keys)
+    hi = len(keys)
     while lo < hi:
         mid = (lo + hi) >> 1
-        kap = keys[mid][0] if tup else keys[mid]
-        if ceil(kap + mid + pos_offset) <= r:
+        if keys[mid][0] + mid + pos_offset <= r:
             lo = mid + 1
         else:
             hi = mid
-    if lo == len(keys):
-        return None
-    kap = keys[lo][0] if tup else keys[lo]
-    return lo, ceil(kap + lo + pos_offset)
+    return lo
 
 
 def max_entries_per_source(h: int, k: int, delta: int) -> float:

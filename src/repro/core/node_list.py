@@ -29,6 +29,21 @@ The list also implements the send schedule: an entry fires in round
     ``max_entries_any_source`` (a count-of-counts histogram), so the
     Invariant 2 monitor no longer recounts the list every round.
 
+  Two more pieces serve Algorithm 1's receive step and the columnar
+  kernel's send schedule:
+
+  - :meth:`NodeList.quota_insert` is Step 13 in one call.  "Fewer than
+    ``nu`` same-source entries at or below the key" fails exactly when
+    the source has at least ``nu`` entries and its ``nu``-th smallest
+    key is at or below the candidate's, so the quota is one key
+    comparison on the per-source key list.  An :class:`Entry` is built
+    only for an admitted candidate, which goes through :meth:`insert`.
+  - ``low_water`` is the lowest global index an insert or removal
+    touched since its reader last reset it to :data:`UNTOUCHED`.
+    Entries below it kept their index and key, so a send schedule
+    computed before the mutations still holds there
+    (:func:`repro.perf.columnar_pipelined._resume_index`).
+
 * :class:`ReferenceNodeList` -- the naive linear-scan implementation the
   kernels are differentially pinned against
   (tests/test_node_list_kernels.py replays Hypothesis-generated
@@ -46,6 +61,7 @@ suspected; the cost is the pre-kernel O(n) per query.
 from __future__ import annotations
 
 import os
+import sys
 from bisect import bisect_left, bisect_right
 from time import perf_counter as _perf
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -56,6 +72,10 @@ from ..obs.profiling import HOT as _HOT
 from .entries import Entry
 
 _Key = Tuple[float, int, int]
+
+#: ``NodeList.low_water`` when no insert or removal has happened since
+#: the mark was last reset (above every index).
+UNTOUCHED = sys.maxsize
 
 #: Paranoid cross-checking flag (module-global so the hot paths pay one
 #: global load).  Seeded from the environment, toggled by set_paranoid().
@@ -76,7 +96,7 @@ class NodeList:
     (kernel implementation -- see the module docstring)."""
 
     __slots__ = ("_entries", "_keys", "_src_entries", "_src_keys",
-                 "_count_freq", "_max_count")
+                 "_count_freq", "_max_count", "low_water")
 
     def __init__(self) -> None:
         self._entries: List[Entry] = []
@@ -89,6 +109,9 @@ class NodeList:
         #: count-of-counts histogram: {per-source count: #sources}.
         self._count_freq: Dict[int, int] = {}
         self._max_count = 0
+        #: Lowest global index an insert or removal touched since the
+        #: reader last set this back to UNTOUCHED.
+        self.low_water = UNTOUCHED
 
     # -- basic container --------------------------------------------------
 
@@ -146,7 +169,8 @@ class NodeList:
 
     def count_for_source_below(self, x: int, sort_key: _Key) -> int:
         """Number of entries for source *x* with key at most *sort_key*
-        (the Step 13 gating count), O(log s).
+        (the count Step 13 gates on; :meth:`quota_insert` decides the
+        gate without it), O(log s).
 
         Entries whose sort key ties the candidate's count as "below":
         a newly inserted entry goes *above* its equal-key twins (see
@@ -190,6 +214,8 @@ class NodeList:
         i = bisect_right(self._keys, key)
         self._entries.insert(i, entry)
         self._keys.insert(i, key)
+        if i < self.low_water:
+            self.low_water = i
         x = entry.x
         lst = self._src_entries.get(x)
         if lst is None:
@@ -215,6 +241,8 @@ class NodeList:
         """Remove *entry* (resident at *global_index*) from all indexes."""
         del self._entries[global_index]
         del self._keys[global_index]
+        if global_index < self.low_water:
+            self.low_water = global_index
         x = entry.x
         lst = self._src_entries[x]
         ks = self._src_keys[x]
@@ -304,6 +332,39 @@ class NodeList:
         if PARANOID:
             self._check_sorted()
         return i + 1, removed
+
+    def quota_insert(self, kappa: float, d: int, l: int, x: int,
+                     parent: Optional[int], nu: int, budget: Optional[int]
+                     ) -> Optional[Tuple[Entry, int, Optional[Entry]]]:
+        """Step 13 of Algorithm 1 for the candidate ``(kappa, d, l)``
+        from source *x*, relayed by *parent*, whose send advertised
+        *nu*: reject it when at least *nu* same-source entries sit at
+        or below its key ``(kappa, d, x)`` (ties count as below, as in
+        :meth:`count_for_source_below`), otherwise insert it with
+        *budget*, exactly as :meth:`insert` does.  Returns ``None`` on
+        a reject, else the new entry, its 1-based position and the
+        evicted entry (or ``None``).
+
+        The count reaches *nu* exactly when the source has at least
+        *nu* entries and the *nu*-th smallest of their keys is at or
+        below the candidate's, so the quota is one comparison; no
+        :class:`Entry` is built for a reject."""
+        ks = self._src_keys.get(x)
+        if ks is not None and 0 < nu <= len(ks):
+            full = ks[nu - 1] <= (kappa, d, x)
+        else:
+            full = nu < 1
+        if PARANOID:
+            i = bisect_right(self._keys, (kappa, d, x))
+            naive = sum(1 for e in self._entries[:i] if e.x == x)
+            assert full == (naive >= nu), \
+                f"quota_insert mismatch: one-key test {full}, " \
+                f"linear count {naive} against nu {nu}"
+        if full:
+            return None
+        z = Entry(kappa, d, l, x, parent=parent)
+        pos, removed = self.insert(z, budget)
+        return z, pos, removed
 
     def insert_sp(self, entry: Entry) -> int:
         """Insert a new flag-d* (shortest-path) entry, without eviction.
@@ -490,6 +551,15 @@ class ReferenceNodeList:
                     del self._keys[j]
                     break
         return i + 1, removed
+
+    def quota_insert(self, kappa: float, d: int, l: int, x: int,
+                     parent: Optional[int], nu: int, budget: Optional[int]
+                     ) -> Optional[Tuple[Entry, int, Optional[Entry]]]:
+        if self.count_for_source_below(x, (kappa, d, x)) >= nu:
+            return None
+        z = Entry(kappa, d, l, x, parent=parent)
+        pos, removed = self.insert(z, budget)
+        return z, pos, removed
 
     def insert_sp(self, entry: Entry) -> int:
         i = bisect_right(self._keys, entry.sort_key)

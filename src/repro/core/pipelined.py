@@ -221,10 +221,10 @@ class PipelinedSSPProgram(Program):
             return True
         # Step 13: non-SP quota gate, then Insert with eviction of the
         # closest non-SP same-source entry above.
-        if list_v.count_for_source_below(x, (kappa, d, x)) >= nu_in:
+        hit = list_v.quota_insert(kappa, d, l, x, y, nu_in, self.budget)
+        if hit is None:
             return False
-        z = Entry(kappa, d, l, x, parent=y)
-        pos, _removed = list_v.insert(z, self.budget)
+        z, pos, _removed = hit
         self._note_insert(r, z, pos)
         return True
 

@@ -14,12 +14,10 @@ The kernel owns no copy of ``list_v``: it works on the programs' own
 maps, and keeps only the bulk work around them.
 
 * **Step 1 (send rule)** ``ceil(kappa + pos) == r`` runs as rank
-  arithmetic on each list's key column
-  (:func:`repro.core.keys.next_send_after` -- the
-  strictly-increasing-schedule bisection), with the firing *index*
-  cached next to the scheduled round, so firing is one index into the
-  entry list and ``nu`` is the entry's per-source index + 1 (what
-  ``NodeList.nu_of`` returns);
+  arithmetic on each list's key column, with the firing *index* kept
+  next to the scheduled round (see "Scheduling" below), so firing is
+  one index into the entry list and ``nu`` is the entry's per-source
+  index + 1 (what ``NodeList.nu_of`` returns);
 * **Step 2 (deliveries)** run through the CSR gather: one flat
   ``(src, dst, w)`` edge batch per round, candidate ``d' = d + w``,
   ``l' = l + 1`` and ``kappa' = d' * gamma + l'`` computed for the
@@ -68,11 +66,23 @@ which only drops arrivals the fold rejects anyway.  The tallies, the
 fold, the snapshot refresh, the receiver epilogue and the rescheduling
 are the same code on both paths.
 
-Scheduling touches only what moved: a sender whose list the round left
-unchanged fires next at its following index (the schedule
-``ceil(kappa_i + i + 1)`` strictly increases in ``i``), only receivers
-whose list changed are re-bisected, and every other node keeps its
-slot.
+Scheduling touches only what moved
+----------------------------------
+The kernel keeps, for every node, the index of the first entry due
+after the last processed round, and the round that entry fires in.
+The schedule ``ceil(kappa_i + i + 1)`` strictly increases in ``i``, so
+a sender's index moves one past the entry it fired.  A receiver whose
+list changed resumes from its index too, without a search: each
+``NodeList`` keeps a low-water mark, the lowest index an insert or
+removal touched since the kernel last reset it, and when the mark is at
+or above the node's index the entry now sitting there is still the
+first one due (Invariant 1 puts every insert of round r at a position
+due after r; :func:`_resume_index` gives the whole argument).  Only a
+removal below the index -- ``fold``'s parent-id twin removal -- makes
+the kernel search, and then only from the mark.  Every other node keeps
+its slot.  The only full bisection
+(:func:`repro.core.keys.first_due`) is the one per node at the start of
+``run()``.
 
 Exactness contract
 ------------------
@@ -101,7 +111,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.keys import next_send_after
+from ..core.keys import first_due
+from ..core.node_list import UNTOUCHED
 from ..obs.profiling import HOT as _HOT
 from .fast_network import RoundLimitExceeded
 from . import columnar as _cmod
@@ -119,6 +130,27 @@ _DESTINATION = itemgetter(0)
 #: Below this many deliveries a round takes the small path (module
 #: docstring); the measured crossover is in docs/PERFORMANCE.md.
 SMALL_ROUND_DELIVERIES = 32
+
+
+def _resume_index(nl, first: int, r: int, pos_offset: int) -> int:
+    """The first index of *nl*'s send schedule due after round *r*,
+    given that *first* was that index before the inserts and removals
+    since *nl*'s low-water mark was last reset; resets the mark.
+
+    Entries below the mark kept their index and key.  When the mark is
+    at or above *first*, every insert and removal happened at or above
+    it, and whatever sits at *first* now is still due after *r*: an
+    entry inserted there was (Invariant 1, which ``fold`` asserts on
+    every insert), an insert only pushes entries up to later rounds,
+    and a removal at index j pulls down an entry whose key is at least
+    the removed one's.  Otherwise the search starts at the mark, below
+    which everything is due by *r*.
+    """
+    m = nl.low_water
+    nl.low_water = UNTOUCHED
+    if m >= first:
+        return first
+    return first_due(nl._keys, r, lo=m, pos_offset=pos_offset)
 
 
 class _PipelinedKernel:
@@ -180,7 +212,7 @@ class _PipelinedKernel:
         """Per-run dynamic eligibility on the memoized kernel: paranoid
         mode may have been toggled since the static scan (it re-checks
         ``fire_at`` / ``next_fire_after`` against the linear scan, and
-        the kernel's own schedule bisection bypasses both)."""
+        the kernel's own schedule bypasses both)."""
         from ..core import node_list as _node_list
         return not _node_list.PARANOID
 
@@ -250,6 +282,8 @@ class _PipelinedKernel:
         so :meth:`_round` still runs ``finish_receive`` for them."""
         self._programs = programs
         self._lists = [p.list_v for p in programs]
+        for nl in self._lists:
+            nl.low_water = UNTOUCHED
         snap = np.empty((self.n * self.k, 6))
         snap[:] = _EMPTY_ROW
         cells = [v * self.k + self._xi[x]
@@ -273,24 +307,6 @@ class _PipelinedKernel:
         top = sk[-1]
         return (b.d, b.l, -1 if b.parent is None else b.parent, len(sk),
                 top[0], top[1])
-
-    # -- send schedule -----------------------------------------------------
-
-    def _next_fire(self, keys: List[Tuple[float, int, int]], r: int):
-        """``(round, index)`` of the earliest fire strictly after round
-        *r* under the current positions, or ``(None, 0)``.  The index is
-        cached by the caller: the schedule is strictly increasing, so
-        the entry found here is exactly the one that fires in that
-        round, and any list mutation before then re-runs this bisection
-        (every round re-bisects the lists it changed)."""
-        off = 0 if _cmod._CORRUPTION == "send-rank-off-by-one" else 1
-        hit = next_send_after(keys, r, pos_offset=off)
-        if hit is None:
-            return None, 0
-        idx, nr = hit
-        if self.cutoff is not None and nr > self.cutoff:
-            return None, 0
-        return nr, idx
 
     # -- the round loop ----------------------------------------------------
 
@@ -319,16 +335,22 @@ class _PipelinedKernel:
         cutoff = self.cutoff
         ceil = _ceil  # hot loop: avoid attribute/global lookups
 
-        sched: List[Optional[int]] = [None] * n
-        firei: List[int] = [0] * n
-        heap: List[Tuple[int, int]] = []
+        # firei[v] is, for every node, the index of the first entry due
+        # after the last processed round; sched[v] is the round it
+        # fires in, or None when the schedule is exhausted or past the
+        # cutoff.
         prev_r = net._round
+        firei = [first_due(nl._keys, prev_r, pos_offset=pos_off)
+                 for nl in lists]
+        sched: List[Optional[int]] = [None] * n
+        heap: List[Tuple[int, int]] = []
         for v in range(n):
-            nr, idx = self._next_fire(lists[v]._keys, prev_r)
-            if nr is not None:
-                sched[v] = nr
-                firei[v] = idx
-                heap.append((nr, v))
+            i, keys_v = firei[v], lists[v]._keys
+            if i < len(keys_v):
+                nr = ceil(keys_v[i][0] + i + pos_off)
+                if cutoff is None or nr <= cutoff:
+                    sched[v] = nr
+                    heap.append((nr, v))
         heapify(heap)
 
         msg_count = 0
@@ -357,9 +379,12 @@ class _PipelinedKernel:
                 # Step 1: collect the round's senders (ascending node id,
                 # matching the event-driven loop's pop order), their
                 # payload columns and the round's delivery count.  The
-                # firing entry sits at the cached index; nu is its
-                # per-source index + 1 (NodeList.nu_of).  flag_sp is not
-                # collected: no receiver reads it.
+                # firing entry sits at firei[v], which then moves past
+                # it: the schedule ceil(kappa_i + i + off) strictly
+                # increases in i, so the next index is the first one due
+                # after r.  nu is the entry's per-source index + 1
+                # (NodeList.nu_of).  flag_sp is not collected: no
+                # receiver reads it.
                 senders: List[int] = []
                 send_d: List[int] = []
                 send_l: List[int] = []
@@ -371,7 +396,9 @@ class _PipelinedKernel:
                     if sched[v] != r:
                         continue
                     sched[v] = None
-                    e = lists[v]._entries[firei[v]]
+                    i = firei[v]
+                    e = lists[v]._entries[i]
+                    firei[v] = i + 1
                     senders.append(v)
                     send_d.append(e.d)
                     send_l.append(e.l)
@@ -396,43 +423,21 @@ class _PipelinedKernel:
                 else:
                     changed = {}
 
-                # Reschedule what moved.  A sender whose list the round
-                # left unchanged fires next at its following index: the
-                # schedule ceil(kappa_i + i + off) strictly increases in
-                # i, so that index is the first one due after r.  Only
-                # changed lists are re-bisected; every other node keeps
-                # its slot (its positions did not shift).
+                # Reschedule what moved: the senders and the receivers
+                # whose lists changed.  A changed list resumes its first
+                # due index from its low-water mark (_resume_index);
+                # every other node keeps its slot.
+                for v in changed:
+                    firei[v] = _resume_index(lists[v], firei[v], r, pos_off)
                 for v in senders:
-                    if v in changed:
-                        continue
-                    i = firei[v] + 1
-                    keys_v = lists[v]._keys
+                    changed[v] = None
+                for v in changed:
+                    i, keys_v = firei[v], lists[v]._keys
+                    nr = None
                     if i < len(keys_v):
                         nr = ceil(keys_v[i][0] + i + pos_off)
-                        if cutoff is None or nr <= cutoff:
-                            firei[v] = i
-                            sched[v] = nr
-                            heappush(heap, (nr, v))
-                # The bisection is _next_fire inlined, testing
-                # kappa + i + off <= r (equal to ceil(...) <= r for an
-                # integer r) -- this is the hottest loop after the fold.
-                for v in changed:
-                    keys_v = lists[v]._keys
-                    nk = len(keys_v)
-                    lo, hi = 0, nk
-                    while lo < hi:
-                        mid = (lo + hi) >> 1
-                        if keys_v[mid][0] + mid + pos_off <= r:
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                    if lo == nk:
-                        nr = None
-                    else:
-                        nr = ceil(keys_v[lo][0] + lo + pos_off)
                         if cutoff is not None and nr > cutoff:
                             nr = None
-                    firei[v] = lo
                     if nr != sched[v]:
                         sched[v] = nr
                         if nr is not None:

@@ -58,13 +58,14 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.routing import INF, Route, RoutingTable
 from ..graphs.digraph import WeightedDigraph
 from .cache import RouteCache
-from .workload import Query
+from .workload import Query, check_batch_size
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,10 @@ class DistanceOracle:
         Optional :class:`repro.obs.MetricsRegistry`; the oracle
         publishes ``serve.queries``, ``serve.batches``,
         ``serve.cache_*``, ``serve.refreshes``,
-        ``serve.refresh_rounds``, and a ``serve.epoch`` gauge into it.
+        ``serve.refresh_rounds``, a ``serve.epoch`` gauge and a
+        ``serve.refresh_s`` histogram (each :meth:`refresh` call's wall
+        time in seconds, waiting for a concurrent refresh included)
+        into it.
     """
 
     def __init__(self, graph: WeightedDigraph,
@@ -190,6 +194,8 @@ class DistanceOracle:
             if registry is not None else None
         self._epoch_gauge = registry.gauge("serve.epoch") \
             if registry is not None else None
+        self._refresh_hist = registry.histogram(
+            "serve.refresh_s", scale=1e-6) if registry is not None else None
 
         self.graph = graph
         self._partitions: Tuple[Tuple[int, ...], ...] = tuple(
@@ -327,8 +333,7 @@ class DistanceOracle:
               batch_size: int = 256) -> List[Any]:
         """Answer a whole stream through the batched path, one
         :meth:`query_batch` per *batch_size* queries."""
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        check_batch_size(batch_size)
         queries = list(queries)
         out: List[Any] = []
         for lo in range(0, len(queries), batch_size):
@@ -380,6 +385,7 @@ class DistanceOracle:
         only the affected sources' route rows are dropped.
         Concurrent refreshes run one at a time.
         """
+        t0 = time.perf_counter()
         with self._refresh_lock:
             dyn = self._dynamic_run()
             record = dyn.apply(*events)
@@ -416,6 +422,8 @@ class DistanceOracle:
                     record.rounds_to_repair)
             if self._epoch_gauge is not None:
                 self._epoch_gauge.set(new_epoch)
+            if self._refresh_hist is not None:
+                self._refresh_hist.observe(time.perf_counter() - t0)
             return rec
 
     # -- verification -------------------------------------------------

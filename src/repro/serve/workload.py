@@ -59,14 +59,19 @@ class Workload:
 
     def batches(self, size: int) -> Iterator[Tuple[Query, ...]]:
         """The stream in arrival-order batches of at most *size*."""
-        if size < 1:
-            raise ValueError(f"batch size must be >= 1, got {size}")
+        check_batch_size(size)
         it = iter(self.queries)
         while True:
             chunk = tuple(itertools.islice(it, size))
             if not chunk:
                 return
             yield chunk
+
+
+def check_batch_size(size: int) -> None:
+    """Refuse a batch size below 1 (``ValueError``)."""
+    if size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {size}")
 
 
 def _zipf_picker(rng: random.Random, population: Sequence[int],

@@ -311,6 +311,23 @@ class TestServeCommand:
         assert err.startswith("error:") and "batch_size" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--queries", "-5", "num_queries"),
+        ("--batch-size", "0", "batch_size"),
+        ("--skew", "-1", "skew"),
+    ])
+    def test_serve_bench_checks_workload_before_build(
+            self, graph_file, capsys, flag, value, name):
+        """A bad workload argument is refused before the oracle build:
+        the command prints no `oracle:` line, only one `error:` line."""
+        out = io.StringIO()
+        rc = main(["serve", "bench", graph_file, flag, value], out=out)
+        assert rc == 2
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert err.count("\n") == 1
+
     def test_serve_bad_shards_exits_2(self, graph_file, capsys):
         rc = main(["serve", "bench", graph_file, "--shards", "99"])
         assert rc == 2

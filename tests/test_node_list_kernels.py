@@ -16,10 +16,15 @@ Also covers the REPRO_PARANOID debug mode: a paranoid run over a full
 trace must be silent, and a deliberately corrupted kernel index must be
 *caught* by the paranoid cross-checks (that the checks can fail is the
 test that they check anything).
+
+Last, the columnar kernel's schedule resume
+(:func:`repro.perf.columnar_pipelined._resume_index`) is pinned against
+a full bisection on a real NodeList.
 """
 
 import math
 import random
+from bisect import bisect_right
 from typing import List, Optional, Tuple
 
 import pytest
@@ -28,6 +33,8 @@ from hypothesis import strategies as st
 
 from repro.core import Entry, NodeList, ReferenceNodeList, set_paranoid
 from repro.core import node_list as nl_mod
+from repro.core.keys import first_due
+from repro.perf.columnar_pipelined import _resume_index
 
 
 def _twin_pair(rng: random.Random, gamma: float, n_sources: int
@@ -73,7 +80,9 @@ def _run_trace(n_ops: int, seed: int, gamma: float, n_sources: int,
     live: List[Tuple[Entry, Entry]] = []
     for _step in range(n_ops):
         op = rng.random()
-        if op < 0.55 or not live:
+        if op < 0.15:
+            _quota_step(rng, gamma, n_sources, fast, slow, live)
+        elif op < 0.55 or not live:
             # plain insert under a randomly chosen eviction policy
             budget = rng.choice([None, 1, 2, 4])
             ef, es = _twin_pair(rng, gamma, n_sources)
@@ -127,6 +136,40 @@ def _run_trace(n_ops: int, seed: int, gamma: float, n_sources: int,
         assert (ff is None) == (sf is None)
         assert fast.next_fire_after(r) == slow.next_fire_after(r)
     return fast, slow
+
+
+def _quota_step(rng: random.Random, gamma: float, n_sources: int,
+                fast: NodeList, slow: ReferenceNodeList,
+                live: List[Tuple[Entry, Entry]]) -> None:
+    """Step 13 in one call on both lists: nu below, at and above the
+    source's entry count, and candidates whose key ties the nu-th
+    same-source key (a tie counts as below, so those are rejected).
+    Both sides must agree on the verdict, the position and the
+    victim."""
+    x = rng.randint(0, n_sources - 1)
+    same = [e for e in fast if e.x == x]
+    nu = max(0, len(same) + rng.choice([-2, -1, 0, 1, 2]))
+    if 1 <= nu <= len(same) and rng.random() < 0.4:
+        tie = same[nu - 1]
+        kappa, d, l = tie.kappa, tie.d, tie.l
+    else:
+        d, l = rng.randint(0, 8), rng.randint(0, 8)
+        kappa = d * gamma + l
+    budget = rng.choice([None, 1, 2, 4])
+    parent = rng.randint(0, 5)
+    admit = slow.count_for_source_below(x, (kappa, d, x)) < nu
+    hit_f = fast.quota_insert(kappa, d, l, x, parent, nu, budget)
+    hit_s = slow.quota_insert(kappa, d, l, x, parent, nu, budget)
+    assert (hit_f is not None) == (hit_s is not None) == admit
+    if hit_f is None:
+        return
+    (ef, pos_f, rem_f), (es, pos_s, rem_s) = hit_f, hit_s
+    assert pos_f == pos_s == fast.pos(ef)
+    assert (ef.sort_key, ef.l, ef.parent, ef.flag_sp) \
+        == (es.sort_key, es.l, es.parent, es.flag_sp) \
+        == ((kappa, d, x), l, parent, False)
+    live.append((ef, es))
+    _drop_pair(live, rem_f, rem_s)
 
 
 @st.composite
@@ -208,6 +251,14 @@ def test_paranoid_mode_catches_corrupted_index():
         e._li = 1  # break the identity index
         with pytest.raises((AssertionError, ValueError)):
             nl.nu_of(e)
+
+        nl = fresh()
+        # Source 0's keys are (0, 0, 0), (2, 2, 0), ...: two sit at or
+        # below (3, 3, 0), so nu = 2 is rejected.  A corrupted second
+        # key makes the one-comparison quota admit it.
+        nl._src_keys[0][1] = (99.0, 99, 0)
+        with pytest.raises(AssertionError, match="quota_insert"):
+            nl.quota_insert(3.0, 3, 0, 0, None, 2, None)
     finally:
         set_paranoid(prev)
 
@@ -249,3 +300,57 @@ def test_module_flag_reads_environment(tmp_path):
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "True"
     assert nl_mod.PARANOID in (True, False)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from([1.0, math.sqrt(2), 3.5, 0.25]))
+def test_resume_index_matches_full_bisection(seed, gamma):
+    """The kernel's resume after one round of mutations equals a full
+    bisection of the changed list.  The round r and its first-due index
+    are taken on a random list; then come inserts that pass Invariant 1
+    at r (the only ones ``fold`` lets through), with Insert's eviction,
+    and removals -- ``fold``'s parent-id twin removal, which can land
+    below the first-due index, and plain removals anywhere, which reach
+    the search from the low-water mark."""
+    rng = random.Random(seed)
+    nl = NodeList()
+    for _ in range(rng.randint(0, 30)):
+        d, l = rng.randint(0, 8), rng.randint(0, 8)
+        nl.insert_sp(Entry(d * gamma + l, d, l, rng.randint(0, 3),
+                           flag_sp=rng.random() < 0.3))
+    keys = nl._keys
+    if keys and rng.random() < 0.7:
+        # a round some entry fires in, so a twin can go just above it
+        j = rng.randrange(len(keys))
+        r = math.ceil(keys[j][0] + j + 1)
+    else:
+        r = rng.randint(0, 40)
+    first = first_due(keys, r)
+    nl.low_water = nl_mod.UNTOUCHED
+
+    def passes_invariant_1(kappa, d, x):
+        return math.ceil(kappa + bisect_right(nl._keys, (kappa, d, x)) + 1) > r
+
+    for _ in range(rng.randint(1, 8)):
+        op = rng.random()
+        if op < 0.5 or not len(nl):
+            d, l, x = rng.randint(0, 8), rng.randint(0, 8), rng.randint(0, 3)
+            kappa = d * gamma + l
+            if passes_invariant_1(kappa, d, x):
+                nl.insert(Entry(kappa, d, l, x), rng.choice([None, 1, 2, 4]))
+        elif op < 0.8:
+            # parent-id twin: the promoted twin goes above its equal
+            # keys, then the demoted one is removed from below it
+            below = nl.entries()[:first]
+            old = rng.choice(below if below and rng.random() < 0.7
+                             else nl.entries())
+            if passes_invariant_1(old.kappa, old.d, old.x):
+                nl.insert_sp(Entry(old.kappa, old.d, old.l, old.x,
+                                   flag_sp=True))
+                nl.remove(old)
+        else:
+            nl.remove(rng.choice(nl.entries()))
+    assert _resume_index(nl, first, r, 1) == first_due(nl._keys, r)
+    assert nl.low_water == nl_mod.UNTOUCHED

@@ -466,6 +466,15 @@ class TestRefresh:
         assert snap["counters"]["serve.refreshes"] == 1
         assert snap["counters"]["serve.refresh_rounds"] > 0
         assert snap["gauges"]["serve.epoch"] == 1
+        # One refresh, one positive wall-time observation.
+        [hist] = reg.histograms("serve.refresh_s")
+        assert hist.count == 1 and hist.total > 0
+
+    def test_no_registry_no_refresh_histogram(self, graph):
+        o = DistanceOracle(graph, num_shards=2, method="bellman-ford")
+        assert o._refresh_hist is None
+        u, v, w = max(graph.edges(), key=lambda e: e[2])
+        assert o.refresh(EdgeUpdate(u, v, 0)).epoch == 1
 
     def test_build_rounds_accumulates(self, graph):
         o = DistanceOracle(graph, num_shards=2, method="bellman-ford")
