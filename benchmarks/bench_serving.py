@@ -1,19 +1,18 @@
 """E22 -- serving layer: batched+cached oracle queries vs naive walks.
 
 The sweep (repro.analysis.sweep.sweep_serving) replays a seeded Zipf
-query workload against a :class:`repro.serve.DistanceOracle` (per-
-source-partition RoutingTable shards materialized by the k-source
-pipeline on the default engine) and measures the batched+cached
-steady-state serving throughput against the naive one-table-walk-per-
-query baseline, with the batched answers always asserted identical to
-the naive ones.  A ``build`` row per size times the same shard
-materialization on the columnar engine's per-message loop vs its
-pipelined bulk kernel, with the served-table digests asserted
-bit-equal.  Alongside the timed rows it exercises an incremental
-refresh (minimum-weight edge deleted; only affected sources recomputed,
-only their shards epoch-swapped, only their route rows dropped;
-post-refresh distances and paths Dijkstra-checked, the paths read from
-the route-row store) and pins
+query workload against a :class:`repro.serve.DistanceOracle` (one
+RoutingTable materialized by the k-source pipeline on the default
+engine) and measures the batched+cached steady-state serving
+throughput against the naive one-table-walk-per-query baseline, with
+the batched answers always asserted identical to the naive ones.  A
+``build`` row per size times the same table materialization on the
+columnar engine's per-message loop vs its pipelined bulk kernel, with
+the served-table digests asserted bit-equal.  Alongside the timed rows
+it exercises an incremental refresh (minimum-weight edge deleted; only
+affected sources recomputed, a new table view published, only their
+route rows dropped; post-refresh distances and paths Dijkstra-checked,
+the paths read from the view's route rows) and pins
 the served-table digests bit-identical across both simulator
 backends.
 

@@ -11,7 +11,7 @@ going after a failure and exits 1 if any gate failed.
 
 A check takes the sweep's report and returns ``None`` on a pass or the
 reason it failed.  Correctness the sweeps assert themselves (batched
-answers, shard digests, Dijkstra checks, cross-backend digests) needs
+answers, table digests, Dijkstra checks, cross-backend digests) needs
 no check here: a sweep that raises fails its gate.
 
 The gates run fresh every time instead of through the campaign cache:

@@ -645,21 +645,21 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
       steady-state seconds (route rows built by one pass, then best
       of ``repeats``) -- the quantity the >= 5x CI gate
       (benchmarks/gates.py) checks at the largest size.
-    * ``row=build`` -- shard materialization wall-clock on
+    * ``row=build`` -- table materialization wall-clock on
       ``backend="columnar"``, the engine's per-message loop (the kernel
       registry emptied) vs the pipelined bulk kernel
-      (:mod:`repro.perf.columnar_pipelined`), which carries every
-      shard's k-source run.  ``measured`` is loop seconds / kernel
+      (:mod:`repro.perf.columnar_pipelined`), which carries the build's
+      k-source run.  ``measured`` is loop seconds / kernel
       seconds (best of ``repeats``); the served-table digests and build
       round counts are always asserted identical (``tables_match``) --
       the speedup is only reported for tables that are bit-equal.
     * ``row=refresh`` -- an :class:`~repro.recovery.EdgeUpdate` deleting
       a minimum-weight edge; ``measured`` is
       ``rounds_to_repair`` (deterministic), with the affected-source /
-      rebuilt-shard / dropped-route-row (``invalidated``) counts
-      alongside, and the post-refresh distances and paths re-checked
-      against Dijkstra (:meth:`DistanceOracle.oracle_check`), the paths
-      read from the route-row store (``correct``).
+      dropped-route-row (``invalidated``) counts alongside, and the
+      post-refresh distances and paths re-checked against Dijkstra
+      (:meth:`DistanceOracle.oracle_check`), the paths read from the
+      view's route rows (``correct``).
     * ``row=digest`` -- a small oracle built and refreshed identically
       on both simulator backends (reference, columnar); asserts
       bit-identical :meth:`DistanceOracle.digest` values
@@ -668,7 +668,7 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
     ``timing=False`` switches to the deterministic mode used by the
     CI smoke campaign (``benchmarks/campaigns/smoke.json``): no clocks
     -- ``row=serve`` reports the table-build round count with the
-    route-row store's hit/miss tallies of path probes (exact replays of
+    route-row hit/miss tallies of path probes (exact replays of
     a seeded stream, so bit-stable across machines),
     ``row=build`` reports the (backend-invariant) build round count
     with the digest comparison still enforced; the refresh and digest
@@ -683,7 +683,7 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
                "Dijkstra-correct; table digests backend-pinned")
     for n, p, num_queries in sizes:
         g = random_graph(n, p=p, w_max=6, zero_fraction=0.2, seed=seed)
-        oracle = DistanceOracle(g, num_shards=4)
+        oracle = DistanceOracle(g)
         wl = generate_workload(n, num_queries, seed=seed, skew=skew)
         naive = oracle.serve_naive(wl)
         served = oracle.serve(wl)   # cold pass; also builds route rows
@@ -716,20 +716,19 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
                     distinct_pairs=wl.distinct_pairs(),
                     answers_match=1)
 
-        # Shard build time: the same pipelined materialization on the
+        # Table build time: the same pipelined materialization on the
         # engine's per-message loop vs the columnar bulk kernel.  Built
         # before the refresh below mutates the serving graph.
         bbase = {"n": n, "p": p, "queries": num_queries, "seed": seed,
                  "skew": skew, "row": "build"}
         def build():
-            return DistanceOracle(g, num_shards=4, method="pipelined",
-                                  backend="columnar")
+            return DistanceOracle(g, method="pipelined", backend="columnar")
         (loop_s, loop_o), (col_s, col_o) = _best_of(
             repeats if timing else 1, _on_loop(build), build)
         if (loop_o.digest() != col_o.digest()
                 or loop_o.build_rounds != col_o.build_rounds):
             raise AssertionError(
-                f"E22 n={n}: the kernel's shard build diverges from the "
+                f"E22 n={n}: the kernel's table build diverges from the "
                 f"per-message loop's -- build speedup would be "
                 f"meaningless")
         if timing:
@@ -752,7 +751,6 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
                  "skew": skew, "row": "refresh"},
                 measured=rec.rounds_to_repair,
                 affected=len(rec.affected_sources),
-                shards_rebuilt=len(rec.rebuilt_shards),
                 invalidated=rec.invalidated_entries,
                 epoch=rec.epoch,
                 correct=int(correct))
@@ -764,8 +762,7 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
     u, v, w = min(sorted(g.edges()), key=lambda e: (e[2], e))
     digests = {}
     for backend in ("reference", "columnar"):
-        o = DistanceOracle(g, num_shards=3, method="pipelined",
-                           backend=backend)
+        o = DistanceOracle(g, method="pipelined", backend=backend)
         o.refresh(EdgeUpdate(u, v, None))
         assert not o.oracle_check(), (
             f"E22 digest row: backend {backend} serves wrong distances")

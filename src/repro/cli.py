@@ -455,10 +455,8 @@ def cmd_serve(args, out) -> int:
         check_batch_size(args.batch_size)
     registry = MetricsRegistry()
     oracle = DistanceOracle(
-        g, num_shards=args.shards, method=args.method,
-        backend=args.backend, registry=registry)
+        g, method=args.method, backend=args.backend, registry=registry)
     out.write(f"oracle: n={g.n} sources={len(oracle.sources)} "
-              f"shards={len(oracle.view.shards)} "
               f"build rounds={oracle.build_rounds}\n")
 
     if args.serve_command == "demo":
@@ -481,7 +479,6 @@ def cmd_serve(args, out) -> int:
             rec = oracle.refresh(*events)
             out.write(f"refresh: epoch {rec.epoch}, "
                       f"{len(rec.affected_sources)} affected source(s), "
-                      f"{len(rec.rebuilt_shards)} shard(s) rebuilt, "
                       f"{rec.invalidated_entries} route row(s) "
                       f"dropped, {rec.rounds_to_repair} repair "
                       f"rounds\n")
@@ -528,7 +525,7 @@ def cmd_serve(args, out) -> int:
               f"path hit rate: {stats['hit_rate']:.3f} "
               f"({int(stats['hits'])} hits / "
               f"{int(stats['misses'])} misses, "
-              f"{int(stats['size'])} route rows)\n")
+              f"{len(oracle.view.routes)} route rows)\n")
     return 0
 
 
@@ -819,8 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "stream)")
     svb.add_argument("--skew", type=float, default=1.2,
                      help="Zipf popularity skew (default 1.2)")
-    svb.add_argument("--shards", type=int, default=None,
-                     help="source partitions (default ~sqrt(n))")
     svb.add_argument("--batch-size", type=int, default=256,
                      help="queries per query_batch call (>= 1)")
     svb.add_argument("--method", default="auto",
@@ -844,7 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
     svd.add_argument("--join", action="append", metavar="V:U-V-W;...",
                      help="(re-)attach node V with the given edges; "
                           "repeatable")
-    svd.add_argument("--shards", type=int, default=None)
     svd.add_argument("--method", default="auto",
                      choices=["auto", "pipelined", "blocker",
                               "bellman-ford"])

@@ -196,7 +196,7 @@ class RoutingTable:
         self-distances.
 
         Unlike a plain assertion, *all* violations are collected (one
-        message per broken pair) and returned, so a shard-swap sanity
+        message per broken pair) and returned, so a table-swap sanity
         check can report the full damage in one pass.  With
         ``raise_on_violation=True`` (the default) a non-empty collection
         raises a single :class:`AssertionError` listing every violation.

@@ -25,6 +25,17 @@ class GraphError(ValueError):
     """Invalid graph construction (negative weight, bad endpoint, ...)."""
 
 
+def check_weight(u: int, v: int, w: object) -> None:
+    """Refuse an edge weight the graph model does not accept: it must be
+    an ``int`` (not a ``bool``) and non-negative."""
+    if not isinstance(w, int) or isinstance(w, bool):
+        raise GraphError(f"edge weight must be an int, got {w!r}")
+    if w < 0:
+        raise GraphError(
+            f"negative edge weight {w} on ({u},{v}): the paper's "
+            "algorithms require non-negative integer weights")
+
+
 class WeightedDigraph:
     """An immutable-after-freeze weighted digraph.
 
@@ -57,12 +68,7 @@ class WeightedDigraph:
             raise GraphError(f"edge ({u},{v}) out of range for n={self.n}")
         if u == v:
             raise GraphError(f"self-loop at node {u} rejected")
-        if not isinstance(w, (int,)) or isinstance(w, bool):
-            raise GraphError(f"edge weight must be an int, got {w!r}")
-        if w < 0:
-            raise GraphError(
-                f"negative edge weight {w} on ({u},{v}): the paper's "
-                "algorithms require non-negative integer weights")
+        check_weight(u, v, w)
         key = (u, v)
         old = self._w.get(key)
         if old is None or w < old:

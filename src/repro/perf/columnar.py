@@ -16,7 +16,7 @@ The columnar engine eliminates it for two program families: the
 **pipelined (h, k)-SSP family**
 (:class:`~repro.core.pipelined.PipelinedSSPProgram`, bulk kernel in
 :mod:`repro.perf.columnar_pipelined` -- the hot path behind every
-Table I experiment and every serve-layer shard build).  For the
+Table I experiment and every serve-layer table build).  For the
 relaxation family, per-node state lives in flat columns (distances,
 arrival rounds, parents, the send schedule), the graph lives in CSR
 arrays, and each round's sends, deliveries, distance updates, and

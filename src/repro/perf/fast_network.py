@@ -2,10 +2,12 @@
 
 :class:`FastNetwork` is the loop :class:`~repro.perf.columnar.ColumnarNetwork`
 inherits and runs for every program no bulk kernel covers and for every
-hooked run; it is not a registered backend of its own.  It implements
-the exact ``run(max_rounds) -> RunMetrics`` contract of
-:class:`repro.congest.network.Network` -- same constructor signature,
-same validation errors, same resumption semantics, same post-mortem on
+hooked run; it is not a registered backend of its own.  It subclasses
+:class:`repro.congest.network.Network` and overrides only ``run``: the
+constructor, its validation errors, the outputs and the core-state
+protocol of checkpoints are the reference's own.  ``run`` keeps the
+exact ``run(max_rounds) -> RunMetrics`` contract -- same resumption
+semantics, same post-mortem on
 :class:`~repro.congest.network.RoundLimitExceeded` -- but replaces the
 reference backend's per-round O(n) scans with an event-driven worklist,
 so a round costs O(active nodes) instead of O(n).
@@ -79,96 +81,27 @@ from __future__ import annotations
 import heapq
 from operator import attrgetter
 from time import perf_counter as _perf
-from typing import Any, Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..congest.message import CongestionError, Envelope, MessageSizeError
 from ..congest.metrics import RunMetrics
 from ..congest.network import Network, RoundLimitExceeded
-from ..congest.node import NodeContext, Program
 from ..obs.profiling import HOT as _HOT
 
 _SRC = attrgetter("src")
 
 
-class FastNetwork:
+class FastNetwork(Network):
     """The event-driven loop, a drop-in for
-    :class:`repro.congest.network.Network`.
-
-    Accepts the same constructor arguments, raises the same validation
-    errors, and honors the same hooks (``fault_plan``, ``monitor``,
-    ``tracer``, ``registry``, ``record_window``); see the reference
-    class for parameter semantics.
+    :class:`repro.congest.network.Network`: everything but :meth:`run`
+    is inherited, so it accepts the same constructor arguments, raises
+    the same validation errors, and honors the same hooks
+    (``fault_plan``, ``monitor``, ``tracer``, ``registry``,
+    ``record_window``).  The worklist heap is rebuilt from the programs
+    at every ``run()`` entry, so the inherited core-state protocol needs
+    nothing backend-specific and a checkpoint taken on one backend
+    restores onto the other.
     """
-
-    def __init__(self, graph: Any,
-                 program_factory: Callable[[int], Program],
-                 *,
-                 max_message_words: int = 8,
-                 channel_capacity: int = 1,
-                 fault_plan: Any = None,
-                 monitor: Any = None,
-                 tracer: Any = None,
-                 registry: Any = None,
-                 record_window: int = 0) -> None:
-        n = getattr(graph, "n", None)
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(
-                f"graph must have at least one node (graph.n >= 1), got "
-                f"n={n!r}: a CONGEST network needs processors to simulate")
-        if max_message_words < 1:
-            raise ValueError(
-                f"max_message_words must be >= 1 (a message must be able "
-                f"to carry at least one O(log n)-bit word), got "
-                f"{max_message_words}")
-        if channel_capacity < 1:
-            raise ValueError(
-                f"channel_capacity must be >= 1 (each directed channel "
-                f"carries at least one message per round in CONGEST), got "
-                f"{channel_capacity}")
-        if record_window < 0:
-            raise ValueError(
-                f"record_window must be >= 0 rounds, got {record_window}")
-        self.graph = graph
-        self.n = n
-        self.max_message_words = max_message_words
-        self.channel_capacity = channel_capacity
-        self.monitor = monitor
-        self.tracer = tracer
-        self.registry = registry
-        self.record_window = record_window
-        # Reuse the reference backend's plan normalisation: a trivial
-        # (all-zero) FaultPlan takes the zero-overhead path, and the
-        # same TypeError fires on bad arguments.
-        self.fault_injector = Network._make_injector(fault_plan)
-        if self.fault_injector is not None and tracer is not None:
-            self.fault_injector.tracer = tracer
-        self.trace = None
-        if record_window > 0:
-            from ..congest.events import RingTraceRecorder
-            self.trace = RingTraceRecorder(record_window)
-        self.programs: List[Program] = []
-        self.contexts: List[NodeContext] = []
-        for v in range(n):
-            self.programs.append(program_factory(v))
-            self.contexts.append(NodeContext(
-                node=v, n=n,
-                out_edges=graph.out_edges(v),
-                in_edges=graph.in_edges(v),
-                comm_neighbors=graph.comm_neighbors(v),
-            ))
-        self.metrics = RunMetrics()
-        self._started = False
-        #: Last processed round; ``run`` resumes from here (same
-        #: absolute-``max_rounds`` re-run contract as the reference).
-        self._round = 0
-        self._published = None
-
-    # ------------------------------------------------------------------
-
-    def _post_mortem(self, reason: str, r: int,
-                     next_round: Optional[List[Optional[int]]]):
-        from ..faults.watchdog import build_post_mortem
-        return build_post_mortem(self, reason, r, next_round)
 
     def run(self, max_rounds: int) -> RunMetrics:
         """Execute rounds until every node is quiescent.
@@ -390,19 +323,3 @@ class FastNetwork:
                     registry, metrics, state=self._published)
 
         return metrics
-
-    # ------------------------------------------------------------------
-
-    # Same core-state protocol as the reference backend -- the worklist
-    # heap is rebuilt from the programs at every run() entry, so nothing
-    # backend-specific needs serializing and a checkpoint taken on one
-    # backend restores onto the other.
-    core_state = Network.core_state
-    restore_core_state = Network.restore_core_state
-
-    def outputs(self) -> List[Any]:
-        """Per-node outputs after :meth:`run` (``Program.output``)."""
-        return [self.programs[v].output(self.contexts[v]) for v in range(self.n)]
-
-    def output_of(self, v: int) -> Any:
-        return self.programs[v].output(self.contexts[v])

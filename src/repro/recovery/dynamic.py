@@ -55,6 +55,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..congest.metrics import RunMetrics, merge_sequential
 from ..graphs import WeightedDigraph
+from ..graphs.digraph import check_weight
 
 INF = float("inf")
 
@@ -75,10 +76,8 @@ class EdgeUpdate:
     def __post_init__(self) -> None:
         if self.u == self.v:
             raise ValueError(f"self-loop update ({self.u},{self.v})")
-        if self.weight is not None and self.weight < 0:
-            raise ValueError(
-                f"edge weight must be a non-negative integer or None "
-                f"(delete), got {self.weight}")
+        if self.weight is not None:
+            check_weight(self.u, self.v, self.weight)
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,7 @@ class NodeJoin:
                     f"{self.node}")
             if u == v:
                 raise ValueError(f"self-loop join edge ({u},{v})")
-            if w < 0:
-                raise ValueError(f"negative join weight {w}")
+            check_weight(u, v, w)
 
 
 Event = Any  # EdgeUpdate | NodeLeave | NodeJoin
@@ -160,20 +158,13 @@ class DynamicRun:
         Optional :class:`~repro.obs.MetricsRegistry`; accumulated
         metrics (including ``rounds_to_repair``) are mirrored after the
         initial compute and every batch.
-    keep_parents:
-        Also maintain per-source parent pointers (:attr:`parents`),
-        repaired alongside :attr:`table` on every batch -- what a
-        routing/serving layer (:mod:`repro.serve`) needs to rebuild
-        :class:`~repro.core.RoutingTable` shards for exactly the
-        affected sources.
-    initial_table / initial_parents:
-        A precomputed distance table (and, with ``keep_parents``,
-        parent table) covering every source: the initial compute is
-        skipped and the run starts from the given state with zero
-        metrics.  The caller vouches the tables are exact for *graph*
-        -- :class:`repro.serve.DistanceOracle` uses this to hand over
-        the tables it already materialized shard by shard, instead of
-        computing them twice.
+
+    Next to :attr:`table` the run keeps per-source parent pointers
+    (:attr:`parents`), repaired alongside it on every batch: what a
+    routing/serving layer (:mod:`repro.serve`) needs to wrap the
+    repaired rows in a :class:`~repro.core.RoutingTable`.  ``apply``
+    replaces the affected sources' entries of both dicts in place, so
+    a caller that must keep an epoch's rows copies the dicts.
     """
 
     def __init__(self, graph: WeightedDigraph,
@@ -185,11 +176,7 @@ class DynamicRun:
                  max_rounds: Optional[int] = None,
                  monitor_factory: Optional[Callable[..., Any]] = None,
                  compare_full: bool = False,
-                 registry: Any = None,
-                 keep_parents: bool = False,
-                 initial_table: Optional[Dict[int, List[float]]] = None,
-                 initial_parents: Optional[
-                     Dict[int, List[Optional[int]]]] = None) -> None:
+                 registry: Any = None) -> None:
         if sources is None:
             sources = range(graph.n)
         self.sources: Tuple[int, ...] = tuple(dict.fromkeys(sources))
@@ -207,39 +194,15 @@ class DynamicRun:
         self.monitor_factory = monitor_factory
         self.compare_full = compare_full
         self.registry = registry
-        self.keep_parents = keep_parents
         self._published = None
 
         self.graph = graph
         self._arcs: Dict[Tuple[int, int], int] = {
             (u, v): w for u, v, w in graph.edges()}
         self.history: List[RepairRecord] = []
-        #: Per-source parent pointers (only with ``keep_parents``).
-        self.parents: Dict[int, List[Optional[int]]] = {}
-
-        if initial_table is not None:
-            missing = [s for s in self.sources if s not in initial_table]
-            if missing:
-                raise ValueError(
-                    f"initial_table missing sources {missing}")
-            self.table = {s: list(initial_table[s]) for s in self.sources}
-            if keep_parents:
-                if initial_parents is None or any(
-                        s not in initial_parents for s in self.sources):
-                    raise ValueError(
-                        "keep_parents with initial_table needs "
-                        "initial_parents covering every source")
-                self.parents = {s: list(initial_parents[s])
-                                for s in self.sources}
-            self.metrics = RunMetrics()
-        else:
-            if initial_parents is not None:
-                raise ValueError(
-                    "initial_parents given without initial_table")
-            self.table, initial = self._compute(graph, self.sources)
-            if keep_parents:
-                self.parents = self._new_parents
-            self.metrics = initial
+        #: Per-source distance rows and parent pointers.
+        self.table, self.parents, self.metrics = self._compute(
+            graph, self.sources)
         self._publish()
 
     # -- graph bookkeeping --------------------------------------------
@@ -347,14 +310,13 @@ class DynamicRun:
         return 20 * (n + 2) + 100
 
     def _compute(self, graph: WeightedDigraph, sources: Sequence[int]
-                 ) -> Tuple[Dict[int, List[float]], RunMetrics]:
-        """Distances for *sources* on *graph* plus the execution metrics
-        (the repair pipeline; identical on both backends).  With
-        ``keep_parents`` the freshly computed parent rows are staged in
-        ``self._new_parents`` for the caller to adopt."""
-        self._new_parents: Dict[int, List[Optional[int]]] = {}
+                 ) -> Tuple[Dict[int, List[float]],
+                            Dict[int, List[Optional[int]]], RunMetrics]:
+        """Distance rows and parent rows for *sources* on *graph*, plus
+        the execution metrics (the repair pipeline; identical on both
+        backends)."""
         if not sources:
-            return {}, RunMetrics()
+            return {}, {}, RunMetrics()
         monitor = (self.monitor_factory(graph, tuple(sources))
                    if self.monitor_factory is not None else None)
         if self.fault_plan is not None:
@@ -365,16 +327,18 @@ class DynamicRun:
             kwargs["monitor"] = monitor
         res = k_ssp(graph, list(sources), method=self.method,
                     backend=self.backend, **kwargs)
-        if self.keep_parents:
-            self._new_parents = {s: list(res.parent[s]) for s in sources}
-        return {s: list(res.dist[s]) for s in sources}, res.metrics
+        return ({s: list(res.dist[s]) for s in sources},
+                {s: list(res.parent[s]) for s in sources}, res.metrics)
 
     def _compute_recoverable(self, graph: WeightedDigraph,
                              sources: Sequence[int], monitor: Any
-                             ) -> Tuple[Dict[int, List[float]], RunMetrics]:
+                             ) -> Tuple[Dict[int, List[float]],
+                                        Dict[int, List[Optional[int]]],
+                                        RunMetrics]:
         from ..core.bellman_ford import BellmanFordProgram
         from .recover import run_recoverable
         dist: Dict[int, List[float]] = {}
+        parents: Dict[int, List[Optional[int]]] = {}
         parts: List[RunMetrics] = []
         max_rounds = self._default_max_rounds(graph)
         for s in sources:
@@ -387,10 +351,9 @@ class DynamicRun:
                 checkpoint_every=self.checkpoint_every,
                 backend=self.backend, monitor=monitor)
             dist[s] = [out[0] for out in outputs]
-            if self.keep_parents:
-                self._new_parents[s] = [out[2] for out in outputs]
+            parents[s] = [out[2] for out in outputs]
             parts.append(metrics)
-        return dist, merge_sequential(*parts)
+        return dist, parents, merge_sequential(*parts)
 
     # -- the public driver --------------------------------------------
 
@@ -408,18 +371,16 @@ class DynamicRun:
         affected = self._affected(events, new_arcs)
         new_graph = self._rebuild(new_arcs)
 
-        repaired, repair_metrics = self._compute(new_graph, affected)
-        repaired_parents = self._new_parents
-        for s in affected:
-            self.table[s] = repaired[s]
-            if self.keep_parents:
-                self.parents[s] = repaired_parents[s]
+        repaired, repaired_parents, repair_metrics = self._compute(
+            new_graph, affected)
+        self.table.update(repaired)
+        self.parents.update(repaired_parents)
         repair_metrics.rounds_to_repair = repair_metrics.rounds
         self.metrics = self.metrics.merged_with(repair_metrics)
 
         full_rounds: Optional[int] = None
         if self.compare_full:
-            _table, full_metrics = self._compute(new_graph, self.sources)
+            _, _, full_metrics = self._compute(new_graph, self.sources)
             full_rounds = full_metrics.rounds
 
         self.graph = new_graph

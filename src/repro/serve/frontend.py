@@ -2,7 +2,7 @@
 
 The event loop accepts queries and hands every read to a
 ``ThreadPoolExecutor`` worker, so it stays free to accept more while a
-read runs.  Table reads are pure Python over immutable
+read runs.  Table reads are pure Python over per-epoch
 :class:`~repro.serve.oracle.TableView` snapshots, so under the GIL the
 pool runs no two reads in parallel; what it buys is a responsive loop.
 Each pool trip therefore carries as much work as it can:

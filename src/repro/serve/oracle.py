@@ -2,52 +2,44 @@
 
 :class:`DistanceOracle` is the product the paper's algorithms exist
 for.  It materializes full distance + next-hop tables with **one**
-k-source pipeline over every served source, slices the rows into
-round-robin **shards** (the unit a refresh rebuilds and swaps), wraps
-each shard in a :class:`~repro.core.RoutingTable`, and answers
-``distance(u, v)`` / ``path(u, v)`` point queries out of them.  A
+k-source pipeline over every served source (the initial compute of its
+:class:`~repro.recovery.DynamicRun`), wraps them in one
+:class:`~repro.core.RoutingTable` per epoch, and answers
+``distance(u, v)`` / ``path(u, v)`` point queries out of it.  A
 distance answer is one read of the epoch's ``dist[u][v]`` (the exact
 distance Theorem I.1 leaves at every node), and a path answer one read
 of its source's *route row*: every route from that source, built in
 one pass over its parent row the first time the epoch is asked for
-one (:mod:`repro.serve.cache`).
+one.
 
 Epoch-versioned tables
 ----------------------
-All shard state hangs off one immutable :class:`TableView` object; a
-query batch captures the current view once and reads only it, so a
-concurrent :meth:`DistanceOracle.refresh` -- which builds *new* shard
-objects for the affected sources and publishes a whole new view -- can
-never show a query a half-swapped table.  In-flight queries simply
-finish against the epoch they started on.
-
-The route store holds rows of the current view only.  Its one lock
-(:attr:`RouteCache.lock`) is taken twice per batch -- once for the
-pass that resolves the view and reads the answers, once to write the
-newly built rows back -- and once per refresh, around publishing the
-new view and dropping the affected sources' rows.  A batch whose view
-is no longer current neither reads nor writes the store, so a row
-built on a superseded table can never land after the invalidation
-that should have dropped it.  Refreshes are serialized by their own
-lock.
+An epoch is one :class:`TableView`: its table and the route rows built
+from that table.  A query batch captures the current view once and
+reads and fills only it, so a concurrent
+:meth:`DistanceOracle.refresh` -- which publishes a whole new view --
+can never show a query a half-swapped table, and a batch still running
+on a superseded view can only store rows built from that view's own
+table.  In-flight queries simply finish against the epoch they started
+on.  Reads take no lock; refreshes are serialized by their own lock.
 
 Incremental refresh
 -------------------
-Edge/node churn goes through :class:`repro.recovery.DynamicRun` (with
-``keep_parents``): only the sources the update can affect are
-recomputed by the k-source pipeline, only the shards containing them
-are rebuilt, and only those sources' route rows are dropped -- rows
-of unaffected sources stay stored and correct across the swap.
+Edge/node churn goes through the oracle's
+:class:`~repro.recovery.DynamicRun`: only the sources the update can
+affect are recomputed by the k-source pipeline, the run's rows are
+wrapped in the next epoch's table, and the next view starts with the
+old view's route rows minus the affected sources' -- rows of
+unaffected sources carry over, still exact.
 ``tests/test_serve_churn.py`` property-checks the end-to-end guarantee
 against the Dijkstra oracle.
 
 Batched execution
 -----------------
 :meth:`DistanceOracle.query_batch` makes one pass over the batch: a
-distance query is one lookup of its source's row in
-:attr:`TableView.dist`, a path query one lookup of its source's route
-row in the store.  Only the sources without a row are grouped, and
-each gets its row built once, outside the lock.
+distance query is one lookup of its source's distance row, a path
+query one lookup of its source's route row in the view.  Only the
+sources without a row are grouped, and each gets its row built once.
 :meth:`DistanceOracle.serve` cuts a stream into batches, and the
 asyncio front-end (:mod:`repro.serve.frontend`) runs a whole stream as
 one thread-pool job.
@@ -64,47 +56,27 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.routing import INF, Route, RoutingTable
 from ..graphs.digraph import WeightedDigraph
+from ..recovery.dynamic import DynamicRun
 from .cache import RouteCache
 from .workload import Query, check_batch_size
 
 
 @dataclass(frozen=True)
-class TableShard:
-    """One source-partition's routing table at one epoch."""
-
-    index: int
-    sources: Tuple[int, ...]
-    table: RoutingTable
-    epoch: int
-
-
-@dataclass(frozen=True)
 class TableView:
-    """An immutable snapshot of every shard at one epoch.
+    """One epoch of the served table.
 
-    ``shard_of`` maps source -> shard index, and ``dist`` maps source
-    -> its shard's distance row (gathered once per view, so a distance
-    read is one lookup).  A refresh replaces the whole view; readers
-    that captured the old one keep a complete, consistent table for
-    the duration of their query.
+    ``table`` holds every served source's distance and parent rows and
+    is never mutated after the view is published.  ``routes`` maps a
+    source to its route row, built from ``table`` by the view's first
+    path query from that source.  A refresh publishes a whole new view;
+    readers that captured the old one keep a complete, consistent table
+    for the duration of their query.
     """
 
     epoch: int
-    shards: Tuple[TableShard, ...]
-    shard_of: Dict[int, int]
-    dist: Dict[int, List[float]] = field(init=False, repr=False,
-                                         compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dist", {
-            s: shard.table.dist[s]
-            for shard in self.shards for s in shard.sources})
-
-    def shard_for(self, source: int) -> TableShard:
-        idx = self.shard_of.get(source)
-        if idx is None:
-            raise KeyError(f"{source} is not a served source")
-        return self.shards[idx]
+    table: RoutingTable
+    routes: Dict[int, List[Optional[Route]]] = field(
+        default_factory=dict, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -113,10 +85,9 @@ class RefreshRecord:
 
     epoch: int
     affected_sources: Tuple[int, ...]
-    rebuilt_shards: Tuple[int, ...]
     rounds_to_repair: int
-    #: Route rows dropped from the store (one per affected source that
-    #: had one).
+    #: Route rows not carried into the new view (one per affected
+    #: source that had one).
     invalidated_entries: int
 
 
@@ -142,11 +113,6 @@ class DistanceOracle:
         The :class:`~repro.graphs.WeightedDigraph` to serve.
     sources:
         Query origins to materialize (default: every node = APSP).
-    num_shards:
-        Source partitions; each is rebuilt and swapped independently on
-        refresh (default: ~sqrt(k), capped so a shard never goes
-        empty).  The initial build is one run over all sources either
-        way.
     method / backend:
         Passed to :func:`repro.core.api.k_ssp` (``"auto"`` is resolved
         once, for the whole source set) -- the default columnar engine
@@ -163,26 +129,9 @@ class DistanceOracle:
 
     def __init__(self, graph: WeightedDigraph,
                  sources: Optional[Sequence[int]] = None, *,
-                 num_shards: Optional[int] = None,
                  method: str = "auto",
                  backend: Optional[str] = None,
                  registry: Any = None) -> None:
-        if sources is None:
-            sources = range(graph.n)
-        self.sources: Tuple[int, ...] = tuple(dict.fromkeys(sources))
-        if not self.sources:
-            raise ValueError("need at least one source to serve")
-        for s in self.sources:
-            if not (0 <= s < graph.n):
-                raise ValueError(
-                    f"source {s} out of range for n={graph.n}")
-        k = len(self.sources)
-        if num_shards is None:
-            num_shards = max(1, int(round(k ** 0.5)))
-        if not (1 <= num_shards <= k):
-            raise ValueError(
-                f"num_shards must be in [1, {k}], got {num_shards}")
-        self.num_shards = num_shards
         self.method = method
         self.backend = backend
         self.registry = registry
@@ -197,39 +146,28 @@ class DistanceOracle:
         self._refresh_hist = registry.histogram(
             "serve.refresh_s", scale=1e-6) if registry is not None else None
 
+        # The build is the run's initial compute: one k_ssp over every
+        # served source.  Theorem I.1(iii)'s ``2 sqrt(Delta k n) + n + k``
+        # rounds grow less than linearly in k, so splitting the sources
+        # over several runs would pay several times the rounds.
+        self._dyn = DynamicRun(graph, sources, method=method,
+                               backend=backend)
+        self.sources: Tuple[int, ...] = self._dyn.sources
+        if not self.sources:
+            raise ValueError("need at least one source to serve")
         self.graph = graph
-        self._partitions: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(self.sources[i::num_shards]) for i in range(num_shards))
-        self._dyn = None  # lazy: built on first refresh
         self.refreshes: List[RefreshRecord] = []
-        self._build_rounds = 0
-        self._view = self._materialize()
+        self._build_rounds = self._dyn.metrics.rounds
+        self._view = TableView(0, self._table())
         if self._epoch_gauge is not None:
             self._epoch_gauge.set(self._view.epoch)
 
-    # -- table materialization ----------------------------------------
-
-    def _materialize(self) -> TableView:
-        """Run the k-source pipeline once over every served source and
-        slice its rows into the epoch-0 shards.  One pipeline, not one
-        per shard: Theorem I.1(iii)'s ``2 sqrt(Delta k n) + n + k``
-        rounds grow less than linearly in k, so ~sqrt(k) separate runs
-        would pay several times the rounds."""
-        from ..core.api import k_ssp
-        res = k_ssp(self.graph, list(self.sources), method=self.method,
-                    backend=self.backend)
-        self._build_rounds += res.metrics.rounds
-        shards: List[TableShard] = []
-        shard_of: Dict[int, int] = {}
-        for i, part in enumerate(self._partitions):
-            table = RoutingTable(
-                self.graph,
-                {s: res.dist[s] for s in part},
-                {s: res.parent[s] for s in part})
-            shards.append(TableShard(i, part, table, epoch=0))
-            for s in part:
-                shard_of[s] = i
-        return TableView(0, tuple(shards), shard_of)
+    def _table(self) -> RoutingTable:
+        """The run's current rows as one table.  ``RoutingTable`` copies
+        the rows, so a later ``apply`` on the run never reaches a
+        published view."""
+        dyn = self._dyn
+        return RoutingTable(dyn.graph, dyn.table, dyn.parents)
 
     @property
     def epoch(self) -> int:
@@ -237,8 +175,8 @@ class DistanceOracle:
 
     @property
     def view(self) -> TableView:
-        """The current immutable table snapshot (capture once per
-        query batch for epoch-consistent reads)."""
+        """The current table snapshot (capture once per query batch for
+        epoch-consistent reads)."""
         return self._view
 
     @property
@@ -248,10 +186,6 @@ class DistanceOracle:
         return self._build_rounds
 
     # -- point queries ------------------------------------------------
-
-    def _route_uncached(self, view: TableView, u: int, v: int
-                        ) -> Optional[Route]:
-        return view.shard_for(u).table.route(u, v)
 
     def distance(self, u: int, v: int) -> float:
         """Shortest-path distance u -> v (``inf`` if unreachable)."""
@@ -269,60 +203,51 @@ class DistanceOracle:
 
         One pass over the batch checks each query's source and target
         and answers it by a row read: a distance query with a float
-        (``inf`` when unreachable) from the view's ``dist`` row, a path
-        query with a :class:`~repro.core.routing.Route` (``None`` when
-        unreachable) from its source's route row in the store.  Only
-        the sources whose row is missing are then built, one row each
-        (:meth:`~repro.core.routing.RoutingTable.routes`).  The whole
-        batch reads one :class:`TableView` -- epoch-consistent even if a
-        refresh lands mid-batch.  A *view* that is not the current one
-        bypasses the store (see the module docstring).
+        (``inf`` when unreachable) from its source's distance row, a
+        path query with a :class:`~repro.core.routing.Route` (``None``
+        when unreachable) from its source's route row.  Only the
+        sources whose route row is missing are then built, one row each
+        (:meth:`~repro.core.routing.RoutingTable.routes`), and stored in
+        the view.  The whole batch reads and fills one
+        :class:`TableView` (*view*, default the current one) --
+        epoch-consistent even if a refresh lands mid-batch.
         """
-        cache = self.cache
-        n = self.graph.n
+        if view is None:
+            view = self._view
+        table = view.table
+        n = table.graph.n
+        dist_get = table.dist.get
+        routes = view.routes
+        routes_get = routes.get
         out: List[Any] = [None] * len(queries)
         # Per source without a route row, its path queries.
         misses: Dict[int, List[int]] = {}
-        with cache.lock:
-            current = self._view
-            if view is None:
-                view = current
-            cached_ok = view is current
-            dist_get = view.dist.get
-            rows_get = cache.batch_view().get if cached_ok else {}.get
-            hits = probes = 0
-            for i, q in enumerate(queries):
-                u = q.u
-                v = q.v
-                row = dist_get(u)
-                if row is None:
-                    view.shard_for(u)  # not served: raises KeyError
-                if not (0 <= v < n):
-                    raise ValueError(
-                        f"target {v} out of range for n={n}")
-                if q.kind == "distance":
-                    out[i] = row[v]
-                    continue
-                probes += 1
-                routes = rows_get(u)
-                if routes is None:
-                    misses.setdefault(u, []).append(i)
-                else:
-                    hits += 1
-                    out[i] = routes[v]
-            if cached_ok:
-                cache.count_batch(hits, probes - hits)
-        fresh: List[Tuple[int, List[Optional[Route]]]] = []
+        hits = probes = 0
+        for i, q in enumerate(queries):
+            u = q.u
+            v = q.v
+            dist_row = dist_get(u)
+            if dist_row is None:
+                raise KeyError(f"{u} is not a served source")
+            if not (0 <= v < n):
+                raise ValueError(
+                    f"target {v} out of range for n={n}")
+            if q.kind == "distance":
+                out[i] = dist_row[v]
+                continue
+            probes += 1
+            route_row = routes_get(u)
+            if route_row is None:
+                misses.setdefault(u, []).append(i)
+            else:
+                hits += 1
+                out[i] = route_row[v]
+        self.cache.count_batch(hits, probes - hits)
         for u, idxs in misses.items():
-            routes = view.shard_for(u).table.routes(u)
+            route_row = table.routes(u)
             for i in idxs:
-                out[i] = routes[queries[i].v]
-            fresh.append((u, routes))
-        if cached_ok and fresh:
-            with cache.lock:
-                if self._view is view:
-                    for u, routes in fresh:
-                        cache.put(u, routes)
+                out[i] = route_row[queries[i].v]
+            routes[u] = route_row
         if self._queries is not None:
             self._queries.inc(len(queries))
         if self._batches is not None:
@@ -341,14 +266,14 @@ class DistanceOracle:
         return out
 
     def serve_naive(self, queries: Iterable[Query]) -> List[Any]:
-        """The un-batched, un-cached baseline: one full table lookup
-        (shard resolution + route walk + Route construction) per query.
-        The benchmark's denominator; answers are identical to
-        :meth:`serve` (asserted in the E22 sweep)."""
-        view = self._view
+        """The un-batched, un-stored baseline: one full table lookup
+        (route walk + Route construction) per query.  The benchmark's
+        denominator; answers are identical to :meth:`serve` (asserted
+        in the E22 sweep)."""
+        table = self._view.table
         out: List[Any] = []
         for q in queries:
-            route = self._route_uncached(view, q.u, q.v)
+            route = table.route(q.u, q.v)
             if q.kind == "distance":
                 out.append(INF if route is None else route.distance)
             else:
@@ -357,64 +282,36 @@ class DistanceOracle:
 
     # -- incremental refresh ------------------------------------------
 
-    def _dynamic_run(self):
-        """The lazily created churn driver, bootstrapped from the
-        already-materialized tables (no duplicate initial compute)."""
-        if self._dyn is None:
-            from ..recovery.dynamic import DynamicRun
-            table = {}
-            parents = {}
-            for shard in self._view.shards:
-                for s in shard.sources:
-                    table[s] = shard.table.dist[s]
-                    parents[s] = shard.table.parent[s]
-            self._dyn = DynamicRun(
-                self.graph, self.sources, method=self.method,
-                backend=self.backend, keep_parents=True,
-                initial_table=table, initial_parents=parents)
-        return self._dyn
-
     def refresh(self, *events: Any) -> RefreshRecord:
         """Apply churn events (:class:`~repro.recovery.EdgeUpdate`,
-        ``NodeLeave``, ``NodeJoin``) and swap in repaired tables.
+        ``NodeLeave``, ``NodeJoin``) and publish the repaired table.
 
         Only the affected sources are recomputed
-        (:class:`~repro.recovery.DynamicRun`), only the shards holding
-        them are rebuilt, the new :class:`TableView` is published
-        atomically (in-flight queries finish on the old epoch), and
-        only the affected sources' route rows are dropped.
-        Concurrent refreshes run one at a time.
+        (:class:`~repro.recovery.DynamicRun`), the new
+        :class:`TableView` is published atomically (in-flight queries
+        finish on the old epoch), and it starts with the old view's
+        route rows of the unaffected sources.  Concurrent refreshes run
+        one at a time.
         """
         t0 = time.perf_counter()
         with self._refresh_lock:
-            dyn = self._dynamic_run()
-            record = dyn.apply(*events)
-            affected = set(record.affected)
+            record = self._dyn.apply(*events)
             old = self._view
+            # One step under the GIL, so a batch still filling the old
+            # view cannot tear the copy; rows it adds later stay there.
+            routes = old.routes.copy()
+            invalidated = 0
+            for s in record.affected:
+                if routes.pop(s, None) is not None:
+                    invalidated += 1
+            self.cache.count_invalidations(invalidated)
             new_epoch = old.epoch + 1
-            rebuilt: List[int] = []
-            shards: List[TableShard] = []
-            for shard in old.shards:
-                if affected.intersection(shard.sources):
-                    table = RoutingTable(
-                        dyn.graph,
-                        {s: dyn.table[s] for s in shard.sources},
-                        {s: dyn.parents[s] for s in shard.sources})
-                    shards.append(TableShard(shard.index, shard.sources,
-                                             table, epoch=new_epoch))
-                    rebuilt.append(shard.index)
-                else:
-                    shards.append(shard)
-            self.graph = dyn.graph
+            self.graph = self._dyn.graph
             self._build_rounds += record.rounds_to_repair
-            # The swap: one reference assignment publishes the new view, in
-            # the same cache-lock section that drops the affected sources.
-            with self.cache.lock:
-                self._view = TableView(new_epoch, tuple(shards), old.shard_of)
-                invalidated = self.cache.invalidate_sources(affected)
+            # The swap: one reference assignment publishes the new view.
+            self._view = TableView(new_epoch, self._table(), routes)
             rec = RefreshRecord(new_epoch, tuple(record.affected),
-                                tuple(rebuilt), record.rounds_to_repair,
-                                invalidated)
+                                record.rounds_to_repair, invalidated)
             self.refreshes.append(rec)
             if self.registry is not None:
                 self.registry.counter("serve.refreshes").inc()
@@ -472,36 +369,26 @@ class DistanceOracle:
                 bad.append((u, v, served, want))
         return bad
 
-    def validate_shards(self) -> List[str]:
-        """Run :meth:`RoutingTable.validate` over every shard of the
-        current view (the shard-swap sanity check); returns the
-        collected violations."""
-        violations: List[str] = []
-        for shard in self._view.shards:
-            for msg in shard.table.validate(raise_on_violation=False):
-                violations.append(f"shard {shard.index}: {msg}")
-        return violations
+    def validate(self) -> List[str]:
+        """Run :meth:`RoutingTable.validate` over the current view's
+        table; returns the collected violations."""
+        return self._view.table.validate(raise_on_violation=False)
 
     def digest(self) -> str:
         """SHA-256 over the served tables, epoch, and refresh history
         -- bit-identical across backends for identical builds."""
         view = self._view
+        table = view.table
         payload = {
             "epoch": view.epoch,
             "sources": list(self.sources),
-            "shards": [
-                {"index": s.index, "epoch": s.epoch,
-                 "sources": list(s.sources),
-                 "dist": {str(x): [repr(float(d))
-                                   for d in s.table.dist[x]]
-                          for x in s.sources},
-                 "parent": {str(x): [-1 if p is None else p
-                                     for p in s.table.parent[x]]
-                            for x in s.sources}}
-                for s in view.shards],
+            "dist": {str(x): [repr(float(d)) for d in table.dist[x]]
+                     for x in self.sources},
+            "parent": {str(x): [-1 if p is None else p
+                                for p in table.parent[x]]
+                       for x in self.sources},
             "refreshes": [
                 {"epoch": r.epoch, "affected": list(r.affected_sources),
-                 "rebuilt": list(r.rebuilt_shards),
                  "rounds": r.rounds_to_repair}
                 for r in self.refreshes],
         }
@@ -509,4 +396,4 @@ class DistanceOracle:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-__all__ = ["DistanceOracle", "RefreshRecord", "TableShard", "TableView"]
+__all__ = ["DistanceOracle", "RefreshRecord", "TableView"]

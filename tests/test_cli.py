@@ -328,11 +328,6 @@ class TestServeCommand:
         assert err.startswith("error:") and name in err
         assert err.count("\n") == 1
 
-    def test_serve_bad_shards_exits_2(self, graph_file, capsys):
-        rc = main(["serve", "bench", graph_file, "--shards", "99"])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
-
 
 class TestCampaignCommand:
     @pytest.fixture

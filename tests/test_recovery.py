@@ -468,6 +468,17 @@ class TestDynamicRun:
         with pytest.raises(TypeError, match="event"):
             DynamicRun(self._graph(), [0]).apply("not an event")
 
+    @pytest.mark.parametrize("weight", [2.5, True, float("nan"),
+                                        float("inf")])
+    def test_events_refuse_weights_the_graph_refuses(self, weight):
+        """An event's weight follows ``WeightedDigraph.add_edge``'s rule
+        (an ``int``, not a ``bool``, >= 0) and is refused where it
+        enters, not later inside the graph rebuild of ``apply``."""
+        with pytest.raises(ValueError, match="weight"):
+            EdgeUpdate(0, 1, weight)
+        with pytest.raises(ValueError, match="weight"):
+            NodeJoin(3, ((3, 4, weight),))
+
     @pytest.mark.parametrize("method", ["bellman-ford", "pipelined"])
     def test_edge_updates_stay_oracle_correct(self, method):
         g = self._graph()

@@ -30,7 +30,7 @@ def graph():
 
 @pytest.fixture
 def oracle(graph):
-    return DistanceOracle(graph, num_shards=4, method="bellman-ford")
+    return DistanceOracle(graph, method="bellman-ford")
 
 
 def truth(graph):
@@ -89,92 +89,69 @@ class TestWorkload:
 class TestRouteCache:
     def test_counters_and_hit_rate(self):
         c = RouteCache()
-        c.put(1, ["x", None])
-        c.get(1)
-        c.get(9)
+        c.count_batch(1, 1)
         assert (c.hits, c.misses) == (1, 1)
         assert c.hit_rate == 0.5
 
-    def test_cached_none_distinct_from_miss(self):
-        # A row's None entries are unreachable targets, not a missing row.
+    def test_counts_stay_exact_across_threads(self):
+        # More threads than cores and a short switch interval: a lost
+        # read-modify-write would show in the totals.
         c = RouteCache()
-        sentinel = object()
-        c.put(1, [None, None])
-        assert c.get(1, sentinel) == [None, None]
-        assert c.get(3, sentinel) is sentinel
+        rounds = 2000
+
+        def count():
+            for _ in range(rounds):
+                c.count_batch(2, 1)
+                c.count_invalidations(1)
+
+        threads = [threading.Thread(target=count) for _ in range(8)]
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(prev)
+        assert not any(t.is_alive() for t in threads)
+        total = 8 * rounds
+        assert (c.hits, c.misses, c.invalidations) == (
+            2 * total, total, total)
+
+    def test_cached_none_distinct_from_miss(self):
+        # A row's None entries are unreachable targets, not a missing
+        # row: the second query of an unreachable pair is a hit.
+        g = WeightedDigraph.from_edges(3, [(0, 1, 2)])
+        o = DistanceOracle(g, method="bellman-ford")
+        assert o.path(0, 2) is None
+        assert o.view.routes[0][2] is None
+        assert o.path(0, 2) is None
+        assert (o.cache.hits, o.cache.misses) == (1, 1)
 
     def test_invalidate_sources_selective(self):
-        c = RouteCache()
-        for u in (0, 1, 2):
-            c.put(u, [u * 10 + v for v in (5, 6)])
-        assert c.invalidate_sources({0, 2, 7}) == 2
-        assert c.get(1) == [15, 16]
-        assert c.get(0) is None
+        # A refresh carries every row of an unaffected source into the
+        # new view, by identity, and drops exactly the affected rows.
+        g = WeightedDigraph.from_edges(
+            4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+        o = DistanceOracle(g, method="bellman-ford")
+        o.serve([Query(u, 3, "path") for u in range(4)])
+        old = dict(o.view.routes)
+        rec = o.refresh(EdgeUpdate(2, 3, 5))
+        assert set(rec.affected_sources) == {0, 1, 2}
+        assert rec.invalidated_entries == 3 == o.cache.invalidations
+        assert list(o.view.routes) == [3]
+        assert o.view.routes[3] is old[3]
 
     def test_registry_mirroring(self):
         reg = MetricsRegistry()
         c = RouteCache(registry=reg)
-        c.put(0, ["a"])
-        c.get(0)
-        c.get(2)
-        c.invalidate_sources({0})
+        c.count_batch(1, 1)
+        c.count_invalidations(1)
         snap = reg.snapshot()["counters"]
         assert snap["serve.cache_hits"] == 1
         assert snap["serve.cache_misses"] == 1
         assert snap["serve.cache_invalidations"] == 1
-
-    _sources = st.integers(0, 3)
-    _ops = st.lists(st.one_of(
-        st.tuples(st.just("put"), _sources, st.integers(0, 9)),
-        st.tuples(st.just("get"), _sources),
-        st.tuples(st.just("invalidate"), st.sets(_sources, max_size=3)),
-        st.tuples(st.just("clear")),
-    ), max_size=40)
-
-    @settings(max_examples=150, deadline=None)
-    @given(ops=_ops)
-    def test_model_based_row_store(self, ops):
-        """Under arbitrary put-row/get/invalidate/clear sequences the
-        store tracks a model dict ``source -> row``: the same rows (by
-        identity), the same hit/miss/invalidation counters after every
-        operation, and nothing is ever evicted."""
-        c = RouteCache()
-        model = {}
-        counts = {"hits": 0, "misses": 0, "invalidations": 0}
-        for op in ops:
-            if op[0] == "put":
-                _, source, value = op
-                row = [value, None]
-                c.put(source, row)
-                model[source] = row
-            elif op[0] == "get":
-                _, source = op
-                got = c.get(source, default="MISS")
-                if source in model:
-                    counts["hits"] += 1
-                    assert got is model[source]
-                else:
-                    counts["misses"] += 1
-                    assert got == "MISS"
-            elif op[0] == "invalidate":
-                _, sources = op
-                stale = [s for s in model if s in sources]
-                for s in stale:
-                    del model[s]
-                counts["invalidations"] += len(stale)
-                assert c.invalidate_sources(sources) == len(stale)
-            else:  # clear
-                counts["invalidations"] += len(model)
-                assert c.clear() == len(model)
-                model.clear()
-            assert c.batch_view() == model
-            assert all(c.batch_view()[s] is row for s, row in model.items())
-            assert len(c) == len(model)
-            assert (c.hits, c.misses, c.invalidations) == (
-                counts["hits"], counts["misses"], counts["invalidations"])
-        total = counts["hits"] + counts["misses"]
-        assert c.hit_rate == (counts["hits"] / total if total else 0.0)
-        assert c.stats()["size"] == len(model)
 
 
 @st.composite
@@ -201,10 +178,10 @@ class TestRouteRows:
         every = [Query(u, v, "path") for u in range(g.n)
                  for v in range(g.n)]
         served = o.serve(every)
-        rows = o.cache.batch_view()
+        rows = o.view.routes
         assert sorted(rows) == list(range(g.n))
+        table = o.view.table
         for u, row in rows.items():
-            table = o.view.shard_for(u).table
             assert row == [table.route(u, v) for v in range(g.n)]
             assert row[u].path == (u,)
         assert served == [rows[q.u][q.v] for q in every]
@@ -216,7 +193,7 @@ class TestRouteRows:
         g = WeightedDigraph.from_edges(
             5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 4, 1)])
         o = DistanceOracle(g, method="bellman-ford")
-        parent = o.view.shard_for(0).table.parent[0]
+        parent = o.view.table.parent[0]
         if corrupt == "orphan":
             parent[3] = None
         else:
@@ -238,17 +215,17 @@ class TestRouteRows:
         misses = o.cache.misses
         assert o.serve(every) == first
         assert o.cache.misses == misses
-        assert len(o.cache) == g.n
-        rows = dict(o.cache.batch_view())
+        assert len(o.view.routes) == g.n
+        rows = dict(o.view.routes)
         u, v, w = sorted(g.edges())[0]
         rec = o.refresh(EdgeUpdate(u, v, w + 5))
         affected = set(rec.affected_sources)
         assert 0 < len(affected) < g.n
         assert rec.invalidated_entries == len(affected)
-        assert len(o.cache) == g.n - rec.invalidated_entries
+        assert len(o.view.routes) == g.n - rec.invalidated_entries
         # Only the affected sources' rows are rebuilt.
         assert o.serve(every) == o.serve_naive(every)
-        for s, row in o.cache.batch_view().items():
+        for s, row in o.view.routes.items():
             assert (row is rows[s]) == (s not in affected)
 
 
@@ -278,7 +255,7 @@ class TestOracleQueries:
 
     def test_unreachable_pair_serves_inf_not_raise(self):
         g = WeightedDigraph.from_edges(3, [(0, 1, 2)])
-        o = DistanceOracle(g, num_shards=1, method="bellman-ford")
+        o = DistanceOracle(g, method="bellman-ford")
         assert o.distance(1, 0) == INF
         assert o.path(1, 0) is None
         assert o.serve([Query(1, 0, "distance")]) == [INF]
@@ -300,8 +277,7 @@ class TestOracleQueries:
         assert oracle.cache.hits > 0
 
     def test_subset_sources(self, graph):
-        o = DistanceOracle(graph, sources=[3, 8], num_shards=2,
-                           method="bellman-ford")
+        o = DistanceOracle(graph, sources=[3, 8], method="bellman-ford")
         assert o.distance(3, 5) == dijkstra(graph, 3)[0][5]
         for ask in (o.distance, o.path):
             with pytest.raises(KeyError):
@@ -313,7 +289,7 @@ class TestOracleQueries:
         for warm in (False, True):
             if warm:
                 oracle.serve([Query(0, 1, "path")])
-                assert 0 in oracle.cache.batch_view()
+                assert 0 in oracle.view.routes
             for kind in ("distance", "path"):
                 for v in (graph.n, graph.n + 3, -1):
                     with pytest.raises(ValueError):
@@ -321,15 +297,16 @@ class TestOracleQueries:
 
     def test_distance_queries_bypass_the_cache(self, graph, oracle):
         # Distances are row reads: no probe and no write-back, even
-        # after path queries filled the store.
+        # after path queries filled the view's route rows.
         oracle.serve([Query(0, v, "path") for v in range(graph.n)])
         cache = oracle.cache
-        before = (cache.hits, cache.misses, len(cache))
+        routes = oracle.view.routes
+        before = (cache.hits, cache.misses, len(routes))
         want = truth(graph)
         qs = [Query(u, v, "distance") for u in (0, 5) for v in
               range(graph.n)]
         assert oracle.query_batch(qs) == [want[q.u][q.v] for q in qs]
-        assert (cache.hits, cache.misses, len(cache)) == before
+        assert (cache.hits, cache.misses, len(routes)) == before
 
     @pytest.mark.parametrize("size", [0, -3])
     def test_serve_rejects_non_positive_batch_size(self, graph, oracle,
@@ -345,34 +322,26 @@ class TestOracleQueries:
             DistanceOracle(graph, sources=[])
         with pytest.raises(ValueError):
             DistanceOracle(graph, sources=[graph.n])
-        with pytest.raises(ValueError):
-            DistanceOracle(graph, num_shards=graph.n + 1)
-
-    def test_sharding_partitions_all_sources(self, graph):
-        o = DistanceOracle(graph, num_shards=3, method="bellman-ford")
-        seen = [s for shard in o.view.shards for s in shard.sources]
-        assert sorted(seen) == list(range(graph.n))
-        assert len(o.view.shards) == 3
 
     @pytest.mark.parametrize("backend", ["reference", "columnar"])
     def test_build_is_one_pipeline_over_all_sources(self, graph, backend):
-        """The shards are slices of ONE k_ssp over every served source,
-        and the build costs exactly that run's rounds."""
+        """The view's rows are ONE k_ssp over every served source, and
+        the build costs exactly that run's rounds."""
         from repro.core.api import k_ssp
         sources = [0, 3, 5, 8, 13, 19]
-        o = DistanceOracle(graph, sources=sources, num_shards=3,
-                           method="pipelined", backend=backend)
+        o = DistanceOracle(graph, sources=sources, method="pipelined",
+                           backend=backend)
         res = k_ssp(graph, sources, method="pipelined", backend=backend)
         assert o.build_rounds == res.metrics.rounds
-        for shard in o.view.shards:
-            for s in shard.sources:
-                assert shard.table.dist[s] == res.dist[s]
-                assert shard.table.parent[s] == res.parent[s]
+        table = o.view.table
+        assert sorted(table.dist) == sorted(table.parent) == sources
+        for s in sources:
+            assert table.dist[s] == res.dist[s]
+            assert table.parent[s] == res.parent[s]
 
     def test_metrics_published(self, graph):
         reg = MetricsRegistry()
-        o = DistanceOracle(graph, num_shards=2, method="bellman-ford",
-                           registry=reg)
+        o = DistanceOracle(graph, method="bellman-ford", registry=reg)
         o.serve(generate_workload(graph.n, 100, seed=0))
         snap = reg.snapshot()
         assert snap["counters"]["serve.queries"] == 100
@@ -380,40 +349,20 @@ class TestOracleQueries:
         assert snap["gauges"]["serve.epoch"] == 0
 
     def test_validate_shards_clean(self, oracle):
-        assert oracle.validate_shards() == []
+        assert oracle.validate() == []
 
 
 class TestRefresh:
     def test_epoch_bumps_and_stays_correct(self, graph):
-        o = DistanceOracle(graph, num_shards=4, method="bellman-ford")
+        o = DistanceOracle(graph, method="bellman-ford")
         u, v, w = max(graph.edges(), key=lambda e: e[2])
         rec = o.refresh(EdgeUpdate(u, v, 0))
         assert o.epoch == 1 == rec.epoch
         assert o.oracle_check() == []
-        assert o.validate_shards() == []
-
-    def test_unaffected_shards_not_rebuilt(self, graph):
-        o = DistanceOracle(graph, num_shards=4, method="bellman-ford")
-        old = o.view
-        # A weight increase on a heavy edge rarely touches every source;
-        # find an update affecting a strict subset.
-        for u, v, w in sorted(graph.edges()):
-            rec = o.refresh(EdgeUpdate(u, v, w + 1))
-            if 0 < len(rec.affected_sources) < graph.n:
-                break
-        else:
-            pytest.skip("no partially-affecting update on this graph")
-        kept = set(range(4)) - set(rec.rebuilt_shards)
-        assert rec.rebuilt_shards, "some shard must rebuild"
-        for i in kept:
-            # Object identity: untouched shards are carried over, not
-            # recomputed.
-            assert o.view.shards[i] is old.shards[i]
-        assert {s.epoch for s in o.view.shards if s.index in
-                set(rec.rebuilt_shards)} == {o.epoch}
+        assert o.validate() == []
 
     def test_inflight_view_survives_swap(self, graph):
-        o = DistanceOracle(graph, num_shards=2, method="bellman-ford")
+        o = DistanceOracle(graph, method="bellman-ford")
         before = o.view
         u, v, w = max(graph.edges(), key=lambda e: e[2])
         o.refresh(EdgeUpdate(u, v, 0))
@@ -425,29 +374,30 @@ class TestRefresh:
 
     def test_superseded_view_never_writes_the_cache(self):
         # A batch on a view captured before a refresh reads that view's
-        # table, but must not cache its old-epoch route after the
-        # refresh invalidated the source.
+        # table and stores its old-epoch row in that view only: the
+        # current view never sees it.
         g = WeightedDigraph.from_edges(3, [(0, 1, 1), (1, 2, 0), (0, 2, 7)])
         o = DistanceOracle(g, method="pipelined")
         view = o.view
         o.refresh(EdgeUpdate(0, 1, 51))
         [old] = o.query_batch([Query(0, 2, "path")], view=view)
         assert (old.distance, old.path) == (1, (0, 1, 2))
+        assert 0 in view.routes and 0 not in o.view.routes
         assert o.path(0, 2).distance == dijkstra(o.graph, 0)[0][2] == 7
 
     def test_only_affected_cache_entries_dropped(self, graph):
-        o = DistanceOracle(graph, num_shards=4, method="bellman-ford")
+        o = DistanceOracle(graph, method="bellman-ford")
         o.serve(generate_workload(graph.n, 1000, seed=6))
-        size_before = len(o.cache)
+        size_before = len(o.view.routes)
         u, v, w = sorted(graph.edges())[0]
         rec = o.refresh(EdgeUpdate(u, v, w + 2))
         unaffected = set(range(graph.n)) - set(rec.affected_sources)
-        assert len(o.cache) == size_before - rec.invalidated_entries
+        assert len(o.view.routes) == size_before - rec.invalidated_entries
         # surviving rows all belong to unaffected sources
-        assert set(o.cache.batch_view()) <= unaffected
+        assert set(o.view.routes) <= unaffected
 
     def test_node_leave_and_join(self, graph):
-        o = DistanceOracle(graph, num_shards=2, method="bellman-ford")
+        o = DistanceOracle(graph, method="bellman-ford")
         victim = 5
         edges = [(u, v, w) for u, v, w in graph.edges() if victim in (u, v)]
         o.refresh(NodeLeave(victim))
@@ -458,8 +408,7 @@ class TestRefresh:
 
     def test_refresh_metrics(self, graph):
         reg = MetricsRegistry()
-        o = DistanceOracle(graph, num_shards=2, method="bellman-ford",
-                           registry=reg)
+        o = DistanceOracle(graph, method="bellman-ford", registry=reg)
         u, v, w = max(graph.edges(), key=lambda e: e[2])
         o.refresh(EdgeUpdate(u, v, 0))
         snap = reg.snapshot()
@@ -471,13 +420,13 @@ class TestRefresh:
         assert hist.count == 1 and hist.total > 0
 
     def test_no_registry_no_refresh_histogram(self, graph):
-        o = DistanceOracle(graph, num_shards=2, method="bellman-ford")
+        o = DistanceOracle(graph, method="bellman-ford")
         assert o._refresh_hist is None
         u, v, w = max(graph.edges(), key=lambda e: e[2])
         assert o.refresh(EdgeUpdate(u, v, 0)).epoch == 1
 
     def test_build_rounds_accumulates(self, graph):
-        o = DistanceOracle(graph, num_shards=2, method="bellman-ford")
+        o = DistanceOracle(graph, method="bellman-ford")
         base = o.build_rounds
         assert base > 0
         u, v, w = max(graph.edges(), key=lambda e: e[2])
@@ -488,11 +437,12 @@ class TestRefresh:
 class TestThreadedServing:
     def test_queries_and_refreshes_leave_nothing_stale(self, graph):
         # More threads than cores and a short switch interval force
-        # interleavings of probes, write-backs and refreshes.  Two
-        # writers: a refresh that read a view another one was replacing
-        # would lose an epoch.
-        o = DistanceOracle(graph, num_shards=4, method="bellman-ford")
+        # interleavings of probes, row stores, carry-overs and
+        # refreshes.  Two writers: a refresh that read a view another
+        # one was replacing would lose an epoch.
+        o = DistanceOracle(graph, method="bellman-ford")
         wl = list(generate_workload(graph.n, 400, seed=12))
+        readers = 4
         edges = sorted(graph.edges())[:5]
         errors = []
 
@@ -510,7 +460,7 @@ class TestThreadedServing:
             except Exception as exc:
                 errors.append(exc)
 
-        threads = [threading.Thread(target=reader) for _ in range(4)]
+        threads = [threading.Thread(target=reader) for _ in range(readers)]
         threads += [threading.Thread(target=writer) for _ in range(2)]
         prev = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -524,6 +474,14 @@ class TestThreadedServing:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert o.epoch == 2 * len(edges)
+        # Every row the current view holds, carried over or stored by
+        # a reader, is the one its own table builds.
+        table = o.view.table
+        for u, row in o.view.routes.items():
+            assert row == table.routes(u), f"stale route row of {u}"
+        # A lost counter update would break the tally of path probes.
+        paths = sum(q.kind == "path" for q in wl)
+        assert o.cache.hits + o.cache.misses == readers * paths
         assert o.oracle_check() == []
 
 
@@ -531,8 +489,7 @@ class TestCrossBackendDigests:
     def test_bit_identical_build_and_refresh(self, graph):
         digests = {}
         for backend in ("reference", "columnar"):
-            o = DistanceOracle(graph, num_shards=3,
-                               method="pipelined", backend=backend)
+            o = DistanceOracle(graph, method="pipelined", backend=backend)
             u, v, w = max(graph.edges(), key=lambda e: e[2])
             o.refresh(EdgeUpdate(u, v, 0))
             assert o.oracle_check() == []
@@ -587,10 +544,13 @@ class TestAsyncFrontend:
         assert answers == want
 
     def test_concurrent_refresh_epoch_consistency(self, graph):
-        o = DistanceOracle(graph, num_shards=2, method="bellman-ford")
-        wl = list(generate_workload(graph.n, 80000, seed=3))
-        # Raise the arc that the most shortest-path routes run through:
-        # many answers change, so a batch mixing epochs would show.
+        o = DistanceOracle(graph, method="bellman-ford")
+        # Long enough that the four refreshes usually all land
+        # mid-stream, on either backend.
+        wl = list(generate_workload(graph.n, 80000, seed=3)) * 10
+        # Raise the arcs that the most shortest-path routes run
+        # through: many answers change at every epoch, so a batch
+        # mixing epochs would show.
         through = Counter()
         for s in range(graph.n):
             parent = dijkstra(graph, s)[1]
@@ -598,42 +558,51 @@ class TestAsyncFrontend:
                 while parent[t] is not None:
                     through[parent[t], t] += 1
                     t = parent[t]
-        [((u, v), _)] = through.most_common(1)
+        events = [EdgeUpdate(u, v, graph.weight(u, v) + 20)
+                  for (u, v), _ in through.most_common(4)]
         batch = 50
 
         async def main():
+            graphs = []
             async with AsyncFrontend(o, max_workers=2) as fe:
                 serving = asyncio.ensure_future(
                     fe.serve(wl, batch_size=batch))
                 await asyncio.sleep(0)  # the stream's job goes first
-                await fe.refresh(
-                    EdgeUpdate(u, v, graph.weight(u, v) + 20))
+                for ev in events:
+                    await fe.refresh(ev)
+                    graphs.append(o.graph)
                 answers = await serving
-            return answers
+            return graphs, answers
 
-        # The stream and the refresh run on the two workers, and a
-        # short switch interval interleaves them: the stream is long
-        # enough that the swap often lands mid-stream.
+        # The stream and the refreshes run on the two workers, and a
+        # short switch interval interleaves them.
         prev = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            answers = asyncio.run(main())
+            graphs, answers = asyncio.run(main())
         finally:
             sys.setswitchinterval(prev)
+        assert o.epoch == len(events)
         # Each batch reads one view: all its answers (distances and
         # route distances) match one epoch's truth, and the epochs
         # never go backwards along the stream.
-        truths = [truth(graph), truth(o.graph)]
+        truths = [truth(graph)] + [truth(g) for g in graphs]
         epoch = 0
         for lo in range(0, len(wl), batch):
             qs = wl[lo:lo + batch]
             got = [a if q.kind == "distance" else (
                 INF if a is None else a.distance)
                 for q, a in zip(qs, answers[lo:lo + batch])]
-            fits = [e for e in range(epoch, len(truths))
-                    if got == [truths[e][q.u][q.v] for q in qs]]
-            assert fits, f"batch at {lo} matches no epoch from {epoch} on"
-            epoch = fits[0]
+            fit = next((e for e in range(epoch, len(truths))
+                        if got == [truths[e][q.u][q.v] for q in qs]), None)
+            assert fit is not None, (
+                f"batch at {lo} matches no epoch from {epoch} on")
+            epoch = fit
+        # The route rows the final view holds -- carried over from the
+        # views before it or stored by the stream -- are its table's.
+        table = o.view.table
+        for u, row in o.view.routes.items():
+            assert row == table.routes(u), f"stale route row of {u}"
         assert o.oracle_check() == []
 
     def test_bad_point_query_fails_only_its_own_future(self):

@@ -1,17 +1,18 @@
 """Cache-under-churn property tests for the serving layer.
 
 The serving-layer guarantee under churn: after **any** stream of
-``EdgeUpdate`` events -- with queries interleaved so the route-row
-store is warm across every refresh epoch -- every distance the oracle
+``EdgeUpdate`` events -- with queries interleaved so route rows are
+carried across every refresh epoch -- every distance the oracle
 serves equals the Dijkstra ground truth on the current graph.  Stale
 route rows surviving a refresh would break exactly this, so the
-assertions go through the public query path -- ``path()``, whose
-routes the store holds, next to ``distance()``, a table-row read --
-never the raw tables.
+assertions go through the public query path -- ``path()``, a
+route-row read, next to ``distance()``, a table-row read -- never the
+raw tables.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -19,8 +20,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import WeightedDigraph, dijkstra, random_graph
-from repro.recovery import EdgeUpdate
-from repro.serve import DistanceOracle, Query, RouteCache
+from repro.recovery import DynamicRun, EdgeUpdate
+from repro.serve import DistanceOracle, Query
 
 INF = float("inf")
 
@@ -59,7 +60,7 @@ def churn_scenarios(draw):
 def assert_all_served_match_dijkstra(oracle: DistanceOracle) -> None:
     """Every (source, target) answer equals ground truth on the
     oracle's *current* graph: the distance, and the route from the
-    route-row store -- ``None`` iff unreachable, else its distance and
+    view's route row -- ``None`` iff unreachable, else its distance and
     its weight walked on the current graph."""
     g = oracle.graph
     for u in oracle.sources:
@@ -86,12 +87,12 @@ def assert_all_served_match_dijkstra(oracle: DistanceOracle) -> None:
 @given(churn_scenarios())
 def test_served_distances_match_dijkstra_after_any_update_stream(scenario):
     g, batches, seed = scenario
-    oracle = DistanceOracle(g, num_shards=2, method="bellman-ford")
+    oracle = DistanceOracle(g, method="bellman-ford")
     rng = random.Random(seed ^ 0xF00D)
 
     def warm_cache():
-        # Populate the store with a spread of pairs so every refresh
-        # has live rows to keep or drop.
+        # Build route rows for a spread of pairs so every refresh has
+        # live rows to carry or drop.
         qs = [Query(rng.randrange(g.n), rng.randrange(g.n),
                     rng.choice(["distance", "path"]))
               for _ in range(2 * g.n)]
@@ -101,10 +102,10 @@ def test_served_distances_match_dijkstra_after_any_update_stream(scenario):
     assert_all_served_match_dijkstra(oracle)
     for batch in batches:
         oracle.refresh(*batch)
-        # The whole point: answers *after* the refresh go through the
-        # same store the pre-refresh queries populated.
+        # The whole point: answers *after* the refresh read the rows
+        # the new view carried over from the pre-refresh queries.
         assert_all_served_match_dijkstra(oracle)
-        assert oracle.validate_shards() == []
+        assert oracle.validate() == []
         warm_cache()
     # Epochs advanced once per refresh; history is complete.
     assert oracle.epoch == len(batches)
@@ -118,7 +119,7 @@ def test_paths_stay_genuine_after_churn(scenario):
     """Served paths (not just distances) remain walkable on the
     current graph after every refresh."""
     g, batches, _ = scenario
-    oracle = DistanceOracle(g, num_shards=1, method="bellman-ford")
+    oracle = DistanceOracle(g, method="bellman-ford")
     for batch in batches:
         oracle.refresh(*batch)
     assert_all_served_match_dijkstra(oracle)
@@ -126,12 +127,16 @@ def test_paths_stay_genuine_after_churn(scenario):
 
 def test_stale_route_check_has_teeth(monkeypatch):
     """``assert_all_served_match_dijkstra`` must catch a stored route
-    that outlives its epoch: with per-source invalidation disabled,
-    source 0's row stored before the refresh survives it.  The first
-    stale pair is 0 -> 1 (weight 1, now 51): ``path(0, 2)`` stored the
-    whole row."""
-    monkeypatch.setattr(RouteCache, "invalidate_sources",
-                        lambda self, sources: 0)
+    that outlives its epoch: with the refresh told that no source was
+    affected, source 0's row stored before the refresh is carried into
+    the new view.  The first stale pair is 0 -> 1 (weight 1, now 51):
+    ``path(0, 2)`` stored the whole row."""
+    apply = DynamicRun.apply
+
+    def apply_forgetting_affected(self, *events):
+        return dataclasses.replace(apply(self, *events), affected=())
+
+    monkeypatch.setattr(DynamicRun, "apply", apply_forgetting_affected)
     g = WeightedDigraph.from_edges(3, [(0, 1, 1), (1, 2, 0), (0, 2, 7)])
     oracle = DistanceOracle(g, method="pipelined")
     assert oracle.path(0, 2).distance == 1
