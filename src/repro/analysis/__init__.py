@@ -7,7 +7,6 @@ from .inspect import (
     node_timeline,
     render_occupancy,
     schedule_occupancy,
-    send_history,
     trace_run,
 )
 from .records import ExperimentReport, Measurement
@@ -35,7 +34,6 @@ __all__ = [
     "node_timeline",
     "render_occupancy",
     "schedule_occupancy",
-    "send_history",
     "sparkline",
     "trace_run",
     "xy_chart",

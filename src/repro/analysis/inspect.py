@@ -12,16 +12,10 @@ reconstruct human-readable timelines:
 * :func:`node_timeline` -- everything one node did (sends and inserts),
   round by round;
 * :func:`schedule_occupancy` -- per-round counts of sending nodes, the
-  utilisation profile of the pipelined schedule;
-* :func:`send_history` -- the per-entry send rounds of one node's
-  ``list_v`` (requires ``Entry.sent_at`` recording, which is opt-in --
-  see below).
+  utilisation profile of the pipelined schedule.
 
-``Entry.sent_at`` is **opt-in** diagnostics: it stays ``None`` unless a
-trace recorder / record window / paranoid mode is active or the run was
-given ``record_sends=True`` -- so every renderer here treats ``None`` as
-"recording was off", never as "this entry was not sent".  The traced
-entry points in this module enable recording implicitly.
+All of them read the program trace's ``send`` / ``insert`` events; the
+programs themselves keep no per-entry history.
 """
 
 from __future__ import annotations
@@ -90,29 +84,6 @@ def explain_pair(graph: WeightedDigraph, source: int, node: int, h: int,
             for r, d, l, p in improvements]
     return PairStory(source=source, node=node,
                      improvements=improvements, final=final)
-
-
-def send_history(program) -> List[str]:
-    """Readable per-entry send rounds of one node's final ``list_v``.
-
-    *program* is a :class:`~repro.core.pipelined.PipelinedSSPProgram`
-    (grab one by constructing the network yourself, or use the traced
-    helpers above for a run-level view).  Entries whose ``sent_at`` is
-    ``None`` ran with recording disabled -- rendered as such rather than
-    as "never sent", since the default bare run does not record
-    (pass ``record_sends=True`` to :func:`repro.core.run_hk_ssp`).
-    """
-    lines = []
-    for i, e in enumerate(program.list_v, start=1):
-        if e.sent_at is None:
-            when = "(send recording was off)"
-        elif not e.sent_at:
-            when = "never sent"
-        else:
-            when = "sent in round(s) " + ", ".join(str(r) for r in e.sent_at)
-        lines.append(f"pos {i:3d}: src={e.x} d={e.d} l={e.l} "
-                     f"kappa={e.kappa:.3f} {when}")
-    return lines
 
 
 def node_timeline(trace: TraceRecorder, node: int) -> List[str]:

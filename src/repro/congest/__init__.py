@@ -35,7 +35,7 @@ from .primitives import (
     convergecast_sum,
     pipelined_broadcast,
 )
-from .scheduler import MultiplexedNetwork, compose_time_sliced, run_multiplexed
+from .scheduler import MultiplexedNetwork, compose_time_sliced
 from .events import RingTraceRecorder, TraceEvent, TraceRecorder
 
 __all__ = [
@@ -61,6 +61,5 @@ __all__ = [
     "merge_sequential",
     "payload_words",
     "pipelined_broadcast",
-    "run_multiplexed",
     "run_program",
 ]

@@ -297,13 +297,3 @@ class MultiplexedNetwork:
     def outputs(self, instance: int) -> List[Any]:
         return [self.programs[instance][v].output(self.contexts[instance][v])
                 for v in range(self.n)]
-
-
-def run_multiplexed(graph: Any,
-                    program_factories: Sequence[Callable[[int], Program]],
-                    max_rounds: int, **kwargs: Any
-                    ) -> Tuple[List[List[Any]], RunMetrics]:
-    """Convenience wrapper: returns (per-instance outputs, metrics)."""
-    net = MultiplexedNetwork(graph, program_factories, **kwargs)
-    metrics = net.run(max_rounds)
-    return [net.outputs(i) for i in range(len(program_factories))], metrics

@@ -45,7 +45,7 @@ from .keys import (
     send_round,
     theoretical_key_bound,
 )
-from .kssp import KSSPResult, lemma32_round_bound, run_apsp_blocker, run_kssp_blocker
+from .kssp import KSSPResult, run_apsp_blocker, run_kssp_blocker
 from .kssp_random import SampledKSSPResult, run_apsp_sampled, run_kssp_sampled
 from .node_list import NodeList, ReferenceNodeList, set_paranoid
 from .pipelined import (
@@ -106,7 +106,6 @@ __all__ = [
     "k_source_short_range_schedule",
     "k_ssp",
     "key_of",
-    "lemma32_round_bound",
     "max_entries_per_source",
     "run_approx_apsp",
     "run_approx_apsp_positive",

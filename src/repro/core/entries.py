@@ -8,14 +8,11 @@ An entry ``Z = (kappa, d, l, x)`` records one candidate path from source
   realises the smallest ``(d, kappa)`` for its source at this node (its
   ``d`` is the current shortest-distance estimate ``d*_x``);
 * ``parent`` -- the neighbour the entry arrived from (the last edge of
-  the path, which is the required APSP output alongside the distance);
-* ``sent_at`` -- rounds at which this entry was sent.  **Opt-in**
-  diagnostics: ``None`` until the first :meth:`Entry.record_send`, so
-  the default hot path never allocates the per-entry list.  The
-  pipelined program records sends only when a trace recorder, a record
-  window, or the paranoid debug mode is active (or ``record_sends=True``
-  is forced); renderers must treat ``None`` as "recording was off", not
-  "never sent" (:func:`repro.analysis.inspect.send_history`).
+  the path, which is the required APSP output alongside the distance).
+
+An entry keeps no record of its sends: the program trace's ``send``
+events (``trace=`` / ``tracer=``) carry every send with its round, and
+:func:`repro.analysis.inspect.node_timeline` renders them per node.
 
 Hot-path note: ``sort_key`` is a plain slot computed once in
 ``__init__`` (it was a property).  The kernelised
@@ -26,14 +23,14 @@ data, so caching is free and saves a descriptor call per access.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 
 class Entry:
     """One element of ``list_v``.  Mutable flags, immutable path data."""
 
     __slots__ = ("kappa", "d", "l", "x", "flag_sp", "parent", "sort_key",
-                 "sent_at", "_li")
+                 "_li")
 
     def __init__(self, kappa: float, d: int, l: int, x: int,
                  *, flag_sp: bool = False, parent: Optional[int] = None) -> None:
@@ -46,8 +43,6 @@ class Entry:
         #: List order: by key, ties by distance, then by the label of the
         #: source vertex (Section II-A).  Immutable -- computed once.
         self.sort_key: Tuple[float, int, int] = (kappa, d, x)
-        #: Rounds this entry was sent in; ``None`` = recording disabled.
-        self.sent_at: Optional[List[int]] = None
         #: Index of this entry within its source's per-source list --
         #: maintained by the owning NodeList kernel (None = not on a
         #: list).  Private coupling: an Entry is created by one node and
@@ -55,13 +50,6 @@ class Entry:
         #: index on the entry itself safe (and free of the id()-reuse
         #: hazards a side-table would have).
         self._li: Optional[int] = None
-
-    def record_send(self, r: int) -> None:
-        """Append *r* to ``sent_at``, allocating the list lazily."""
-        if self.sent_at is None:
-            self.sent_at = [r]
-        else:
-            self.sent_at.append(r)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         star = "*" if self.flag_sp else ""

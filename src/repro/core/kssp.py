@@ -225,10 +225,3 @@ def run_apsp_blocker(graph: WeightedDigraph, h: Optional[int] = None,
                      **kwargs) -> KSSPResult:
     """Theorem I.2(i) / I.3(i): APSP via Algorithm 3 with ``S = V``."""
     return run_kssp_blocker(graph, range(graph.n), h, **kwargs)
-
-
-def lemma32_round_bound(graph: WeightedDigraph, k: int, h: int,
-                        delta: int) -> float:
-    """Lemma III.2's bound instantiated: ``n^2 log n / h +
-    sqrt(Delta h k)`` (asymptotic; used for shape checks)."""
-    return bounds_mod.lemma32_kssp(graph.n, k, h, delta)

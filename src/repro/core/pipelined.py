@@ -28,7 +28,9 @@ How the machinery fits together (reconstruction notes, DESIGN.md sec. 6):
   == r`` fires in round ``r``; the sortedness of the list makes that
   entry unique per round, which the implementation asserts -- the
   CONGEST one-message constraint is self-enforcing.  The message carries
-  ``(d, l, x, flag_sp, nu)`` with ``nu`` computed at send time.
+  ``(d, l, x, flag_sp, nu)`` with ``nu`` computed at send time, over the
+  node's out-arcs only (the algorithm needs no bidirectional channels,
+  Section I-B).
 * Steps 3-13 (receive): every incoming message is rebuilt as a candidate
   with ``d = d- + w(y, v)``, ``l = l- + 1``, ``kappa = d * gamma + l``
   -- *including* candidates whose paths exceed ``h`` hops: they pad list
@@ -63,7 +65,6 @@ from ..graphs.digraph import WeightedDigraph
 from ..graphs.reference import weak_delta_bound
 from .entries import Entry, SourceBest
 from .keys import gamma_for, key_of
-from . import node_list as _node_list
 from .node_list import NodeList
 
 INF = float("inf")
@@ -74,23 +75,14 @@ class PipelinedSSPProgram(Program):
 
     def __init__(self, v: int, sources: Sequence[int], h: int, gamma: float,
                  *, cutoff_round: Optional[int] = None,
-                 directed_broadcast: bool = True,
                  eviction: str = "budget",
-                 trace: Optional[TraceRecorder] = None,
-                 record_sends: Optional[bool] = None) -> None:
+                 trace: Optional[TraceRecorder] = None) -> None:
         self.v = v
         self.sources = sources
         self.h = h
         self.gamma = gamma
         self.cutoff_round = cutoff_round
-        self.directed_broadcast = directed_broadcast
         self.trace = trace
-        #: Per-entry ``sent_at`` diagnostics are opt-in (an allocation +
-        #: append per send otherwise paid by every run); default: record
-        #: exactly when something is watching -- a trace recorder or the
-        #: paranoid kernel mode.
-        self.record_sends = (trace is not None or _node_list.PARANOID
-                             if record_sends is None else bool(record_sends))
         #: Invariant 2 budget: at most floor(h/gamma) + 1 = floor(
         #: sqrt(Delta h / k)) + 1 entries per source (Lemma II.11);
         #: Insert evicts only when an insertion would exceed it.  The
@@ -109,11 +101,7 @@ class PipelinedSSPProgram(Program):
         #: (d*, l*) converges to (delta(x, v), minhop(x, v)) and is the
         #: output when l* <= h (see module docstring).
         self.best: Dict[int, SourceBest] = {}
-        #: Diagnostics for the invariant benchmarks (E4).
-        self.max_per_source_seen = 0
-        self.max_list_len_seen = 0
         self.last_sp_update_round = 0
-        self.sends = 0
 
     # -- initialization (paper: 'Initialization ... at node v') ----------
 
@@ -135,14 +123,7 @@ class PipelinedSSPProgram(Program):
         if z is None:
             return
         nu = self.list_v.nu_of(z)
-        payload = (z.d, z.l, z.x, z.flag_sp, nu)
-        if self.directed_broadcast:
-            ctx.broadcast_out(payload)
-        else:
-            ctx.broadcast(payload)
-        if self.record_sends:
-            z.record_send(r)
-        self.sends += 1
+        ctx.broadcast_out((z.d, z.l, z.x, z.flag_sp, nu))
         if self.trace is not None:
             self.trace.emit(r, self.v, "send", z.d, z.l, z.x, nu)
 
@@ -157,17 +138,12 @@ class PipelinedSSPProgram(Program):
         gamma = self.gamma
         weight_in = ctx.weight_in
         for env in inbox:
+            # Senders broadcast over out-arcs only, so y -> v is an arc.
             y = env.src
-            w = weight_in(y)
-            if w is None:
-                # Message arrived over the bidirectional channel of an
-                # edge v -> y; there is no edge y -> v to relax.
-                continue
             d_in, l_in, x, _flag_in, nu_in = env.payload
-            d = d_in + w
+            d = d_in + weight_in(y)
             l = l_in + 1
             fold(r, y, d, l, key_of(d, l, gamma), x, nu_in)
-        self.finish_receive()
 
     def fold(self, r: int, y: int, d: int, l: int, kappa: float, x: int,
              nu_in: int) -> bool:
@@ -228,17 +204,6 @@ class PipelinedSSPProgram(Program):
         self._note_insert(r, z, pos)
         return True
 
-    def finish_receive(self) -> None:
-        """End-of-receive stats: O(1) on the kernel list (incremental
-        max), a recount on the reference list."""
-        list_v = self.list_v
-        ln = len(list_v)
-        if ln > self.max_list_len_seen:
-            self.max_list_len_seen = ln
-        top = list_v.max_entries_any_source()
-        if top > self.max_per_source_seen:
-            self.max_per_source_seen = top
-
     def _note_insert(self, r: int, z: Entry, pos: int) -> None:
         if self.trace is not None:
             self.trace.emit(r, self.v, "insert", z.d, z.l, z.x, z.kappa, pos)
@@ -275,17 +240,14 @@ class PipelinedSSPProgram(Program):
     def snapshot_state(self) -> Dict[str, object]:
         """The mutable state as plain values the checkpoint JSON codec
         encodes: ``list_v`` in list order, one ``[kappa, d, l, x,
-        flag_sp, parent, sent_at]`` row per entry, plus the bests and
-        the diagnostics.  Detached from the live program."""
+        flag_sp, parent]`` row per entry, plus the bests and the last
+        output-relevant promotion round.  Detached from the live
+        program."""
         return {
-            "entries": [[e.kappa, e.d, e.l, e.x, e.flag_sp, e.parent,
-                         None if e.sent_at is None else list(e.sent_at)]
+            "entries": [[e.kappa, e.d, e.l, e.x, e.flag_sp, e.parent]
                         for e in self.list_v],
             "best": {x: (b.d, b.l, b.parent) for x, b in self.best.items()},
-            "max_list_len": self.max_list_len_seen,
-            "max_per_source": self.max_per_source_seen,
             "last_sp_round": self.last_sp_update_round,
-            "sends": self.sends,
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
@@ -296,10 +258,8 @@ class PipelinedSSPProgram(Program):
         untouched, so it can be restored again."""
         list_v = NodeList()
         flagged: Dict[int, Entry] = {}
-        for kappa, d, l, x, flag_sp, parent, sent_at in state["entries"]:
+        for kappa, d, l, x, flag_sp, parent in state["entries"]:
             e = Entry(kappa, d, l, x, flag_sp=flag_sp, parent=parent)
-            if sent_at is not None:
-                e.sent_at = list(sent_at)
             # Entries arrive in list order and an insert goes above its
             # equal keys, so the rebuilt order is the saved one.
             list_v.insert_sp(e)
@@ -311,10 +271,7 @@ class PipelinedSSPProgram(Program):
             b = self.best[x] = SourceBest()
             b.d, b.l, b.parent = d, l, parent
             b.entry = flagged.get(x)
-        self.max_list_len_seen = state["max_list_len"]
-        self.max_per_source_seen = state["max_per_source"]
         self.last_sp_update_round = state["last_sp_round"]
-        self.sends = state["sends"]
 
 
 @dataclass
@@ -342,6 +299,10 @@ class HKSSPResult:
     #: Last round in which any node improved a shortest-path estimate --
     #: the quantity Theorem I.1 bounds.
     last_sp_update_round: int
+    #: Largest ``list_v`` and largest per-source entry count at any
+    #: node, read off the final lists: no fold shrinks a list or a
+    #: source's count (every removal follows an insert for the same
+    #: source), so the final sizes are the run's largest.
     max_list_len: int
     max_entries_per_source: int
 
@@ -358,10 +319,8 @@ def run_hk_ssp(graph: WeightedDigraph, sources: Sequence[int], h: int,
                delta: Optional[int] = None, *,
                gamma: Optional[float] = None,
                cutoff: bool = True,
-               directed_broadcast: bool = True,
                eviction: str = "budget",
                trace: Optional[TraceRecorder] = None,
-               record_sends: Optional[bool] = None,
                max_rounds: Optional[int] = None,
                fault_plan: Optional[object] = None,
                monitor: Optional[object] = None,
@@ -384,12 +343,6 @@ def run_hk_ssp(graph: WeightedDigraph, sources: Sequence[int], h: int,
     cutoff:
         Stop sends after the Lemma II.14 round bound (the real algorithm's
         termination rule).  Disable to observe natural quiescence.
-    record_sends:
-        Per-entry ``Entry.sent_at`` recording.  ``None`` (default) turns
-        it on exactly when something will read it: a ``trace``/``tracer``
-        recorder, a ``record_window``, or the paranoid kernel mode.
-        Force ``True`` to inspect send histories on a bare run
-        (:func:`repro.analysis.inspect.send_history`).
     fault_plan / monitor / record_window:
         Forwarded to :class:`~repro.congest.network.Network`.  **Caveat**:
         Algorithm 1's schedule ``ceil(kappa + pos)`` *is* its correctness
@@ -447,17 +400,12 @@ def run_hk_ssp(graph: WeightedDigraph, sources: Sequence[int], h: int,
         # A Tracer is a TraceRecorder: program-level emits (sends,
         # inserts, promotions) land in its bounded ring.
         trace = tracer  # type: ignore[assignment]
-    if record_sends is None:
-        record_sends = (trace is not None or record_window > 0
-                        or _node_list.PARANOID)
 
     programs: List[PipelinedSSPProgram] = []
 
     def factory(v: int) -> PipelinedSSPProgram:
         p = PipelinedSSPProgram(v, sources, h, g, cutoff_round=cutoff_round,
-                                directed_broadcast=directed_broadcast,
-                                eviction=eviction, trace=trace,
-                                record_sends=record_sends)
+                                eviction=eviction, trace=trace)
         programs.append(p)
         return p
 
@@ -487,9 +435,10 @@ def run_hk_ssp(graph: WeightedDigraph, sources: Sequence[int], h: int,
         round_bound=bound,
         last_sp_update_round=max((p.last_sp_update_round for p in programs),
                                  default=0),
-        max_list_len=max((p.max_list_len_seen for p in programs), default=0),
-        max_entries_per_source=max((p.max_per_source_seen for p in programs),
-                                   default=0),
+        max_list_len=max((len(p.list_v) for p in programs), default=0),
+        max_entries_per_source=max(
+            (p.list_v.max_entries_any_source() for p in programs),
+            default=0),
     )
 
 

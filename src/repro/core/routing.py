@@ -58,14 +58,20 @@ class RoutingTable:
     Build from any result object that exposes ``dist[x][v]`` and
     ``parent[x][v]`` (``HKSSPResult``, ``BellmanFordKSSPResult``, ...)
     via :meth:`from_result`, or from raw mappings.
+
+    The table keeps the rows it is given: its ``dist`` and ``parent``
+    are new dicts holding the same row objects, shared, not copied.  No
+    query writes a row, so a caller that only ever replaces whole rows
+    in its own mappings (as :class:`~repro.recovery.DynamicRun` does)
+    can hand them over as they are.
     """
 
     def __init__(self, graph: WeightedDigraph,
                  dist: Mapping[int, Sequence[float]],
                  parent: Mapping[int, Sequence[Optional[int]]]) -> None:
         self.graph = graph
-        self.dist = {x: list(row) for x, row in dist.items()}
-        self.parent = {x: list(row) for x, row in parent.items()}
+        self.dist = dict(dist)
+        self.parent = dict(parent)
 
     @classmethod
     def from_result(cls, graph: WeightedDigraph, result) -> "RoutingTable":

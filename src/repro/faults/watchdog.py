@@ -42,9 +42,6 @@ class PostMortem:
     recent_events: List[TraceEvent] = field(default_factory=list)
     record_window: int = 0
 
-    def events_of_node(self, v: int) -> List[TraceEvent]:
-        return [e for e in self.recent_events if e.node == v]
-
     def render(self, max_events: int = 40) -> str:
         """Human-readable dump, appended to the raised exception."""
         lines = [f"=== post-mortem: {self.reason} (round {self.round}) ==="]

@@ -18,7 +18,9 @@ maps, and keeps only the bulk work around them.
   next to the scheduled round (see "Scheduling" below), so firing is
   one index into the entry list and ``nu`` is the entry's per-source
   index + 1 (what ``NodeList.nu_of`` returns);
-* **Step 2 (deliveries)** run through the CSR gather: one flat
+* **Step 2 (deliveries)** run through the CSR gather over the
+  out-arcs the program broadcasts on (the basic algorithm needs no
+  bidirectional channels, Section I-B): one flat
   ``(src, dst, w)`` edge batch per round, candidate ``d' = d + w``,
   ``l' = l + 1`` and ``kappa' = d' * gamma + l'`` computed for the
   whole batch as numpy vector ops, per-edge message tallies
@@ -30,6 +32,11 @@ maps, and keeps only the bulk work around them.
   :meth:`~repro.core.pipelined.PipelinedSSPProgram.fold`, the same
   method the per-message ``on_receive`` calls, which also asserts
   Invariant 1 on every insert.
+
+A round touches a program only to fire its entry and to fold its kept
+arrivals: a program's whole state is its list, its bests and its last
+output-relevant promotion round, and those two steps are what change
+them.
 
 The **order** of arrivals within a round is semantic (the quota gate
 and the flag-d* tie-breaks read list state mutated by earlier arrivals
@@ -63,8 +70,8 @@ senders' out-degrees as it collects them -- instead expands its
 deliveries from the Python CSR lists and folds every one
 (:meth:`_PipelinedKernel._gather_small`); it skips the reject pass,
 which only drops arrivals the fold rejects anyway.  The tallies, the
-fold, the snapshot refresh, the receiver epilogue and the rescheduling
-are the same code on both paths.
+fold, the snapshot refresh and the rescheduling are the same code on
+both paths.
 
 Scheduling touches only what moved
 ----------------------------------
@@ -165,22 +172,19 @@ class _PipelinedKernel:
         no per-program instrumentation, and the graph is bulk-safe.
 
         * uniform ``sources`` / ``h`` / ``gamma`` / ``cutoff_round`` /
-          ``directed_broadcast`` / ``budget`` -- the kernel hoists them
-          once; mixed-parameter networks (never produced by the entry
-          points) take the generic loop;
-        * ``trace is None`` and ``record_sends`` off: both observe
-          per-send events the bulk path never materializes (paranoid
-          mode forces ``record_sends`` on, so a paranoid process also
-          stays on the instrumented loop);
+          ``budget`` -- the kernel hoists them once; mixed-parameter
+          networks (never produced by the entry points) take the
+          generic loop;
+        * ``trace is None``: a trace observes per-send events the bulk
+          path never materializes (paranoid mode is checked per run,
+          by :meth:`revalidate`);
         * ``max_message_words >= 5``: a smaller budget must raise the
           reference's ``MessageSizeError``, which the generic loop
           does;
         * the graph facts of :func:`repro.perf.columnar.edges_bulk_safe`
-          (``int`` weights, duplicate-free out-neighbours, path sums
-          exact in float64, where the reject pass compares distances)
-          and, in undirected mode, duplicate-free broadcast targets, so
-          channel enforcement can never trigger on the bulk path
-          (``channel_capacity >= 1`` is construction-enforced).
+          (``int`` weights, duplicate-free out-neighbours, so channel
+          enforcement can never trigger on the bulk path, and path sums
+          exact in float64, where the reject pass compares distances).
         """
         from ..core.pipelined import PipelinedSSPProgram
         programs = net.programs
@@ -190,23 +194,14 @@ class _PipelinedKernel:
             return False
         p0 = programs[0]
         sources0 = tuple(p0.sources)
-        params0 = (p0.h, p0.gamma, p0.cutoff_round, p0.directed_broadcast,
-                   p0.budget)
+        params0 = (p0.h, p0.gamma, p0.cutoff_round, p0.budget)
         for v, p in enumerate(programs):
             if (type(p) is not PipelinedSSPProgram or p.v != v
                     or tuple(p.sources) != sources0
-                    or (p.h, p.gamma, p.cutoff_round, p.directed_broadcast,
-                        p.budget) != params0
-                    or p.trace is not None or p.record_sends):
+                    or (p.h, p.gamma, p.cutoff_round, p.budget) != params0
+                    or p.trace is not None):
                 return False
-        if not _cmod.edges_bulk_safe(net):
-            return False
-        if not p0.directed_broadcast:
-            for ctx in net.contexts:
-                neigh = ctx.comm_neighbors
-                if len(set(neigh)) != len(neigh):
-                    return False
-        return True
+        return _cmod.edges_bulk_safe(net)
 
     def revalidate(self, net) -> bool:
         """Per-run dynamic eligibility on the memoized kernel: paranoid
@@ -221,7 +216,6 @@ class _PipelinedKernel:
         p0 = net.programs[0]
         self.gamma: float = p0.gamma
         self.cutoff: Optional[int] = p0.cutoff_round
-        self.directed: bool = p0.directed_broadcast
         #: Served sources and each one's column in the snapshot rows
         #: (cell ``v * k + xi``; -1 for non-sources, never a payload x).
         self.sources: Tuple[int, ...] = tuple(dict.fromkeys(p0.sources))
@@ -229,42 +223,23 @@ class _PipelinedKernel:
         self._xi = [-1] * self.n
         for xi, x in enumerate(self.sources):
             self._xi[x] = xi
-        # CSR of the broadcast targets, node ranges in increasing node
-        # order.  Directed mode broadcasts over out-edges; undirected
-        # mode over comm_neighbors, where the *relaxation* weight is the
-        # receiver's weight_in(sender) -- the sender's out-edge weight
-        # to that neighbour, absent (wok=False) when the channel exists
-        # only for the reverse edge (the message is still delivered and
-        # counted; there is just nothing to relax).  Python lists where
-        # a Python loop reads them per element, numpy for the round.
+        # CSR of the out-arcs every send is broadcast over, node ranges
+        # in increasing node order.  Python lists where a Python loop
+        # reads them per element, numpy for the round.
         indptr = [0]
         heads: List[int] = []
         weights: List[int] = []
-        wok: List[bool] = []
-        for v in range(self.n):
-            ctx = net.contexts[v]
-            if self.directed:
-                for u, w in ctx.out_edges:
-                    heads.append(u)
-                    weights.append(w)
-                    wok.append(True)
-            else:
-                out_w = dict(ctx.out_edges)
-                for u in ctx.comm_neighbors:
-                    w = out_w.get(u)
-                    heads.append(u)
-                    weights.append(0 if w is None else w)
-                    wok.append(w is not None)
+        for ctx in net.contexts:
+            for u, w in ctx.out_edges:
+                heads.append(u)
+                weights.append(w)
             indptr.append(len(heads))
         self._indptr = indptr
         self._heads = heads
         self._weights = weights
-        self._wok = wok
-        self._all_wok = all(wok)
         self._np_indptr = np.asarray(indptr, dtype=np.int64)
         self._np_heads = np.asarray(heads, dtype=np.int64)
         self._np_weights = np.asarray(weights, dtype=np.int64)
-        self._np_wok = np.asarray(wok, dtype=bool)
         self._np_xi = np.asarray(self._xi, dtype=np.int64)
         #: Per-CSR-edge message tallies, flushed to the RunMetrics
         #: Counter once per run.
@@ -274,12 +249,8 @@ class _PipelinedKernel:
 
     def _load(self, programs) -> None:
         """Bind the programs' lists for the run and build the reject
-        pass's inputs: the snapshot rows (one per (node, source) cell,
-        see :meth:`_snap_row`) and the set of nodes whose receive stats
-        lag their lists (a source right after ``on_start``, or restored
-        state) -- the reference refreshes those stats in every
-        ``on_receive``, including one whose arrivals are all rejected,
-        so :meth:`_round` still runs ``finish_receive`` for them."""
+        pass's snapshot rows (one per (node, source) cell, see
+        :meth:`_snap_row`)."""
         self._programs = programs
         self._lists = [p.list_v for p in programs]
         for nl in self._lists:
@@ -291,10 +262,6 @@ class _PipelinedKernel:
         if cells:
             snap[cells] = [self._snap_row(c) for c in cells]
         self._snap = snap
-        self._lag = {v for v, p in enumerate(programs)
-                     if p.max_list_len_seen < len(p.list_v)
-                     or p.max_per_source_seen
-                     < p.list_v.max_entries_any_source()}
 
     def _snap_row(self, cell: int) -> Tuple[float, ...]:
         """Cell ``v * k + xi``'s snapshot row ``(best d, best l, best
@@ -325,7 +292,6 @@ class _PipelinedKernel:
 
         self._load(net.programs)
         n = self.n
-        programs = self._programs
         lists = self._lists
         node_sends = metrics.node_sends
         indptr = self._indptr
@@ -404,7 +370,6 @@ class _PipelinedKernel:
                     send_l.append(e.l)
                     send_x.append(e.x)
                     send_nu.append(e._li + nu_pad)
-                    programs[v].sends += 1
                     degree = indptr[v + 1] - indptr[v]
                     if degree:
                         total += degree
@@ -478,20 +443,6 @@ class _PipelinedKernel:
         if changed_cells:
             idx = list(changed_cells)
             self._snap[idx] = [self._snap_row(c) for c in idx]
-
-        # Receiver epilogue: the stats only move for lists that changed,
-        # and for delivered-to nodes whose stats lag their list.
-        for u in changed:
-            programs[u].finish_receive()
-        lag = self._lag
-        if lag:
-            indptr, heads = self._indptr, self._heads
-            delivered = set()
-            for y in senders:
-                delivered.update(heads[indptr[y]:indptr[y + 1]])
-            for u in lag & delivered:
-                programs[u].finish_receive()
-                lag.discard(u)
         return changed
 
     def _gather(self, senders, send_d, send_l, send_x, send_nu):
@@ -542,10 +493,6 @@ class _PipelinedKernel:
         pad = _cmod._CORRUPTION == "reject-filter-off-by-one"
         reject &= nus <= cnt + pad
         reject &= (kappa > kk) | ((kappa == kk) & (cand_d >= kd))
-        if not self._all_wok:
-            # channel exists only for the reverse edge: delivered and
-            # counted above, nothing to relax
-            reject |= ~self._np_wok[edges]
         (kept,) = np.nonzero(~reject)
         kept = kept[np.argsort(dsts[kept], kind="stable")]
         return zip(dsts[kept].tolist(), ys[kept].tolist(),
@@ -557,8 +504,7 @@ class _PipelinedKernel:
         """:meth:`_gather` for a round too small to repay numpy's fixed
         cost: the same tallies and arrival rows from the Python CSR
         lists, and no reject pass."""
-        indptr, heads = self._indptr, self._heads
-        weights, wok = self._weights, self._wok
+        indptr, heads, weights = self._indptr, self._heads, self._weights
         tally = self._np_edge_msgs
         gamma, k, xi = self.gamma, self.k, self._xi
         rows = []
@@ -568,10 +514,9 @@ class _PipelinedKernel:
             c = xi[x]
             for e in range(indptr[y], indptr[y + 1]):
                 tally[e] += 1
-                if wok[e]:
-                    u = heads[e]
-                    d = d_in + weights[e]
-                    rows.append((u, y, d, l, d * gamma + l, x, nu, u * k + c))
+                u = heads[e]
+                d = d_in + weights[e]
+                rows.append((u, y, d, l, d * gamma + l, x, nu, u * k + c))
         rows.sort(key=_DESTINATION)  # stable: senders stay ascending
         return rows
 

@@ -49,7 +49,7 @@ from ..congest.metrics import RunMetrics
 
 #: Bump on any incompatible change to the serialized layout; ``load``
 #: refuses a mismatched version instead of misreading it.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):

@@ -327,8 +327,8 @@ class DynamicRun:
             kwargs["monitor"] = monitor
         res = k_ssp(graph, list(sources), method=self.method,
                     backend=self.backend, **kwargs)
-        return ({s: list(res.dist[s]) for s in sources},
-                {s: list(res.parent[s]) for s in sources}, res.metrics)
+        return ({s: res.dist[s] for s in sources},
+                {s: res.parent[s] for s in sources}, res.metrics)
 
     def _compute_recoverable(self, graph: WeightedDigraph,
                              sources: Sequence[int], monitor: Any

@@ -157,15 +157,15 @@ class DistanceOracle:
             raise ValueError("need at least one source to serve")
         self.graph = graph
         self.refreshes: List[RefreshRecord] = []
-        self._build_rounds = self._dyn.metrics.rounds
         self._view = TableView(0, self._table())
         if self._epoch_gauge is not None:
             self._epoch_gauge.set(self._view.epoch)
 
     def _table(self) -> RoutingTable:
-        """The run's current rows as one table.  ``RoutingTable`` copies
-        the rows, so a later ``apply`` on the run never reaches a
-        published view."""
+        """The run's current rows as one table.  The table shares the
+        run's row lists in dicts of its own: ``apply`` replaces a
+        repaired source's rows in the run's dicts and never writes a
+        row, so a published view keeps its epoch's rows."""
         dyn = self._dyn
         return RoutingTable(dyn.graph, dyn.table, dyn.parents)
 
@@ -182,8 +182,8 @@ class DistanceOracle:
     @property
     def build_rounds(self) -> int:
         """Total CONGEST rounds spent materializing tables so far
-        (initial build + every refresh)."""
-        return self._build_rounds
+        (initial build + every refresh): the run's merged metrics."""
+        return self._dyn.metrics.rounds
 
     # -- point queries ------------------------------------------------
 
@@ -307,7 +307,6 @@ class DistanceOracle:
             self.cache.count_invalidations(invalidated)
             new_epoch = old.epoch + 1
             self.graph = self._dyn.graph
-            self._build_rounds += record.rounds_to_repair
             # The swap: one reference assignment publishes the new view.
             self._view = TableView(new_epoch, self._table(), routes)
             rec = RefreshRecord(new_epoch, tuple(record.affected),

@@ -65,6 +65,7 @@ from repro.congest import (
     NodeContext,
     Program,
     RoundLimitExceeded,
+    TraceRecorder,
 )
 from repro.core import (
     apsp,
@@ -164,11 +165,11 @@ def test_bellman_ford_hop_limited_differential(backend, data):
 
 
 def assert_pipelined_states_equivalent(g, sources, h, backend):
-    """Every program's ``snapshot_state()`` -- list entries, bests,
-    ``max_list_len``, ``max_per_source``, ``last_sp_round``, ``sends``
-    -- equals the reference's after an Algorithm 1 run, built as
-    :func:`run_hk_ssp` builds it (same Delta, gamma and cutoff round)
-    but at network level, where every program can be read."""
+    """Every program's ``snapshot_state()`` -- list entries, bests and
+    ``last_sp_round`` -- equals the reference's after an Algorithm 1
+    run, built as :func:`run_hk_ssp` builds it (same Delta, gamma and
+    cutoff round) but at network level, where every program can be
+    read."""
     sources = tuple(sources)
     k = len(sources)
     delta = weak_delta_bound(g, sources, h)
@@ -691,21 +692,82 @@ def test_columnar_pipelined_kernel_folds_through_the_program(monkeypatch):
             (want.dist, want.hops, want.parent, want.metrics.rounds), path
 
 
+def _list_sizes(p):
+    """A program's list length and each of its sources' entry counts."""
+    nl = p.list_v
+    return len(nl), [nl.count_for_source(x) for x in p.sources]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pipelined_lists_never_shrink(data):
+    """``run_hk_ssp`` reads ``max_list_len`` and
+    ``max_entries_per_source`` off the final lists.  That is exact
+    because no ``fold`` call lowers a list's length or any source's
+    entry count -- on the reference and on both of the kernel's round
+    paths, under both eviction policies -- so both fields equal the
+    largest sizes any list reached during the run."""
+    g = data.draw(small_graphs)
+    n = g.n
+    sources = sorted(data.draw(st.sets(st.integers(0, n - 1),
+                                       min_size=1, max_size=min(n, 4))))
+    h = data.draw(st.integers(1, max(1, n - 1)))
+    fold, on_start = PipelinedSSPProgram.fold, PipelinedSSPProgram.on_start
+    programs = []
+    seen = [0, 0]  # largest list length, largest per-source count
+
+    def note(p):
+        ln, counts = _list_sizes(p)
+        seen[0] = max(seen[0], ln)
+        seen[1] = max([seen[1]] + counts)
+
+    def start_spy(self, ctx):
+        on_start(self, ctx)
+        programs.append(self)
+        note(self)
+
+    def fold_spy(self, *args):
+        ln, counts = _list_sizes(self)
+        changed = fold(self, *args)
+        ln2, counts2 = _list_sizes(self)
+        assert ln2 >= ln and all(b >= a for a, b in zip(counts, counts2)), \
+            (self.v, args, (ln, counts), (ln2, counts2))
+        note(self)
+        return changed
+
+    # The reference has no round paths; it runs once.
+    runs = [("reference", "numpy")] + [("columnar", p) for p in ROUND_PATHS]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PipelinedSSPProgram, "fold", fold_spy)
+        mp.setattr(PipelinedSSPProgram, "on_start", start_spy)
+        for eviction in ("budget", "always"):
+            for backend, path in runs:
+                programs.clear()
+                seen[:] = [0, 0]
+                with forced_round_path(path):
+                    res = run_hk_ssp(g, sources, h, eviction=eviction,
+                                     backend=backend)
+                assert len(programs) == n
+                final = (max(len(p.list_v) for p in programs),
+                         max(p.list_v.max_entries_any_source()
+                             for p in programs))
+                assert (res.max_list_len, res.max_entries_per_source) \
+                    == final == tuple(seen), (eviction, backend, path)
+
+
 def test_columnar_pipelined_state_two_node_cycle():
     """Graph 0 <-> 1 (weight 3), sources {0}.  Node 0's only arrival,
-    its own distance echoed back by node 1, changes nothing -- yet the
-    reference's receive epilogue still raises node 0's
-    ``max_list_len_seen`` from 0 (the source entry was inserted by
-    ``on_start``, which updates no stats) to 1.  A kernel that skips the
-    epilogue for receivers whose every arrival is rejected drifts here,
-    and checkpoints capture the drift."""
+    its own distance echoed back by node 1, changes nothing: the
+    kernel's reject pass may drop it, and node 0's state must still
+    equal the reference's, its list holding just the source entry
+    ``on_start`` inserted."""
     g = WeightedDigraph.from_edges(2, [(0, 1, 3), (1, 0, 3)])
     for path in ROUND_PATHS:
         with forced_round_path(path):
             _ref, alt = assert_pipelined_states_equivalent(g, [0], 1,
                                                            "columnar")
         assert alt._columnar_kernel() is not None
-        assert alt.programs[0].max_list_len_seen == 1
+        assert len(alt.programs[0].list_v) == 1
 
 
 def test_columnar_bulk_path_engaged():
@@ -733,9 +795,9 @@ def test_columnar_bulk_path_engaged():
     # the generic loop:
     assert ColumnarNetwork(
         g, pipelined, tracer=Tracer())._columnar_kernel() is None
-    recorded = lambda v: PipelinedSSPProgram(v, (0,), h=3, gamma=1.0,
-                                             record_sends=True)
-    assert ColumnarNetwork(g, recorded)._columnar_kernel() is None
+    traced = lambda v: PipelinedSSPProgram(v, (0,), h=3, gamma=1.0,
+                                           trace=TraceRecorder())
+    assert ColumnarNetwork(g, traced)._columnar_kernel() is None
     mixed_h = lambda v: PipelinedSSPProgram(v, (0,), h=3 if v else 2,
                                             gamma=1.0)
     assert ColumnarNetwork(g, mixed_h)._columnar_kernel() is None

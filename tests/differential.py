@@ -126,9 +126,8 @@ def post_mortem_summary(pm) -> Optional[Dict[str, Any]]:
 
 def program_states(net) -> List[Dict[str, Any]]:
     """Every program's ``snapshot_state()``: the per-node Algorithm 1
-    state (list entries, bests, ``max_list_len``, ``max_per_source``,
-    ``last_sp_round``, ``sends``) that outputs and metrics do not show
-    but checkpoints capture."""
+    state (list entries, bests, ``last_sp_round``) that outputs and
+    metrics do not show but checkpoints capture."""
     return [p.snapshot_state() for p in net.programs]
 
 

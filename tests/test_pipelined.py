@@ -149,6 +149,15 @@ class TestRoundBounds:
             # flag-d* entry
             assert res.max_entries_per_source <= int(bound) + 1
 
+    def test_sources_without_out_arcs_count_their_own_entry(self):
+        """List sizes are read off the final lists, so a source whose
+        entry can go nowhere still counts it: no node receives
+        anything, and each source's list holds one entry."""
+        g = WeightedDigraph.from_edges(3, [(1, 2, 4)])
+        res = run_hk_ssp(g, [0, 2], 2)
+        assert res.metrics.messages == 0
+        assert (res.max_list_len, res.max_entries_per_source) == (1, 1)
+
 
 class TestCongestCompliance:
     def test_one_message_per_node_per_round(self):
@@ -165,9 +174,11 @@ class TestCongestCompliance:
         assert res.metrics.max_message_words <= 5
 
     def test_undirected_broadcast_mode(self):
+        """An undirected graph is a symmetric digraph, so broadcasting
+        over out-arcs reaches every neighbour."""
         g = random_graph(8, p=0.3, w_max=4, zero_fraction=0.3,
                          directed=False, seed=6)
-        res = run_apsp(g, directed_broadcast=False)
+        res = run_apsp(g)
         for x in range(g.n):
             assert res.dist[x] == dijkstra(g, x)[0]
 

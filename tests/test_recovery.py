@@ -223,9 +223,12 @@ class TestRunCheckpoint:
         net = make_network(g, bf_factory())
         ckpt = _suspend(net, at_round=2)
         data = json.loads(ckpt.to_json())
-        data["version"] = 99
-        with pytest.raises(CheckpointError, match="version"):
-            RunCheckpoint.from_json(json.dumps(data))
+        # 99: a future layout; 1: the layout whose pipelined rows carried
+        # a send log and whose snapshots carried list-size statistics.
+        for version in (99, 1):
+            data["version"] = version
+            with pytest.raises(CheckpointError, match="version"):
+                RunCheckpoint.from_json(json.dumps(data))
 
     def test_digest_detects_corruption(self):
         g = random_graph(6, p=0.5, w_max=4, seed=1)

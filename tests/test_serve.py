@@ -385,6 +385,27 @@ class TestRefresh:
         assert 0 in view.routes and 0 not in o.view.routes
         assert o.path(0, 2).distance == dijkstra(o.graph, 0)[0][2] == 7
 
+    def test_views_share_the_run_rows(self, graph):
+        # Each epoch's table holds the run's row lists, not copies; a
+        # refresh replaces the repaired sources' rows in the run and
+        # leaves the superseded view's rows as they were.
+        o = DistanceOracle(graph, method="bellman-ford")
+        old = o.view
+        before = {}
+        for s in o.sources:
+            assert old.table.dist[s] is o._dyn.table[s]
+            assert old.table.parent[s] is o._dyn.parents[s]
+            before[s] = (list(old.table.dist[s]), list(old.table.parent[s]))
+        u, v, w = max(graph.edges(), key=lambda e: e[2])
+        rec = o.refresh(EdgeUpdate(u, v, 0))
+        assert any(o._dyn.table[s] != before[s][0]
+                   for s in rec.affected_sources)
+        for s in o.sources:
+            assert o.view.table.dist[s] is o._dyn.table[s]
+            assert o.view.table.parent[s] is o._dyn.parents[s]
+            assert (old.table.dist[s], old.table.parent[s]) == before[s]
+        assert o.oracle_check() == [] and o.validate() == []
+
     def test_only_affected_cache_entries_dropped(self, graph):
         o = DistanceOracle(graph, method="bellman-ford")
         o.serve(generate_workload(graph.n, 1000, seed=6))
