@@ -9,7 +9,7 @@ do real work instead of wrapping whole sweeps.
 
 import random
 
-from repro.core import Entry, NodeList
+from repro.core import NodeList
 from repro.core.keys import gamma_for, key_of
 from repro.core import run_apsp
 from repro.graphs import random_graph
@@ -21,7 +21,7 @@ def build_list(n_entries=200, seed=1):
     nl = NodeList()
     for _ in range(n_entries):
         d, l, x = rng.randint(0, 16), rng.randint(0, 8), rng.randint(0, 7)
-        nl.insert(Entry(key_of(d, l, g), d, l, x), budget=5)
+        nl.insert((key_of(d, l, g), d, x, l, None), budget=5)
     return nl, g
 
 
@@ -33,7 +33,7 @@ def test_node_list_insert(benchmark):
         nl = NodeList()
         for _ in range(300):
             d, l, x = rng.randint(0, 16), rng.randint(0, 8), rng.randint(0, 7)
-            nl.insert(Entry(key_of(d, l, g), d, l, x), budget=5)
+            nl.insert((key_of(d, l, g), d, x, l, None), budget=5)
         return len(nl)
 
     assert benchmark(insert_batch) > 0

@@ -36,7 +36,7 @@ from .blocker import (
     verify_blocker_coverage,
 )
 from .csssp import CSSSPCollection, build_csssp
-from .entries import Entry, SourceBest
+from .entries import SourceBest
 from .keys import (
     ceil_key,
     gamma_for,
@@ -79,7 +79,6 @@ __all__ = [
     "BellmanFordResult",
     "BlockerResult",
     "CSSSPCollection",
-    "Entry",
     "HKSSPResult",
     "KSSPResult",
     "KSourceShortRangeResult",

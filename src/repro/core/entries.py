@@ -2,59 +2,37 @@
 
 An entry ``Z = (kappa, d, l, x)`` records one candidate path from source
 ``x`` to the node holding the entry: weighted distance ``d``, hop length
-``l``, key ``kappa = d * gamma + l``.  The node also tracks, per entry:
+``l``, key ``kappa = d * gamma + l``.  It is the plain tuple
+``(kappa, d, x, l, parent)``: the first three fields are the paper's
+list order (by key, ties by distance, then by the label of the source
+vertex), so an entry is its own sort key, and ``parent`` is the
+neighbour it arrived from (the last edge of the path, the APSP output
+alongside the distance; ``None`` for a source's own entry).
 
-* ``flag_sp`` -- the paper's ``Z.flag-d*``: set iff this entry currently
-  realises the smallest ``(d, kappa)`` for its source at this node (its
-  ``d`` is the current shortest-distance estimate ``d*_x``);
-* ``parent`` -- the neighbour the entry arrived from (the last edge of
-  the path, which is the required APSP output alongside the distance).
+Three rules follow (:mod:`repro.core.node_list` keeps them):
 
-An entry keeps no record of its sends: the program trace's ``send``
-events (``trace=`` / ``tracer=``) carry every send with its round, and
-:func:`repro.analysis.inspect.node_timeline` renders them per node.
+* **Order on the first three fields only.**  ``parent`` may be ``None``,
+  and equal-key twins keep their arrival order, which a full-tuple order
+  would replace by ``l`` or parent.
+* **Identity, never equality.**  One sender's two equal-key entries
+  relayed by the same parent are equal tuples, so ``list.index``,
+  ``list.remove`` and ``in`` may pick the wrong twin.
+* **A plain tuple.**  CPython's collector stops tracking a tuple of
+  numbers and ``None`` at its first collection; a class instance or a
+  ``namedtuple`` stays tracked for the whole run.
 
-Hot-path note: ``sort_key`` is a plain slot computed once in
-``__init__`` (it was a property).  The kernelised
-:class:`~repro.core.node_list.NodeList` reads it on every insert,
-position query, and count, and ``kappa``/``d``/``x`` are immutable path
-data, so caching is free and saves a descriptor call per access.
+The paper's ``Z.flag-d*`` is not a field: an entry is flagged iff it
+*is* its source's holder on the list (``NodeList.flagged``).  No entry
+records its sends; the program trace's ``send`` events do
+(:func:`repro.analysis.inspect.node_timeline` renders them per node).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-
-class Entry:
-    """One element of ``list_v``.  Mutable flags, immutable path data."""
-
-    __slots__ = ("kappa", "d", "l", "x", "flag_sp", "parent", "sort_key",
-                 "_li")
-
-    def __init__(self, kappa: float, d: int, l: int, x: int,
-                 *, flag_sp: bool = False, parent: Optional[int] = None) -> None:
-        self.kappa = kappa
-        self.d = d
-        self.l = l
-        self.x = x
-        self.flag_sp = flag_sp
-        self.parent = parent
-        #: List order: by key, ties by distance, then by the label of the
-        #: source vertex (Section II-A).  Immutable -- computed once.
-        self.sort_key: Tuple[float, int, int] = (kappa, d, x)
-        #: Index of this entry within its source's per-source list --
-        #: maintained by the owning NodeList kernel (None = not on a
-        #: list).  Private coupling: an Entry is created by one node and
-        #: lives on exactly one list, which is what makes an identity
-        #: index on the entry itself safe (and free of the id()-reuse
-        #: hazards a side-table would have).
-        self._li: Optional[int] = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        star = "*" if self.flag_sp else ""
-        return (f"Entry(k={self.kappa:.3f}, d={self.d}, l={self.l}, "
-                f"x={self.x}{star}, p={self.parent})")
+#: One element of ``list_v``: ``(kappa, d, x, l, parent)``.
+Entry = Tuple[float, int, int, int, Optional[int]]
 
 
 class SourceBest:
@@ -62,14 +40,12 @@ class SourceBest:
     ``d*_x`` plus the tie-break fields of Step 9 (hop length and parent
     id of the current best path)."""
 
-    __slots__ = ("d", "l", "parent", "entry")
+    __slots__ = ("d", "l", "parent")
 
     def __init__(self) -> None:
         self.d: float = float("inf")
         self.l: float = float("inf")
         self.parent: Optional[int] = None
-        #: The Entry object currently flagged as SP (None before first).
-        self.entry: Optional[Entry] = None
 
     def beats(self, d: int, l: int, parent: Optional[int]) -> bool:
         """Step 9 of Algorithm 1: does a new candidate ``(d, l, parent)``

@@ -70,10 +70,12 @@ def send_round(kappa: float, pos: int) -> int:
 
 
 def first_due(keys, r: int, *, lo: int = 0, pos_offset: int = 1) -> int:
-    """Index of the first entry of the sorted ``(kappa, d, x)`` key
-    column whose scheduled round ``ceil(kappa_i + i + pos_offset)``
-    exceeds round *r*, searching from index *lo* (every entry below
-    *lo* must be due at or before *r*); ``len(keys)`` when none is.
+    """Index of the first entry of a sorted entry list (any sequence
+    whose items start with ``kappa``, such as ``NodeList``'s
+    ``(kappa, d, x, l, parent)`` tuples) whose scheduled round
+    ``ceil(kappa_i + i + pos_offset)`` exceeds round *r*, searching
+    from index *lo* (every entry below *lo* must be due at or before
+    *r*); ``len(keys)`` when none is.
 
     The schedule is strictly increasing along the column (sorted keys,
     consecutive positions -- Lemma II.2), so this is an O(log n)

@@ -7,6 +7,12 @@ procedure implements the paper's ``Insert(Z)``: sorted insertion followed
 by removal of the closest non-SP entry for the same source *above* the
 insertion point, if one exists (Steps 1-4 / Observation II.3).
 
+An entry is the plain tuple ``(kappa, d, x, l, parent)``, its own sort
+key (:mod:`repro.core.entries` has the layout and its rules): entries
+are ordered on their first three fields and found by identity, by
+bisecting to the equal-key run and walking it with ``is``.  The paper's
+``Z.flag-d*`` is the list's per-source holder ``flagged[x]``.
+
 The list also implements the send schedule: an entry fires in round
 ``ceil(kappa + pos)``.  Two classes provide the same API:
 
@@ -22,12 +28,9 @@ The list also implements the send schedule: an entry fires in round
     check;
   - equal sort keys ``(kappa, d, x)`` share the source ``x``, so every
     per-source subsequence is itself sorted and order-preserving --
-    maintaining one short sorted list per source gives O(1)
-    ``count_for_source``/``nu_of``, O(log s) ``count_for_source_below``,
-    an O(log n + log s) ``pos`` even under duplicate keys (the identity
-    index lives on the entry itself), and an incrementally maintained
-    ``max_entries_any_source`` (a count-of-counts histogram), so the
-    Invariant 2 monitor no longer recounts the list every round.
+    keeping one short sorted list per source (the same tuples) gives
+    O(1) ``count_for_source``, O(log s) ``count_for_source_below`` and
+    ``nu_of``, and Insert's eviction scans only the source's entries.
 
   Two more pieces serve Algorithm 1's receive step and the columnar
   kernel's send schedule:
@@ -36,8 +39,8 @@ The list also implements the send schedule: an entry fires in round
     ``nu`` same-source entries at or below the key" fails exactly when
     the source has at least ``nu`` entries and its ``nu``-th smallest
     key is at or below the candidate's, so the quota is one key
-    comparison on the per-source key list.  An :class:`Entry` is built
-    only for an admitted candidate, which goes through :meth:`insert`.
+    comparison on the per-source list.  An entry is built only for an
+    admitted candidate, which goes through :meth:`insert`.
   - ``low_water`` is the lowest global index an insert or removal
     touched since its reader last reset it to :data:`UNTOUCHED`.
     Entries below it kept their index and key, so a send schedule
@@ -64,9 +67,9 @@ import os
 import sys
 from bisect import bisect_left, bisect_right
 from time import perf_counter as _perf
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from math import ceil as _ceil
+from math import ceil as _ceil, inf as _INF
 
 from ..obs.profiling import HOT as _HOT
 from .entries import Entry
@@ -91,24 +94,35 @@ def set_paranoid(enabled: bool) -> bool:
     return prev
 
 
+def _find(seq: Sequence[Entry], entry: Entry) -> int:
+    """Index of *entry* in the sorted *seq*, by identity: bisect to its
+    equal-key run (a 3-tuple probe sorts below every entry of that key),
+    then walk the run with ``is`` -- equal tuples are distinct twins."""
+    i = bisect_left(seq, entry[:3])
+    n = len(seq)
+    while i < n and seq[i] is not entry:
+        i += 1
+    if i == n:
+        raise ValueError("entry not on list")
+    return i
+
+
 class NodeList:
     """Sorted entry list with the paper's position/nu/eviction semantics
     (kernel implementation -- see the module docstring)."""
 
-    __slots__ = ("_entries", "_keys", "_src_entries", "_src_keys",
-                 "_count_freq", "_max_count", "low_water")
+    __slots__ = ("_entries", "_src", "flagged", "low_water")
 
     def __init__(self) -> None:
+        #: Every entry, sorted by ``(kappa, d, x)``; equal keys in
+        #: arrival order.
         self._entries: List[Entry] = []
-        self._keys: List[_Key] = []
         #: Per-source entries, in global list order (an order-preserving
-        #: subsequence of ``_entries``).
-        self._src_entries: Dict[int, List[Entry]] = {}
-        #: Parallel per-source sort keys (sorted -- bisect targets).
-        self._src_keys: Dict[int, List[_Key]] = {}
-        #: count-of-counts histogram: {per-source count: #sources}.
-        self._count_freq: Dict[int, int] = {}
-        self._max_count = 0
+        #: subsequence of ``_entries``); a source with no entry has no
+        #: list.
+        self._src: Dict[int, List[Entry]] = {}
+        #: The flag-d* entry of each source (Step 9's holder).
+        self.flagged: Dict[int, Entry] = {}
         #: Lowest global index an insert or removal touched since the
         #: reader last set this back to UNTOUCHED.
         self.low_water = UNTOUCHED
@@ -125,50 +139,36 @@ class NodeList:
         return list(self._entries)
 
     def pos(self, entry: Entry) -> int:
-        """1-based position of *entry* (the paper's ``pos_v(Z)``).
-
-        O(log n + log s) even with duplicate ``(kappa, d, x)`` keys: the
-        global bisect locates the equal-key run, and the entry's rank
-        inside the run comes from its identity index in the per-source
-        list (equal keys always share the source, so the run *is* a
-        per-source segment).
-        """
-        j = entry._li
-        lst = self._src_entries.get(entry.x)
-        if j is None or lst is None or j >= len(lst) or lst[j] is not entry:
-            raise ValueError("entry not on list")
-        key = entry.sort_key
-        base = bisect_left(self._keys, key)
-        run_rank = j - bisect_left(self._src_keys[entry.x], key)
-        p = base + run_rank + 1
+        """1-based position of *entry* (the paper's ``pos_v(Z)``):
+        O(log n) plus the length of its equal-key run."""
+        p = _find(self._entries, entry) + 1
         if PARANOID:
             self._check_sorted()
-            i = bisect_left(self._keys, key)
-            while i < len(self._entries) and self._entries[i] is not entry:
-                i += 1
-            assert i < len(self._entries) and i + 1 == p, \
-                f"pos kernel mismatch: indexed {p}, linear {i + 1}"
+            linear = next(i for i, e in enumerate(self._entries, 1)
+                          if e is entry)
+            assert linear == p, \
+                f"pos kernel mismatch: indexed {p}, linear {linear}"
         return p
 
     # -- paper quantities --------------------------------------------------
 
     def nu_of(self, entry: Entry) -> int:
         """``Z.nu``: entries for source ``Z.x`` at or below Z (inclusive).
-        O(1): the per-source list preserves global order, so nu is the
-        entry's per-source index + 1."""
-        j = entry._li
-        lst = self._src_entries.get(entry.x)
-        if j is None or lst is None or j >= len(lst) or lst[j] is not entry:
+        The per-source list preserves global order, so nu is the entry's
+        per-source index + 1, found as :meth:`pos` finds its index."""
+        lst = self._src.get(entry[2])
+        if lst is None:
             raise ValueError("entry not on list")
+        j = _find(lst, entry) + 1
         if PARANOID:
-            i = self.pos(entry) - 1
-            naive = sum(1 for e in self._entries[:i + 1] if e.x == entry.x)
-            assert naive == j + 1, \
-                f"nu_of kernel mismatch: indexed {j + 1}, linear {naive}"
-        return j + 1
+            i = self.pos(entry)
+            naive = sum(1 for e in self._entries[:i] if e[2] == entry[2])
+            assert naive == j, \
+                f"nu_of kernel mismatch: indexed {j}, linear {naive}"
+        return j
 
-    def count_for_source_below(self, x: int, sort_key: _Key) -> int:
-        """Number of entries for source *x* with key at most *sort_key*
+    def count_for_source_below(self, x: int, key: _Key) -> int:
+        """Number of entries for source *x* with key at most *key*
         (the count Step 13 gates on; :meth:`quota_insert` decides the
         gate without it), O(log s).
 
@@ -178,121 +178,100 @@ class NodeList:
         below it -- which is what Observation II.4's accounting
         ("at least nu- entries with key <= Z.kappa") requires.
         """
-        ks = self._src_keys.get(x)
-        c = bisect_right(ks, sort_key) if ks else 0
+        lst = self._src.get(x)
+        c = bisect_right(lst, (*key, _INF)) if lst else 0
         if PARANOID:
-            i = bisect_right(self._keys, sort_key)
-            naive = sum(1 for e in self._entries[:i] if e.x == x)
+            naive = sum(1 for e in self._entries
+                        if e[2] == x and e[:3] <= key)
             assert naive == c, \
                 f"count_for_source_below mismatch: indexed {c}, linear {naive}"
         return c
 
     def count_for_source(self, x: int) -> int:
-        lst = self._src_entries.get(x)
+        lst = self._src.get(x)
         return len(lst) if lst else 0
 
     def max_entries_any_source(self) -> int:
-        """max over sources of the per-source entry count (Invariant 2).
-        O(1): maintained incrementally by the mutation kernels."""
+        """max over sources of the per-source entry count (Invariant 2):
+        one ``len`` per source holding entries."""
+        top = max(map(len, self._src.values()), default=0)
         if PARANOID:
             counts: Dict[int, int] = {}
             for e in self._entries:
-                counts[e.x] = counts.get(e.x, 0) + 1
+                counts[e[2]] = counts.get(e[2], 0) + 1
             naive = max(counts.values(), default=0)
-            assert naive == self._max_count, \
+            assert naive == top, \
                 f"max_entries_any_source mismatch: " \
-                f"indexed {self._max_count}, recount {naive}"
-        return self._max_count
+                f"per-source lists {top}, recount {naive}"
+        return top
 
     # -- index maintenance -------------------------------------------------
 
-    def _link(self, entry: Entry) -> int:
-        """Add *entry* to the per-source index (newcomer above equal
-        keys, mirroring the global bisect_right placement) and bump the
-        count histogram.  Returns the entry's global insertion index."""
-        key = entry.sort_key
-        i = bisect_right(self._keys, key)
-        self._entries.insert(i, entry)
-        self._keys.insert(i, key)
+    def _link(self, entry: Entry) -> Tuple[int, int]:
+        """Add *entry* above its equal keys, to the list and to its
+        source's list.  Returns its global and per-source indexes."""
+        # The probe's fourth field exceeds every hop count, so it sorts
+        # above every entry of the same key and the comparison never
+        # reaches a parent.
+        probe = (entry[0], entry[1], entry[2], _INF)
+        es = self._entries
+        i = bisect_right(es, probe)
+        es.insert(i, entry)
         if i < self.low_water:
             self.low_water = i
-        x = entry.x
-        lst = self._src_entries.get(x)
+        lst = self._src.get(entry[2])
         if lst is None:
-            lst = self._src_entries[x] = []
-            self._src_keys[x] = []
-        ks = self._src_keys[x]
-        c = len(lst)
-        j = bisect_right(ks, key)
+            self._src[entry[2]] = [entry]
+            return i, 0
+        j = bisect_right(lst, probe)
         lst.insert(j, entry)
-        ks.insert(j, key)
-        entry._li = j
-        for t in range(j + 1, len(lst)):
-            lst[t]._li = t
-        freq = self._count_freq
-        if c:
-            freq[c] -= 1
-        freq[c + 1] = freq.get(c + 1, 0) + 1
-        if c + 1 > self._max_count:
-            self._max_count = c + 1
-        return i
+        return i, j
 
-    def _unlink(self, entry: Entry, global_index: int) -> None:
-        """Remove *entry* (resident at *global_index*) from all indexes."""
-        del self._entries[global_index]
-        del self._keys[global_index]
-        if global_index < self.low_water:
-            self.low_water = global_index
-        x = entry.x
-        lst = self._src_entries[x]
-        ks = self._src_keys[x]
-        j = entry._li
-        del lst[j]
-        del ks[j]
-        entry._li = None
-        for t in range(j, len(lst)):
-            lst[t]._li = t
-        c = len(lst) + 1
-        freq = self._count_freq
-        freq[c] -= 1
-        if c > 1:
-            freq[c - 1] = freq.get(c - 1, 0) + 1
-        else:
-            del self._src_entries[x]
-            del self._src_keys[x]
-        if self._max_count == c and freq.get(c, 0) == 0:
-            # only a single-step drop is possible: the demoted source now
-            # sits at c - 1 (or the structure is empty).
-            self._max_count = c - 1
+    def _unlink(self, entry: Entry, src_index: int) -> None:
+        """Remove *entry*, resident at *src_index* of its source's list,
+        from both lists."""
+        i = self.pos(entry) - 1
+        del self._entries[i]
+        if i < self.low_water:
+            self.low_water = i
+        x = entry[2]
+        lst = self._src[x]
+        del lst[src_index]
+        if not lst:
+            del self._src[x]
 
     def _evict_above(self, x: int, src_index: int) -> Optional[Entry]:
         """Remove and return the closest non-SP entry for source *x*
         strictly above per-source index *src_index*, if any.  Scans only
         the per-source list (same victim as the global closest-above
         scan: the per-source subsequence preserves global order)."""
-        lst = self._src_entries.get(x)
-        if not lst:
-            return None
+        lst = self._src[x]
+        sp = self.flagged.get(x)
         for j in range(src_index + 1, len(lst)):
             e = lst[j]
-            if not e.flag_sp:
-                self._unlink(e, self.pos(e) - 1)
+            if e is not sp:
+                self._unlink(e, j)
                 return e
         return None
 
     def _check_sorted(self) -> None:
-        """Paranoid-mode structural audit of every index."""
-        assert all(self._keys[i] <= self._keys[i + 1]
-                   for i in range(len(self._keys) - 1)), "keys unsorted"
-        assert [e.sort_key for e in self._entries] == self._keys, \
-            "entry/key desync"
-        for x, lst in self._src_entries.items():
-            sub = [e for e in self._entries if e.x == x]
-            assert lst == sub, f"per-source index desync for source {x}"
-            assert self._src_keys[x] == [e.sort_key for e in lst], \
-                f"per-source key desync for source {x}"
-            assert all(e._li == t for t, e in enumerate(lst)), \
-                f"identity index desync for source {x}"
+        """Paranoid-mode structural audit of both lists and the
+        holders."""
+        es = self._entries
+        assert all(es[i][:3] <= es[i + 1][:3]
+                   for i in range(len(es) - 1)), "entries unsorted"
+        subs: Dict[int, List[Entry]] = {}
+        for e in es:
+            subs.setdefault(e[2], []).append(e)
+        assert subs.keys() == self._src.keys(), "per-source list desync"
+        for x, lst in self._src.items():
+            sub = subs[x]
+            assert len(lst) == len(sub) and all(
+                a is b for a, b in zip(lst, sub)), \
+                f"per-source list desync for source {x}"
+        for x, e in self.flagged.items():
+            assert any(z is e for z in self._src.get(x, ())), \
+                f"flag-d* holder of source {x} is not on the list"
 
     # -- mutation ----------------------------------------------------------
 
@@ -325,10 +304,11 @@ class NodeList:
           Invariant 1 -- needs when exact duplicate ``(kappa, d, x)``
           entries arrive via different parents.
         """
-        i = self._link(entry)
+        i, j = self._link(entry)
         removed: Optional[Entry] = None
-        if budget is None or len(self._src_entries[entry.x]) > budget:
-            removed = self._evict_above(entry.x, entry._li)
+        x = entry[2]
+        if budget is None or len(self._src[x]) > budget:
+            removed = self._evict_above(x, j)
         if PARANOID:
             self._check_sorted()
         return i + 1, removed
@@ -347,51 +327,60 @@ class NodeList:
 
         The count reaches *nu* exactly when the source has at least
         *nu* entries and the *nu*-th smallest of their keys is at or
-        below the candidate's, so the quota is one comparison; no
-        :class:`Entry` is built for a reject."""
-        ks = self._src_keys.get(x)
-        if ks is not None and 0 < nu <= len(ks):
-            full = ks[nu - 1] <= (kappa, d, x)
+        below the candidate's, so the quota is one comparison (against
+        a probe that sorts above every entry of the candidate's key);
+        no entry is built for a reject."""
+        lst = self._src.get(x)
+        if lst is not None and 0 < nu <= len(lst):
+            full = lst[nu - 1] < (kappa, d, x, _INF)
         else:
             full = nu < 1
         if PARANOID:
-            i = bisect_right(self._keys, (kappa, d, x))
-            naive = sum(1 for e in self._entries[:i] if e.x == x)
+            naive = sum(1 for e in self._entries
+                        if e[2] == x and e[:3] <= (kappa, d, x))
             assert full == (naive >= nu), \
                 f"quota_insert mismatch: one-key test {full}, " \
                 f"linear count {naive} against nu {nu}"
         if full:
             return None
-        z = Entry(kappa, d, l, x, parent=parent)
+        z = (kappa, d, x, l, parent)
         pos, removed = self.insert(z, budget)
         return z, pos, removed
 
     def insert_sp(self, entry: Entry) -> int:
-        """Insert a new flag-d* (shortest-path) entry, without eviction.
+        """Insert a new flag-d* (shortest-path) entry, without eviction,
+        and make it its source's holder (which demotes the previous one).
 
-        The caller demotes the previous SP entry afterwards and then calls
-        :meth:`evict_over_budget` -- so the old entry is evictable exactly
-        when the Invariant 2 budget demands it, and survives as a
-        (d, l)-Pareto point otherwise (the Figure 1 requirement).
-        Returns the 1-based position.
+        The caller then calls :meth:`evict_over_budget` -- so the old
+        entry is evictable exactly when the Invariant 2 budget demands
+        it, and survives as a (d, l)-Pareto point otherwise (the Figure
+        1 requirement).  Returns the 1-based position.
         """
-        i = self._link(entry)
+        i, _ = self._link(entry)
+        self.flagged[entry[2]] = entry
         if PARANOID:
             self._check_sorted()
         return i + 1
 
     def evict_over_budget(self, entry: Entry, budget: int) -> Optional[Entry]:
-        """If the entry count for ``entry.x`` exceeds *budget*, remove the
-        closest non-SP same-source entry above *entry* (if any).  Returns
-        the victim or ``None``."""
-        if self.count_for_source(entry.x) <= budget:
+        """If the entry count for *entry*'s source exceeds *budget*,
+        remove the closest non-SP same-source entry above *entry* (if
+        any).  Returns the victim or ``None``."""
+        lst = self._src.get(entry[2])
+        if lst is None or len(lst) <= budget:
             return None
-        if entry._li is None:
-            raise ValueError("entry not on list")
-        return self._evict_above(entry.x, entry._li)
+        return self._evict_above(entry[2], _find(lst, entry))
 
     def remove(self, entry: Entry) -> None:
-        self._unlink(entry, self.pos(entry) - 1)
+        """Remove *entry* (by identity); a removed holder leaves its
+        source without one."""
+        x = entry[2]
+        lst = self._src.get(x)
+        if lst is None:
+            raise ValueError("entry not on list")
+        self._unlink(entry, _find(lst, entry))
+        if self.flagged.get(x) is entry:
+            del self.flagged[x]
 
     # -- send schedule -----------------------------------------------------
     #
@@ -414,23 +403,23 @@ class NodeList:
         prof = _HOT.session
         t0 = _perf() if prof is not None else 0.0
         ceil = _ceil  # profiled hot loop: avoid attribute lookups
-        keys = self._keys
-        lo, hi = 0, len(keys)
+        es = self._entries
+        lo, hi = 0, len(es)
         while lo < hi:
             mid = (lo + hi) >> 1
-            if ceil(keys[mid][0] + mid + 1) < r:
+            if ceil(es[mid][0] + mid + 1) < r:
                 lo = mid + 1
             else:
                 hi = mid
         hit: Optional[Entry] = None
-        if lo < len(keys) and ceil(keys[lo][0] + lo + 1) == r:
-            hit = self._entries[lo]
+        if lo < len(es) and ceil(es[lo][0] + lo + 1) == r:
+            hit = es[lo]
         if PARANOID:
             linear: Optional[Entry] = None
             pos = 0
-            for e in self._entries:
+            for e in es:
                 pos += 1
-                if ceil(e.kappa + pos) == r:
+                if ceil(e[0] + pos) == r:
                     if linear is not None:
                         raise AssertionError(
                             f"two entries scheduled in round {r}: "
@@ -449,23 +438,23 @@ class NodeList:
         prof = _HOT.session
         t0 = _perf() if prof is not None else 0.0
         ceil = _ceil
-        keys = self._keys
-        lo, hi = 0, len(keys)
+        es = self._entries
+        lo, hi = 0, len(es)
         while lo < hi:
             mid = (lo + hi) >> 1
-            if ceil(keys[mid][0] + mid + 1) <= r:
+            if ceil(es[mid][0] + mid + 1) <= r:
                 lo = mid + 1
             else:
                 hi = mid
         best: Optional[int] = None
-        if lo < len(keys):
-            best = ceil(keys[lo][0] + lo + 1)
+        if lo < len(es):
+            best = ceil(es[lo][0] + lo + 1)
         if PARANOID:
             naive: Optional[int] = None
             pos = 0
-            for e in self._entries:
+            for e in es:
                 pos += 1
-                rr = ceil(e.kappa + pos)
+                rr = ceil(e[0] + pos)
                 if rr > r and (naive is None or rr < naive):
                     naive = rr
             assert naive == best, \
@@ -477,17 +466,17 @@ class NodeList:
 
 
 class ReferenceNodeList:
-    """The naive linear-scan ``list_v`` -- the pre-kernel implementation,
-    kept verbatim as (a) the differential-testing reference the kernels
-    are pinned against and (b) the paranoid-mode semantics.  Same API
-    and observable behaviour as :class:`NodeList`; every query is
-    O(n)."""
+    """The naive linear-scan ``list_v``, kept as (a) the
+    differential-testing reference the kernels are pinned against and
+    (b) the paranoid-mode semantics.  Same API and observable behaviour
+    as :class:`NodeList` on the same tuples, with no per-source lists:
+    every query is an O(n) scan, and an entry is found by identity."""
 
-    __slots__ = ("_entries", "_keys")
+    __slots__ = ("_entries", "flagged")
 
     def __init__(self) -> None:
         self._entries: List[Entry] = []
-        self._keys: List[_Key] = []
+        self.flagged: Dict[int, Entry] = {}
 
     # -- basic container --------------------------------------------------
 
@@ -501,55 +490,57 @@ class ReferenceNodeList:
         return list(self._entries)
 
     def pos(self, entry: Entry) -> int:
-        """1-based position of *entry*: bisect to the equal-key run, then
-        walk it by identity (O(n) worst case under duplicate keys -- the
-        degradation the kernel's identity index removes)."""
-        i = bisect_left(self._keys, entry.sort_key)
-        while i < len(self._entries) and self._entries[i] is not entry:
-            i += 1
-        if i == len(self._entries):
-            raise ValueError("entry not on list")
-        return i + 1
+        for i, e in enumerate(self._entries, 1):
+            if e is entry:
+                return i
+        raise ValueError("entry not on list")
 
     # -- paper quantities --------------------------------------------------
 
     def nu_of(self, entry: Entry) -> int:
-        i = self.pos(entry) - 1
-        return sum(1 for e in self._entries[:i + 1] if e.x == entry.x)
+        i = self.pos(entry)
+        return sum(1 for e in self._entries[:i] if e[2] == entry[2])
 
-    def count_for_source_below(self, x: int, sort_key: _Key) -> int:
-        i = bisect_right(self._keys, sort_key)
-        return sum(1 for e in self._entries[:i] if e.x == x)
+    def count_for_source_below(self, x: int, key: _Key) -> int:
+        return sum(1 for e in self._entries
+                   if e[2] == x and e[:3] <= key)
 
     def count_for_source(self, x: int) -> int:
-        return sum(1 for e in self._entries if e.x == x)
+        return sum(1 for e in self._entries if e[2] == x)
 
     def max_entries_any_source(self) -> int:
         counts: Dict[int, int] = {}
-        top = 0
         for e in self._entries:
-            c = counts.get(e.x, 0) + 1
-            counts[e.x] = c
-            if c > top:
-                top = c
-        return top
+            counts[e[2]] = counts.get(e[2], 0) + 1
+        return max(counts.values(), default=0)
 
     # -- mutation ----------------------------------------------------------
 
+    def _place(self, entry: Entry) -> int:
+        """Insert *entry* above every entry whose key is at or below
+        its own; returns the 0-based index."""
+        key = entry[:3]
+        i = 0
+        while i < len(self._entries) and self._entries[i][:3] <= key:
+            i += 1
+        self._entries.insert(i, entry)
+        return i
+
+    def _evict_above(self, i: int, x: int) -> Optional[Entry]:
+        sp = self.flagged.get(x)
+        for j in range(i + 1, len(self._entries)):
+            e = self._entries[j]
+            if e[2] == x and e is not sp:
+                del self._entries[j]
+                return e
+        return None
+
     def insert(self, entry: Entry,
                budget: Optional[int] = None) -> Tuple[int, Optional[Entry]]:
-        i = bisect_right(self._keys, entry.sort_key)
-        self._entries.insert(i, entry)
-        self._keys.insert(i, entry.sort_key)
+        i = self._place(entry)
         removed: Optional[Entry] = None
-        if budget is None or self.count_for_source(entry.x) > budget:
-            for j in range(i + 1, len(self._entries)):
-                e = self._entries[j]
-                if e.x == entry.x and not e.flag_sp:
-                    removed = e
-                    del self._entries[j]
-                    del self._keys[j]
-                    break
+        if budget is None or self.count_for_source(entry[2]) > budget:
+            removed = self._evict_above(i, entry[2])
         return i + 1, removed
 
     def quota_insert(self, kappa: float, d: int, l: int, x: int,
@@ -557,32 +548,24 @@ class ReferenceNodeList:
                      ) -> Optional[Tuple[Entry, int, Optional[Entry]]]:
         if self.count_for_source_below(x, (kappa, d, x)) >= nu:
             return None
-        z = Entry(kappa, d, l, x, parent=parent)
+        z = (kappa, d, x, l, parent)
         pos, removed = self.insert(z, budget)
         return z, pos, removed
 
     def insert_sp(self, entry: Entry) -> int:
-        i = bisect_right(self._keys, entry.sort_key)
-        self._entries.insert(i, entry)
-        self._keys.insert(i, entry.sort_key)
+        i = self._place(entry)
+        self.flagged[entry[2]] = entry
         return i + 1
 
     def evict_over_budget(self, entry: Entry, budget: int) -> Optional[Entry]:
-        if self.count_for_source(entry.x) <= budget:
+        if self.count_for_source(entry[2]) <= budget:
             return None
-        i = self.pos(entry) - 1
-        for j in range(i + 1, len(self._entries)):
-            e = self._entries[j]
-            if e.x == entry.x and not e.flag_sp:
-                del self._entries[j]
-                del self._keys[j]
-                return e
-        return None
+        return self._evict_above(self.pos(entry) - 1, entry[2])
 
     def remove(self, entry: Entry) -> None:
-        i = self.pos(entry) - 1
-        del self._entries[i]
-        del self._keys[i]
+        del self._entries[self.pos(entry) - 1]
+        if self.flagged.get(entry[2]) is entry:
+            del self.flagged[entry[2]]
 
     # -- send schedule -----------------------------------------------------
 
@@ -595,7 +578,7 @@ class ReferenceNodeList:
         pos = 0
         for e in self._entries:
             pos += 1
-            if ceil(e.kappa + pos) == r:
+            if ceil(e[0] + pos) == r:
                 if hit is not None:
                     raise AssertionError(
                         f"two entries scheduled in round {r}: {hit!r} and {e!r}")
@@ -612,10 +595,9 @@ class ReferenceNodeList:
         pos = 0
         for e in self._entries:
             pos += 1
-            rr = ceil(e.kappa + pos)
+            rr = ceil(e[0] + pos)
             if rr > r and (best is None or rr < best):
                 best = rr
         if prof is not None:
             prof.record("node_list.next_fire_after", _perf() - t0)
         return best
-

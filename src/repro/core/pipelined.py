@@ -36,9 +36,12 @@ How the machinery fits together (reconstruction notes, DESIGN.md sec. 6):
   -- *including* candidates whose paths exceed ``h`` hops: they pad list
   positions, which Invariant 1 (Lemma II.12 via Corollary II.8) counts.
 * flag-d* marks the entry with minimum ``(d, kappa)`` for its source over
-  the whole list (the paper's verbatim definition; no hop gate).  The
-  final flag-d* holder per source is never demoted, never evicted, and
-  always fires -- correctness of the output rides on exactly this chain.
+  the whole list (the paper's verbatim definition; no hop gate).  It is
+  the list's per-source holder ``list_v.flagged[x]``, not a field of the
+  entry (an entry is the plain tuple ``(kappa, d, x, l, parent)``,
+  :mod:`repro.core.entries`).  The final flag-d* holder per source is
+  never demoted, never evicted, and always fires -- correctness of the
+  output rides on exactly this chain.
 * Non-SP candidates pass the Step 13 quota gate iff fewer than ``nu-``
   same-source entries sit at-or-below their key; they exist to pad
   positions so that the send schedule stays ahead of arrivals.
@@ -109,23 +112,25 @@ class PipelinedSSPProgram(Program):
         for x in self.sources:
             self.best[x] = SourceBest()
         if self.v in self.best:
-            z = Entry(key_of(0, 0, self.gamma), 0, 0, self.v, flag_sp=True)
-            self.list_v.insert_sp(z)
+            self.list_v.insert_sp((key_of(0, 0, self.gamma), 0, self.v, 0,
+                                   None))
             b = self.best[self.v]
-            b.d, b.l, b.parent, b.entry = 0, 0, None, z
+            b.d, b.l, b.parent = 0, 0, None
 
     # -- Steps 1-2: send ---------------------------------------------------
 
     def on_send(self, ctx: NodeContext, r: int) -> None:
         if self.cutoff_round is not None and r > self.cutoff_round:
             return
-        z = self.list_v.fire_at(r)
+        list_v = self.list_v
+        z = list_v.fire_at(r)
         if z is None:
             return
-        nu = self.list_v.nu_of(z)
-        ctx.broadcast_out((z.d, z.l, z.x, z.flag_sp, nu))
+        nu = list_v.nu_of(z)
+        _kappa, d, x, l, _parent = z
+        ctx.broadcast_out((d, l, x, z is list_v.flagged.get(x), nu))
         if self.trace is not None:
-            self.trace.emit(r, self.v, "send", z.d, z.l, z.x, nu)
+            self.trace.emit(r, self.v, "send", d, l, x, nu)
 
     # -- Steps 3-13: receive -------------------------------------------------
 
@@ -154,8 +159,7 @@ class PipelinedSSPProgram(Program):
         The one implementation of list maintenance: :meth:`on_receive`
         calls it per envelope, and the columnar kernel
         (:mod:`repro.perf.columnar_pipelined`) per arrival its reject
-        pass keeps.  An :class:`Entry` is built only for an admitted
-        arrival."""
+        pass keeps.  An entry is built only for an admitted arrival."""
         # flag-d* marks the entry with the smallest (d, kappa) among
         # *all* entries for the source on this list (the paper's
         # verbatim definition) -- no hop gate here: a cheap long-hop path
@@ -172,18 +176,18 @@ class PipelinedSSPProgram(Program):
             # quota rather than by an improvement).
             if self.trace is not None:
                 self.trace.emit(r, self.v, "promote", x, d, l)
-            z = Entry(kappa, d, l, x, flag_sp=True, parent=y)
-            old = b.entry
-            b.d, b.l, b.parent, b.entry = d, l, y, z
-            pos = list_v.insert_sp(z)
+            z = (kappa, d, x, l, y)
+            old = list_v.flagged.get(x)
+            b.d, b.l, b.parent = d, l, y
+            pos = list_v.insert_sp(z)  # z is the holder now; old is not
             if old is not None:
-                old.flag_sp = False
-                if old.sort_key == z.sort_key:
+                if old[0] == kappa and old[1] == d:
                     # Parent-id tie-break replacement: the demoted twin
-                    # has identical (kappa, d, l) and is fully dominated
-                    # -- drop it outright (it sits *below* the newcomer,
-                    # out of reach of the closest-above eviction, and
-                    # would leak past the Invariant 2 budget).
+                    # has the same sort key (kappa, d, x) and is
+                    # dominated -- drop it outright (it sits *below* the
+                    # newcomer, out of reach of the closest-above
+                    # eviction, and would leak past the Invariant 2
+                    # budget).
                     list_v.remove(old)
                 else:
                     budget = self.budget
@@ -205,12 +209,13 @@ class PipelinedSSPProgram(Program):
         return True
 
     def _note_insert(self, r: int, z: Entry, pos: int) -> None:
+        kappa, d, x, l, _parent = z
         if self.trace is not None:
-            self.trace.emit(r, self.v, "insert", z.d, z.l, z.x, z.kappa, pos)
+            self.trace.emit(r, self.v, "insert", d, l, x, kappa, pos)
         # Invariant 1 (Lemma II.12): an entry is added strictly before the
         # round it is scheduled to fire in, ceil(kappa + pos) (inlined:
         # this runs on every insert of every backend).
-        due = math.ceil(z.kappa + pos)
+        due = math.ceil(kappa + pos)
         if r >= due:
             raise AssertionError(
                 f"Invariant 1 violated at node {self.v}, round {r}: "
@@ -240,37 +245,45 @@ class PipelinedSSPProgram(Program):
     def snapshot_state(self) -> Dict[str, object]:
         """The mutable state as plain values the checkpoint JSON codec
         encodes: ``list_v`` in list order, one ``[kappa, d, l, x,
-        flag_sp, parent]`` row per entry, plus the bests and the last
+        flag_sp, parent]`` row per entry (``flag_sp`` true for its
+        source's flag-d* holder), plus the bests and the last
         output-relevant promotion round.  Detached from the live
         program."""
+        flagged = self.list_v.flagged
+        rows = []
+        for e in self.list_v:
+            kappa, d, x, l, parent = e
+            rows.append([kappa, d, l, x, e is flagged.get(x), parent])
         return {
-            "entries": [[e.kappa, e.d, e.l, e.x, e.flag_sp, e.parent]
-                        for e in self.list_v],
+            "entries": rows,
             "best": {x: (b.d, b.l, b.parent) for x, b in self.best.items()},
             "last_sp_round": self.last_sp_update_round,
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Inverse of :meth:`snapshot_state`: a fresh ``list_v`` holding
-        fresh entries, and a fresh ``SourceBest`` per source pointing at
-        its flagged entry -- also on a program whose ``on_start`` never
-        ran (``restore_network`` restores into those).  *state* is left
-        untouched, so it can be restored again."""
+        fresh entries, each source's flagged row its flag-d* holder, and
+        a fresh ``SourceBest`` per source -- also on a program whose
+        ``on_start`` never ran (``restore_network`` restores into
+        those).  *state* is left untouched, so it can be restored
+        again."""
         list_v = NodeList()
         flagged: Dict[int, Entry] = {}
         for kappa, d, l, x, flag_sp, parent in state["entries"]:
-            e = Entry(kappa, d, l, x, flag_sp=flag_sp, parent=parent)
+            e = (kappa, d, x, l, parent)
             # Entries arrive in list order and an insert goes above its
             # equal keys, so the rebuilt order is the saved one.
+            # insert_sp is the insert without eviction; the holders are
+            # set from the flagged rows below.
             list_v.insert_sp(e)
             if flag_sp:
                 flagged[x] = e
+        list_v.flagged = flagged
         self.list_v = list_v
         self.best = {}
         for x, (d, l, parent) in state["best"].items():
             b = self.best[x] = SourceBest()
             b.d, b.l, b.parent = d, l, parent
-            b.entry = flagged.get(x)
         self.last_sp_update_round = state["last_sp_round"]
 
 

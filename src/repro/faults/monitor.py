@@ -162,7 +162,7 @@ class PipelineScheduleInvariant(Invariant):
         pos = 0
         for e in list_v:
             pos += 1
-            rr = math.ceil(e.kappa + pos)
+            rr = math.ceil(e[0] + pos)
             if rr <= r:
                 continue  # already fired (or suppressed by the cutoff)
             if rr in seen:
@@ -184,11 +184,11 @@ class PipelineBudgetInvariant(Invariant):
         budget = getattr(program, "budget", None)
         if list_v is None or budget is None:
             return None
-        # O(1) on the kernel NodeList (incrementally maintained count
-        # histogram); attaching this monitor no longer costs a full list
-        # recount per touched node per round.  Note this makes the check
-        # trust the kernel's own bookkeeping -- REPRO_PARANOID=1 restores
-        # an independent recount inside max_entries_any_source.
+        # One len per source on the kernel NodeList (its per-source
+        # lists), not a recount of the whole list per touched node per
+        # round.  Note this makes the check trust the kernel's own
+        # bookkeeping -- REPRO_PARANOID=1 restores an independent recount
+        # inside max_entries_any_source.
         worst = list_v.max_entries_any_source()
         if worst > budget:
             return (f"{worst} entries for one source exceed the "

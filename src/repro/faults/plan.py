@@ -41,7 +41,7 @@ Semantics (documented here once, relied on everywhere):
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..congest.message import Envelope, payload_words

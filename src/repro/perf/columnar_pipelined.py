@@ -14,10 +14,11 @@ The kernel owns no copy of ``list_v``: it works on the programs' own
 maps, and keeps only the bulk work around them.
 
 * **Step 1 (send rule)** ``ceil(kappa + pos) == r`` runs as rank
-  arithmetic on each list's key column, with the firing *index* kept
-  next to the scheduled round (see "Scheduling" below), so firing is
-  one index into the entry list and ``nu`` is the entry's per-source
-  index + 1 (what ``NodeList.nu_of`` returns);
+  arithmetic on each sorted entry list (an entry is the tuple
+  ``(kappa, d, x, l, parent)``, so the list is its own key column),
+  with the firing *index* kept next to the scheduled round (see
+  "Scheduling" below), so firing is one index into the entry list and
+  ``nu`` is ``NodeList.nu_of`` of the fired entry;
 * **Step 2 (deliveries)** run through the CSR gather over the
   out-arcs the program broadcasts on (the basic algorithm needs no
   bidirectional channels, Section I-B): one flat
@@ -157,7 +158,7 @@ def _resume_index(nl, first: int, r: int, pos_offset: int) -> int:
     nl.low_water = UNTOUCHED
     if m >= first:
         return first
-    return first_due(nl._keys, r, lo=m, pos_offset=pos_offset)
+    return first_due(nl._entries, r, lo=m, pos_offset=pos_offset)
 
 
 class _PipelinedKernel:
@@ -258,7 +259,7 @@ class _PipelinedKernel:
         snap = np.empty((self.n * self.k, 6))
         snap[:] = _EMPTY_ROW
         cells = [v * self.k + self._xi[x]
-                 for v, nl in enumerate(self._lists) for x in nl._src_keys]
+                 for v, nl in enumerate(self._lists) for x in nl._src]
         if cells:
             snap[cells] = [self._snap_row(c) for c in cells]
         self._snap = snap
@@ -270,9 +271,9 @@ class _PipelinedKernel:
         v, xi = divmod(cell, self.k)
         x = self.sources[xi]
         b = self._programs[v].best[x]
-        sk = self._lists[v]._src_keys[x]
-        top = sk[-1]
-        return (b.d, b.l, -1 if b.parent is None else b.parent, len(sk),
+        own = self._lists[v]._src[x]
+        top = own[-1]
+        return (b.d, b.l, -1 if b.parent is None else b.parent, len(own),
                 top[0], top[1])
 
     # -- the round loop ----------------------------------------------------
@@ -296,7 +297,7 @@ class _PipelinedKernel:
         node_sends = metrics.node_sends
         indptr = self._indptr
         small = SMALL_ROUND_DELIVERIES
-        nu_pad = 2 if _cmod._CORRUPTION == "nu-off-by-one" else 1
+        nu_pad = 1 if _cmod._CORRUPTION == "nu-off-by-one" else 0
         pos_off = 0 if _cmod._CORRUPTION == "send-rank-off-by-one" else 1
         cutoff = self.cutoff
         ceil = _ceil  # hot loop: avoid attribute/global lookups
@@ -306,14 +307,14 @@ class _PipelinedKernel:
         # fires in, or None when the schedule is exhausted or past the
         # cutoff.
         prev_r = net._round
-        firei = [first_due(nl._keys, prev_r, pos_offset=pos_off)
+        firei = [first_due(nl._entries, prev_r, pos_offset=pos_off)
                  for nl in lists]
         sched: List[Optional[int]] = [None] * n
         heap: List[Tuple[int, int]] = []
         for v in range(n):
-            i, keys_v = firei[v], lists[v]._keys
-            if i < len(keys_v):
-                nr = ceil(keys_v[i][0] + i + pos_off)
+            i, es = firei[v], lists[v]._entries
+            if i < len(es):
+                nr = ceil(es[i][0] + i + pos_off)
                 if cutoff is None or nr <= cutoff:
                     sched[v] = nr
                     heap.append((nr, v))
@@ -348,9 +349,8 @@ class _PipelinedKernel:
                 # firing entry sits at firei[v], which then moves past
                 # it: the schedule ceil(kappa_i + i + off) strictly
                 # increases in i, so the next index is the first one due
-                # after r.  nu is the entry's per-source index + 1
-                # (NodeList.nu_of).  flag_sp is not collected: no
-                # receiver reads it.
+                # after r.  flag_sp is not collected: no receiver reads
+                # it.
                 senders: List[int] = []
                 send_d: List[int] = []
                 send_l: List[int] = []
@@ -363,13 +363,14 @@ class _PipelinedKernel:
                         continue
                     sched[v] = None
                     i = firei[v]
-                    e = lists[v]._entries[i]
+                    nl = lists[v]
+                    e = nl._entries[i]
                     firei[v] = i + 1
                     senders.append(v)
-                    send_d.append(e.d)
-                    send_l.append(e.l)
-                    send_x.append(e.x)
-                    send_nu.append(e._li + nu_pad)
+                    send_d.append(e[1])
+                    send_l.append(e[3])
+                    send_x.append(e[2])
+                    send_nu.append(nl.nu_of(e) + nu_pad)
                     degree = indptr[v + 1] - indptr[v]
                     if degree:
                         total += degree
@@ -397,10 +398,10 @@ class _PipelinedKernel:
                 for v in senders:
                     changed[v] = None
                 for v in changed:
-                    i, keys_v = firei[v], lists[v]._keys
+                    i, es = firei[v], lists[v]._entries
                     nr = None
-                    if i < len(keys_v):
-                        nr = ceil(keys_v[i][0] + i + pos_off)
+                    if i < len(es):
+                        nr = ceil(es[i][0] + i + pos_off)
                         if cutoff is not None and nr > cutoff:
                             nr = None
                     if nr != sched[v]:

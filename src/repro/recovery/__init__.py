@@ -22,8 +22,10 @@ Three layers, from mechanism to policy:
 
 :mod:`~repro.recovery.chaos` composes all three into a seeded chaos
 campaign (randomized fault plans x update streams, oracle-checked,
-cross-backend digest-pinned).  See docs/RECOVERY.md for the protocol
-details and the composition rules (notably: do **not** stack
+cross-backend digest-pinned).  The package does not import it, so
+``python -m repro.recovery.chaos`` executes the module once; import
+its names from ``repro.recovery.chaos``.  See docs/RECOVERY.md for the
+protocol details and the composition rules (notably: do **not** stack
 :class:`~repro.faults.ResilientProgram` on top of
 :class:`RecoverableProgram`).
 """
@@ -41,13 +43,6 @@ from .checkpoint import (
     restore_network,
     restore_state,
     resume_from_checkpoint,
-)
-from .chaos import (
-    ChaosCase,
-    ChaosOutcome,
-    build_case,
-    run_chaos_campaign,
-    run_chaos_case,
 )
 from .dynamic import (
     DynamicRun,
@@ -78,11 +73,6 @@ __all__ = [
     "restore_network",
     "restore_state",
     "resume_from_checkpoint",
-    "ChaosCase",
-    "ChaosOutcome",
-    "build_case",
-    "run_chaos_campaign",
-    "run_chaos_case",
     "DynamicRun",
     "EdgeUpdate",
     "NodeJoin",

@@ -7,8 +7,9 @@ Two layers, both serializable to disk:
   mutable state into a restorable value.  Programs may opt in to a
   custom protocol (``snapshot_state()`` / ``restore_state(state)``);
   Algorithm 1's :class:`~repro.core.pipelined.PipelinedSSPProgram`
-  does, because its ``best`` map references the same
-  :class:`~repro.core.entries.Entry` objects its node list holds.
+  does, because its node list is no plain value: it holds each entry
+  tuple twice (sorted, and in its source's list) and marks the flag-d*
+  entries by identity, which a snapshot row's ``flag_sp`` carries.
   Everything else gets the generic capture: one :func:`copy.deepcopy`
   of the instance ``__dict__`` *as a whole*, so identity sharing inside
   the state survives (copying attributes one by one would silently

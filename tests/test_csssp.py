@@ -7,7 +7,6 @@ import pytest
 from repro.core import build_csssp, run_hk_ssp
 from repro.graphs import (
     FIGURE1_HOP_BOUND,
-    WeightedDigraph,
     dijkstra_min_hops,
     figure1_graph,
     random_graph,

@@ -1,7 +1,6 @@
 """Smoke tests: every example script runs end to end."""
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.graphs import GraphError, WeightedDigraph, random_graph
+from repro.graphs import GraphError, random_graph
 from repro.graphs import io as gio
 
 

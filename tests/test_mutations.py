@@ -88,17 +88,16 @@ class EvictsSP(PipelinedSSPProgram):
             # after the first.
             if b.beats(d, l, y) and b.d != INF:
                 continue
-            from repro.core.entries import Entry
             from repro.core.keys import key_of
-            z = Entry(key_of(d, l, self.gamma), d, l, x, parent=y)
+            kappa = key_of(d, l, self.gamma)
+            z = (kappa, d, x, l, y)
             if b.beats(d, l, y):
-                z.flag_sp = True
-                b.d, b.l, b.parent, b.entry = d, l, y, z
+                b.d, b.l, b.parent = d, l, y
                 self.list_v.insert_sp(z)
                 if l <= self.h:
                     self.last_sp_update_round = r
             else:
-                below = self.list_v.count_for_source_below(x, z.sort_key)
+                below = self.list_v.count_for_source_below(x, (kappa, d, x))
                 if below < nu_in:
                     self.list_v.insert(z, self.budget)
 

@@ -6,11 +6,13 @@ removals, and the full query surface (pos/nu/count/fire) -- against both
 the indexed :class:`~repro.core.node_list.NodeList` and the naive
 :class:`~repro.core.node_list.ReferenceNodeList`, asserting observable
 equality after every step: entry sequences, 1-based positions, nu
-counts, eviction victims, fire rounds, and the incremental max.
+counts, eviction victims, flag-d* holders, fire rounds, and the
+per-source max.
 
-Twin entries: each operation creates one Entry per list (same data,
-distinct objects) so identity-based semantics (remove, eviction victims)
-are exercised on both sides independently.
+Twin entries: each operation creates one entry tuple per list (same
+data, distinct objects, built at run time) so identity-based semantics
+(remove, eviction victims, holders) are exercised on both sides
+independently.
 
 Also covers the REPRO_PARANOID debug mode: a paranoid run over a full
 trace must be silent, and a deliberately corrupted kernel index must be
@@ -31,10 +33,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import Entry, NodeList, ReferenceNodeList, set_paranoid
+from repro.core import NodeList, ReferenceNodeList, set_paranoid
 from repro.core import node_list as nl_mod
+from repro.core.entries import Entry
 from repro.core.keys import first_due
 from repro.perf.columnar_pipelined import _resume_index
+
+
+def _entry(kappa, d, l, x, parent=None) -> Entry:
+    """A fresh entry tuple (a distinct object on every call)."""
+    return (kappa, d, x, l, parent)
 
 
 def _twin_pair(rng: random.Random, gamma: float, n_sources: int
@@ -43,18 +51,23 @@ def _twin_pair(rng: random.Random, gamma: float, n_sources: int
     l = rng.randint(0, 8)
     x = rng.randint(0, n_sources - 1)
     kappa = d * gamma + l
-    return Entry(kappa, d, l, x), Entry(kappa, d, l, x)
+    return _entry(kappa, d, l, x), _entry(kappa, d, l, x)
 
 
 def _assert_equal_state(fast: NodeList, slow: ReferenceNodeList,
                         live: List[Tuple[Entry, Entry]]) -> None:
     assert len(fast) == len(slow)
-    assert [e.sort_key for e in fast] == [e.sort_key for e in slow]
+    assert list(fast) == list(slow)
     assert fast.max_entries_any_source() == slow.max_entries_any_source()
     for ef, es in live:
         assert fast.pos(ef) == slow.pos(es)
         assert fast.nu_of(ef) == slow.nu_of(es)
-        assert fast.count_for_source(ef.x) == slow.count_for_source(es.x)
+        assert fast.count_for_source(ef[2]) == slow.count_for_source(es[2])
+    # the flag-d* holders are twins of one another
+    twin = {id(ef): es for ef, es in live}
+    assert fast.flagged.keys() == slow.flagged.keys()
+    for x, ef in fast.flagged.items():
+        assert twin[id(ef)] is slow.flagged[x]
 
 
 def _drop_pair(live: List[Tuple[Entry, Entry]],
@@ -92,24 +105,21 @@ def _run_trace(n_ops: int, seed: int, gamma: float, n_sources: int,
             live.append((ef, es))
             _drop_pair(live, rem_f, rem_s)
         elif op < 0.75:
-            # SP promotion: insert_sp, demote a random old same-source
-            # SP twin if any, then evict_over_budget (Steps 9-11)
+            # SP promotion: insert_sp, which demotes the source's old
+            # holder, then evict_over_budget (Steps 9-11)
             ef, es = _twin_pair(rng, gamma, n_sources)
-            ef.flag_sp = es.flag_sp = True
             assert fast.insert_sp(ef) == slow.insert_sp(es)
+            assert fast.flagged[ef[2]] is ef and slow.flagged[es[2]] is es
             live.append((ef, es))
-            for of, os_ in live:
-                if of is not ef and of.x == ef.x and of.flag_sp:
-                    of.flag_sp = os_.flag_sp = False
-                    break
             budget = rng.choice([1, 2, 4])
             _drop_pair(live, fast.evict_over_budget(ef, budget),
                        slow.evict_over_budget(es, budget))
         elif op < 0.85:
-            ef, es = live[rng.randrange(len(live))]
+            i = rng.randrange(len(live))
+            ef, es = live[i]
             fast.remove(ef)
             slow.remove(es)
-            live.remove((ef, es))
+            del live[i]  # by index: twin pairs can compare equal
         else:
             # query-only step: the send schedule
             r = rng.randint(1, 40)
@@ -117,7 +127,7 @@ def _run_trace(n_ops: int, seed: int, gamma: float, n_sources: int,
             assert (ff is None) == (sf is None)
             if ff is not None:
                 assert fast.pos(ff) == slow.pos(sf)
-                assert ff.sort_key == sf.sort_key
+                assert ff == sf
             assert fast.next_fire_after(r) == slow.next_fire_after(r)
         # spot probes every step
         if live:
@@ -147,11 +157,11 @@ def _quota_step(rng: random.Random, gamma: float, n_sources: int,
     Both sides must agree on the verdict, the position and the
     victim."""
     x = rng.randint(0, n_sources - 1)
-    same = [e for e in fast if e.x == x]
+    same = [e for e in fast if e[2] == x]
     nu = max(0, len(same) + rng.choice([-2, -1, 0, 1, 2]))
     if 1 <= nu <= len(same) and rng.random() < 0.4:
         tie = same[nu - 1]
-        kappa, d, l = tie.kappa, tie.d, tie.l
+        kappa, d, l = tie[0], tie[1], tie[3]
     else:
         d, l = rng.randint(0, 8), rng.randint(0, 8)
         kappa = d * gamma + l
@@ -165,9 +175,8 @@ def _quota_step(rng: random.Random, gamma: float, n_sources: int,
         return
     (ef, pos_f, rem_f), (es, pos_s, rem_s) = hit_f, hit_s
     assert pos_f == pos_s == fast.pos(ef)
-    assert (ef.sort_key, ef.l, ef.parent, ef.flag_sp) \
-        == (es.sort_key, es.l, es.parent, es.flag_sp) \
-        == ((kappa, d, x), l, parent, False)
+    assert ef == es == (kappa, d, x, l, parent)
+    assert ef is not fast.flagged.get(x) and es is not slow.flagged.get(x)
     live.append((ef, es))
     _drop_pair(live, rem_f, rem_s)
 
@@ -202,7 +211,7 @@ def test_duplicate_key_storm():
     live = []
     for i in range(120):
         x = i % 3
-        ef, es = Entry(2.0, 1, 1, x), Entry(2.0, 1, 1, x)
+        ef, es = _entry(2.0, 1, 1, x), _entry(2.0, 1, 1, x)
         pf, rf = fast.insert(ef, 10 ** 9)
         ps, rs = slow.insert(es, 10 ** 9)
         assert pf == ps and rf is None and rs is None
@@ -230,33 +239,36 @@ def test_paranoid_mode_catches_corrupted_index():
     def fresh():
         nl = NodeList()
         for i in range(8):
-            nl.insert(Entry(float(i), i, 0, i % 2), budget=None)
+            nl.insert(_entry(float(i), i, 0, i % 2), budget=None)
         return nl
 
     prev = set_paranoid(True)
     try:
         nl = fresh()
-        nl._max_count += 1  # desync the count histogram
+        # desync a per-source list from the list it indexes
+        nl._src[1].append(nl._src[1][0])
         with pytest.raises(AssertionError):
             nl.max_entries_any_source()
 
         nl = fresh()
         e = nl.entries()[3]
-        nl._keys[2], nl._keys[3] = nl._keys[3], nl._keys[2]  # unsort keys
+        es = nl._entries
+        es[2], es[3] = es[3], es[2]  # unsort the list
         with pytest.raises(AssertionError):
             nl.pos(e)
 
         nl = fresh()
         e = nl.entries()[0]
-        e._li = 1  # break the identity index
+        own = nl._src[0]
+        own[0], own[1] = own[1], own[0]  # reorder the per-source list
         with pytest.raises((AssertionError, ValueError)):
             nl.nu_of(e)
 
         nl = fresh()
         # Source 0's keys are (0, 0, 0), (2, 2, 0), ...: two sit at or
         # below (3, 3, 0), so nu = 2 is rejected.  A corrupted second
-        # key makes the one-comparison quota admit it.
-        nl._src_keys[0][1] = (99.0, 99, 0)
+        # per-source entry makes the one-comparison quota admit it.
+        nl._src[0][1] = _entry(99.0, 99, 0, 0)
         with pytest.raises(AssertionError, match="quota_insert"):
             nl.quota_insert(3.0, 3, 0, 0, None, 2, None)
     finally:
@@ -268,10 +280,9 @@ def test_paranoid_fire_at_asserts_at_most_one_send():
     hand-built list violating the at-most-one-send property.  Such a
     list cannot arise from sorted inserts -- build it by hand."""
     slow = ReferenceNodeList()
-    a, b = Entry(1.2, 1, 0, 0), Entry(0.4, 0, 1, 1)
+    a, b = _entry(1.2, 1, 0, 0), _entry(0.4, 0, 1, 1)
     slow._entries = [a, b]  # unsorted: both fire in round ceil at 3
-    slow._keys = [a.sort_key, b.sort_key]
-    assert math.ceil(a.kappa + 1) == math.ceil(b.kappa + 2) == 3
+    assert math.ceil(a[0] + 1) == math.ceil(b[0] + 2) == 3
     with pytest.raises(AssertionError):
         slow.fire_at(3)
 
@@ -279,7 +290,6 @@ def test_paranoid_fire_at_asserts_at_most_one_send():
     try:
         fast = NodeList()
         fast._entries = [a, b]
-        fast._keys = [a.sort_key, b.sort_key]
         with pytest.raises(AssertionError):
             fast.fire_at(3)
     finally:
@@ -318,9 +328,8 @@ def test_resume_index_matches_full_bisection(seed, gamma):
     nl = NodeList()
     for _ in range(rng.randint(0, 30)):
         d, l = rng.randint(0, 8), rng.randint(0, 8)
-        nl.insert_sp(Entry(d * gamma + l, d, l, rng.randint(0, 3),
-                           flag_sp=rng.random() < 0.3))
-    keys = nl._keys
+        nl.insert_sp(_entry(d * gamma + l, d, l, rng.randint(0, 3)))
+    keys = nl._entries
     if keys and rng.random() < 0.7:
         # a round some entry fires in, so a twin can go just above it
         j = rng.randrange(len(keys))
@@ -331,7 +340,8 @@ def test_resume_index_matches_full_bisection(seed, gamma):
     nl.low_water = nl_mod.UNTOUCHED
 
     def passes_invariant_1(kappa, d, x):
-        return math.ceil(kappa + bisect_right(nl._keys, (kappa, d, x)) + 1) > r
+        i = bisect_right(nl._entries, (kappa, d, x, math.inf))
+        return math.ceil(kappa + i + 1) > r
 
     for _ in range(rng.randint(1, 8)):
         op = rng.random()
@@ -339,18 +349,17 @@ def test_resume_index_matches_full_bisection(seed, gamma):
             d, l, x = rng.randint(0, 8), rng.randint(0, 8), rng.randint(0, 3)
             kappa = d * gamma + l
             if passes_invariant_1(kappa, d, x):
-                nl.insert(Entry(kappa, d, l, x), rng.choice([None, 1, 2, 4]))
+                nl.insert(_entry(kappa, d, l, x), rng.choice([None, 1, 2, 4]))
         elif op < 0.8:
             # parent-id twin: the promoted twin goes above its equal
             # keys, then the demoted one is removed from below it
             below = nl.entries()[:first]
             old = rng.choice(below if below and rng.random() < 0.7
                              else nl.entries())
-            if passes_invariant_1(old.kappa, old.d, old.x):
-                nl.insert_sp(Entry(old.kappa, old.d, old.l, old.x,
-                                   flag_sp=True))
+            if passes_invariant_1(old[0], old[1], old[2]):
+                nl.insert_sp(_entry(old[0], old[1], old[3], old[2]))
                 nl.remove(old)
         else:
             nl.remove(rng.choice(nl.entries()))
-    assert _resume_index(nl, first, r, 1) == first_due(nl._keys, r)
+    assert _resume_index(nl, first, r, 1) == first_due(nl._entries, r)
     assert nl.low_water == nl_mod.UNTOUCHED

@@ -6,7 +6,6 @@ import pytest
 
 from repro.congest import TraceRecorder
 from repro.core import (
-    gamma_for,
     max_entries_per_source,
     run_apsp,
     run_hk_ssp,

@@ -29,7 +29,7 @@ from repro.core import (
     verify_approx_ratio,
     verify_blocker_coverage,
 )
-from repro.graphs import dijkstra, hop_limited_sssp, random_graph
+from repro.graphs import dijkstra, hop_limited_sssp
 from repro.graphs.validation import (
     assert_triangle_inequality,
     assert_weak_h_hop_contract,

@@ -21,7 +21,10 @@ The acceptance claims pinned here:
 import base64
 import copy
 import json
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -50,10 +53,9 @@ from repro.recovery import (
     restore_network,
     restore_state,
     resume_from_checkpoint,
-    run_chaos_case,
     run_recoverable,
 )
-from repro.recovery.chaos import ChaosCase
+from repro.recovery.chaos import ChaosCase, run_chaos_case
 
 INF = float("inf")
 
@@ -622,3 +624,18 @@ class TestChaos:
         assert ref.ok and col.ok
         assert ref.digest_recoverable == col.digest_recoverable
         assert ref.digest_pipelined == col.digest_pipelined
+
+    def test_module_runs_without_runtime_warning(self):
+        """``python -m repro.recovery.chaos`` runs one copy of the module:
+        importing the package must not import ``.chaos`` first, or runpy
+        warns that it executes a second copy as ``__main__``."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.recovery.chaos", "--help"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert "chaos campaign" in out.stdout

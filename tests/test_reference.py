@@ -8,7 +8,6 @@ import pytest
 from repro.graphs import (
     WeightedDigraph,
     apsp,
-    apsp_min_hops,
     dijkstra,
     dijkstra_min_hops,
     eccentricity_bound,

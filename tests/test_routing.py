@@ -1,7 +1,5 @@
 """Tests for the routing-table API."""
 
-import random
-
 import pytest
 
 from repro.core import RoutingTable, run_apsp, run_bellman_ford_kssp, run_k_ssp

@@ -1,7 +1,5 @@
 """Tests for the weight transforms behind the paper's reductions."""
 
-import random
-
 import pytest
 
 from repro.graphs import GraphError, WeightedDigraph, dijkstra, random_graph
