@@ -235,14 +235,14 @@ def sweep_ablation_key_schedule(*, seeds: Sequence[int] = (0, 1, 2),
     """
     rep = ExperimentReport(
         "E14", "Ablation: key schedule gamma and eviction policy")
-    from ..core import gamma_for, theorem11_round_bound
+    from ..core import gamma_for
     for seed in seeds:
         g = random_graph(n, p=0.3, w_max=8, zero_fraction=0.3, seed=seed)
         h = max(2, n // 2)
         srcs = list(range(0, n, 2))
         base = run_hk_ssp(g, srcs, h)  # to learn Delta
         delta = base.delta
-        bound = theorem11_round_bound(h, len(srcs), delta)
+        bound = bounds_mod.theorem11_hk_ssp(h, len(srcs), delta)
         gammas = {
             "paper": None,
             "hops-heavy(gamma=1)": 1.0,

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 # ---------------------------------------------------------------------------
 
 def theorem11_hk_ssp(h: int, k: int, delta: int) -> int:
-    """(i): (h, k)-SSP in ``2 sqrt(Delta h k) + k + h`` rounds."""
-    return math.ceil(2 * math.sqrt(delta * h * k) + k + h)
+    """(i): (h, k)-SSP in ``2 sqrt(Delta h k) + h + k`` rounds (also
+    Lemma II.14's cutoff round, :func:`repro.core.pipelined.run_hk_ssp`)."""
+    return math.ceil(2 * math.sqrt(delta * h * k) + h + k)
 
 
 def theorem11_apsp(n: int, delta: int) -> int:

@@ -2,7 +2,7 @@
 
 Public surface:
 
-* :class:`Network` / :func:`run_program` -- the synchronous round simulator.
+* :class:`Network` -- the synchronous round simulator.
 * :class:`Program` / :class:`NodeContext` -- per-node algorithm interface.
 * :class:`RunMetrics` / :func:`merge_sequential` -- round & congestion accounting.
 * :func:`build_bfs_tree`, :func:`pipelined_broadcast`, :func:`convergecast`,
@@ -24,7 +24,7 @@ from .message import (
     payload_words,
 )
 from .metrics import RunMetrics, merge_sequential
-from .network import Network, RoundLimitExceeded, run_program
+from .network import Network, RoundLimitExceeded
 from .node import NodeContext, Program
 from .primitives import (
     BFSTree,
@@ -61,5 +61,4 @@ __all__ = [
     "merge_sequential",
     "payload_words",
     "pipelined_broadcast",
-    "run_program",
 ]

@@ -410,12 +410,3 @@ class Network:
 
     def output_of(self, v: int) -> Any:
         return self.programs[v].output(self.contexts[v])
-
-
-def run_program(graph: Any, program_factory: Callable[[int], Program],
-                max_rounds: int, **network_kwargs: Any):
-    """Convenience wrapper: build a network, run it, return
-    ``(outputs, metrics, network)``."""
-    net = Network(graph, program_factory, **network_kwargs)
-    metrics = net.run(max_rounds)
-    return net.outputs(), metrics, net

@@ -36,7 +36,6 @@ from .blocker import (
     verify_blocker_coverage,
 )
 from .csssp import CSSSPCollection, build_csssp
-from .entries import SourceBest
 from .keys import (
     ceil_key,
     gamma_for,
@@ -54,7 +53,6 @@ from .pipelined import (
     run_apsp,
     run_hk_ssp,
     run_k_ssp,
-    theorem11_round_bound,
 )
 from .positive_pipeline import PositiveAPSPResult, run_positive_apsp
 from .scaling import ScalingAPSPResult, run_scaling_apsp
@@ -91,7 +89,6 @@ __all__ = [
     "SampledKSSPResult",
     "ScalingAPSPResult",
     "ShortRangeResult",
-    "SourceBest",
     "UnweightedAPSPResult",
     "approximate_apsp",
     "apsp",
@@ -127,7 +124,6 @@ __all__ = [
     "run_unweighted_apsp",
     "send_round",
     "set_paranoid",
-    "theorem11_round_bound",
     "theoretical_key_bound",
     "tree_scores",
     "verify_approx_ratio",

@@ -22,8 +22,10 @@ Three rules follow (:mod:`repro.core.node_list` keeps them):
   ``namedtuple`` stays tracked for the whole run.
 
 The paper's ``Z.flag-d*`` is not a field: an entry is flagged iff it
-*is* its source's holder on the list (``NodeList.flagged``).  No entry
-records its sends; the program trace's ``send`` events do
+*is* its source's holder on the list (``NodeList.flagged``), and the
+holder's ``d``, ``l`` and ``parent`` are the node's ``d*_x``, ``l*_x``
+and Step 9's tie-break -- a node keeps no other per-source state.  No
+entry records its sends; the program trace's ``send`` events do
 (:func:`repro.analysis.inspect.node_timeline` renders them per node).
 """
 
@@ -33,34 +35,3 @@ from typing import Optional, Tuple
 
 #: One element of ``list_v``: ``(kappa, d, x, l, parent)``.
 Entry = Tuple[float, int, int, int, Optional[int]]
-
-
-class SourceBest:
-    """Per-source shortest-path state at a node: the paper's
-    ``d*_x`` plus the tie-break fields of Step 9 (hop length and parent
-    id of the current best path)."""
-
-    __slots__ = ("d", "l", "parent")
-
-    def __init__(self) -> None:
-        self.d: float = float("inf")
-        self.l: float = float("inf")
-        self.parent: Optional[int] = None
-
-    def beats(self, d: int, l: int, parent: Optional[int]) -> bool:
-        """Step 9 of Algorithm 1: does a new candidate ``(d, l, parent)``
-        replace the current shortest-path entry?  Strictly smaller
-        distance; or equal distance and strictly fewer hops; or equal
-        both and a smaller parent id.  The deterministic parent-id
-        tie-break is what makes the 2h-hop run produce *consistent*
-        trees (Section III-A)."""
-        if d < self.d:
-            return True
-        if d == self.d:
-            if l < self.l:
-                return True
-            if l == self.l:
-                pa = -1 if parent is None else parent
-                pb = -1 if self.parent is None else self.parent
-                return pa < pb
-        return False

@@ -73,6 +73,7 @@ from math import ceil as _ceil, inf as _INF
 
 from ..obs.profiling import HOT as _HOT
 from .entries import Entry
+from .keys import first_due
 
 _Key = Tuple[float, int, int]
 
@@ -395,31 +396,25 @@ class NodeList:
         """The entry scheduled to be sent in round *r*, i.e. with
         ``ceil(kappa + pos) == r``; ``None`` if no entry fires.
 
-        O(log n) bisection over the strictly increasing schedule (the
-        CONGEST 1-message constraint is self-enforcing for this
-        schedule, DESIGN.md sec. 6 -- paranoid mode re-asserts it with
-        the reference linear scan).
+        O(log n): the only candidate is the first entry due after round
+        ``r - 1`` (:func:`~repro.core.keys.first_due`; the CONGEST
+        1-message constraint is self-enforcing for this schedule,
+        DESIGN.md sec. 6 -- paranoid mode re-asserts it with the
+        reference linear scan).
         """
         prof = _HOT.session
         t0 = _perf() if prof is not None else 0.0
-        ceil = _ceil  # profiled hot loop: avoid attribute lookups
         es = self._entries
-        lo, hi = 0, len(es)
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if ceil(es[mid][0] + mid + 1) < r:
-                lo = mid + 1
-            else:
-                hi = mid
+        i = first_due(es, r - 1)
         hit: Optional[Entry] = None
-        if lo < len(es) and ceil(es[lo][0] + lo + 1) == r:
-            hit = es[lo]
+        if i < len(es) and _ceil(es[i][0] + i + 1) == r:
+            hit = es[i]
         if PARANOID:
             linear: Optional[Entry] = None
             pos = 0
             for e in es:
                 pos += 1
-                if ceil(e[0] + pos) == r:
+                if _ceil(e[0] + pos) == r:
                     if linear is not None:
                         raise AssertionError(
                             f"two entries scheduled in round {r}: "
@@ -434,27 +429,21 @@ class NodeList:
 
     def next_fire_after(self, r: int) -> Optional[int]:
         """Earliest round > *r* in which some entry fires under the
-        current positions, or ``None``.  O(log n) bisection."""
+        current positions, or ``None``: the round of the first entry
+        due after *r* (:func:`~repro.core.keys.first_due`), O(log n)."""
         prof = _HOT.session
         t0 = _perf() if prof is not None else 0.0
-        ceil = _ceil
         es = self._entries
-        lo, hi = 0, len(es)
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if ceil(es[mid][0] + mid + 1) <= r:
-                lo = mid + 1
-            else:
-                hi = mid
+        i = first_due(es, r)
         best: Optional[int] = None
-        if lo < len(es):
-            best = ceil(es[lo][0] + lo + 1)
+        if i < len(es):
+            best = _ceil(es[i][0] + i + 1)
         if PARANOID:
             naive: Optional[int] = None
             pos = 0
             for e in es:
                 pos += 1
-                rr = ceil(e[0] + pos)
+                rr = _ceil(e[0] + pos)
                 if rr > r and (naive is None or rr < naive):
                     naive = rr
             assert naive == best, \

@@ -39,9 +39,12 @@ How the machinery fits together (reconstruction notes, DESIGN.md sec. 6):
   the whole list (the paper's verbatim definition; no hop gate).  It is
   the list's per-source holder ``list_v.flagged[x]``, not a field of the
   entry (an entry is the plain tuple ``(kappa, d, x, l, parent)``,
-  :mod:`repro.core.entries`).  The final flag-d* holder per source is
-  never demoted, never evicted, and always fires -- correctness of the
-  output rides on exactly this chain.
+  :mod:`repro.core.entries`).  The holder's ``d``, ``l`` and ``parent``
+  are the node's ``d*_x``, ``l*_x`` and Step 9's tie-break, so a node's
+  whole state is its list plus the round of its last output-relevant
+  promotion.  The final flag-d* holder per source is never demoted,
+  never evicted, and always fires -- correctness of the output rides on
+  exactly this chain.
 * Non-SP candidates pass the Step 13 quota gate iff fewer than ``nu-``
   same-source entries sit at-or-below their key; they exist to pad
   positions so that the send schedule stays ahead of arrivals.
@@ -61,12 +64,13 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..bounds import theorem11_hk_ssp
 from ..congest import Envelope, NodeContext, Program, RunMetrics
 from ..congest.events import TraceRecorder
 from ..perf.backends import make_network
 from ..graphs.digraph import WeightedDigraph
 from ..graphs.reference import weak_delta_bound
-from .entries import Entry, SourceBest
+from .entries import Entry
 from .keys import gamma_for, key_of
 from .node_list import NodeList
 
@@ -98,24 +102,19 @@ class PipelinedSSPProgram(Program):
             raise ValueError(f"unknown eviction policy {eviction!r}")
         self.budget = None if eviction == "always" else int(h / gamma) + 1
 
-        self.list_v = NodeList()
-        #: flag-d* machinery: per source, the smallest (d, kappa) over
-        #: all entries ever inserted (any hop count).  The node's final
+        #: The list and its flag-d* holders: per source, the entry with
+        #: the smallest (d, kappa) ever inserted (any hop count), whose
         #: (d*, l*) converges to (delta(x, v), minhop(x, v)) and is the
         #: output when l* <= h (see module docstring).
-        self.best: Dict[int, SourceBest] = {}
+        self.list_v = NodeList()
         self.last_sp_update_round = 0
 
     # -- initialization (paper: 'Initialization ... at node v') ----------
 
     def on_start(self, ctx: NodeContext) -> None:
-        for x in self.sources:
-            self.best[x] = SourceBest()
-        if self.v in self.best:
+        if self.v in self.sources:
             self.list_v.insert_sp((key_of(0, 0, self.gamma), 0, self.v, 0,
                                    None))
-            b = self.best[self.v]
-            b.d, b.l, b.parent = 0, 0, None
 
     # -- Steps 1-2: send ---------------------------------------------------
 
@@ -168,8 +167,15 @@ class PipelinedSSPProgram(Program):
         # nodes need for *their* h-hop answers from Insert's eviction
         # (the Figure 1 phenomenon; see tests/test_pipelined.py).
         list_v = self.list_v
-        b = self.best[x]
-        if b.beats(d, l, y):
+        old = list_v.flagged.get(x)
+        # Step 9: the arrival replaces the holder (none: d* unset) with a
+        # strictly smaller distance; or an equal one and strictly fewer
+        # hops; or equal both and a smaller parent id.  The parent-id
+        # tie-break is what makes the 2h-hop run produce *consistent*
+        # trees (Section III-A).  Only the source's own (0, 0) entry
+        # has no parent, and no arrival (l >= 1) ties its hops.
+        if old is None or d < old[1] or (d == old[1] and (
+                l < old[3] or (l == old[3] and y < old[4]))):
             # Steps 9-11: new flag-d* holder.  Inserting the SP entry
             # does not evict (the eviction clause of Insert applies to
             # non-SP additions, which are the only ones admitted by a
@@ -177,8 +183,6 @@ class PipelinedSSPProgram(Program):
             if self.trace is not None:
                 self.trace.emit(r, self.v, "promote", x, d, l)
             z = (kappa, d, x, l, y)
-            old = list_v.flagged.get(x)
-            b.d, b.l, b.parent = d, l, y
             pos = list_v.insert_sp(z)  # z is the holder now; old is not
             if old is not None:
                 if old[0] == kappa and old[1] == d:
@@ -234,10 +238,12 @@ class PipelinedSSPProgram(Program):
     # -- output -------------------------------------------------------------
 
     def output(self, ctx: NodeContext) -> Dict[int, Tuple[int, int, Optional[int]]]:
+        flagged = self.list_v.flagged
         out = {}
-        for x, b in self.best.items():
-            if b.d != INF and b.l <= self.h:
-                out[x] = (int(b.d), int(b.l), b.parent)
+        for x in self.sources:
+            z = flagged.get(x)
+            if z is not None and z[3] <= self.h:
+                out[x] = (int(z[1]), int(z[3]), z[4])
         return out
 
     # -- checkpoint protocol (repro.recovery.checkpoint) -----------------
@@ -246,9 +252,8 @@ class PipelinedSSPProgram(Program):
         """The mutable state as plain values the checkpoint JSON codec
         encodes: ``list_v`` in list order, one ``[kappa, d, l, x,
         flag_sp, parent]`` row per entry (``flag_sp`` true for its
-        source's flag-d* holder), plus the bests and the last
-        output-relevant promotion round.  Detached from the live
-        program."""
+        source's flag-d* holder), plus the last output-relevant
+        promotion round.  Detached from the live program."""
         flagged = self.list_v.flagged
         rows = []
         for e in self.list_v:
@@ -256,17 +261,15 @@ class PipelinedSSPProgram(Program):
             rows.append([kappa, d, l, x, e is flagged.get(x), parent])
         return {
             "entries": rows,
-            "best": {x: (b.d, b.l, b.parent) for x, b in self.best.items()},
             "last_sp_round": self.last_sp_update_round,
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Inverse of :meth:`snapshot_state`: a fresh ``list_v`` holding
-        fresh entries, each source's flagged row its flag-d* holder, and
-        a fresh ``SourceBest`` per source -- also on a program whose
-        ``on_start`` never ran (``restore_network`` restores into
-        those).  *state* is left untouched, so it can be restored
-        again."""
+        fresh entries, each source's flagged row its flag-d* holder --
+        also on a program whose ``on_start`` never ran
+        (``restore_network`` restores into those).  *state* is left
+        untouched, so it can be restored again."""
         list_v = NodeList()
         flagged: Dict[int, Entry] = {}
         for kappa, d, l, x, flag_sp, parent in state["entries"]:
@@ -280,10 +283,6 @@ class PipelinedSSPProgram(Program):
                 flagged[x] = e
         list_v.flagged = flagged
         self.list_v = list_v
-        self.best = {}
-        for x, (d, l, parent) in state["best"].items():
-            b = self.best[x] = SourceBest()
-            b.d, b.l, b.parent = d, l, parent
         self.last_sp_update_round = state["last_sp_round"]
 
 
@@ -318,14 +317,6 @@ class HKSSPResult:
     #: source), so the final sizes are the run's largest.
     max_list_len: int
     max_entries_per_source: int
-
-    def distances(self) -> Dict[int, List[float]]:
-        return self.dist
-
-
-def theorem11_round_bound(h: int, k: int, delta: int) -> int:
-    """Theorem I.1(i) / Lemma II.14: ``ceil(2 sqrt(Delta h k) + h + k)``."""
-    return math.ceil(2 * math.sqrt(delta * h * k) + h + k)
 
 
 def run_hk_ssp(graph: WeightedDigraph, sources: Sequence[int], h: int,
@@ -398,7 +389,7 @@ def run_hk_ssp(graph: WeightedDigraph, sources: Sequence[int], h: int,
     if delta is None:
         delta = weak_delta_bound(graph, sources, h)
     g = gamma if gamma is not None else gamma_for(h, k, delta)
-    bound = theorem11_round_bound(h, k, delta)
+    bound = theorem11_hk_ssp(h, k, delta)
     cutoff_round = bound if cutoff else None
 
     if max_rounds is None:

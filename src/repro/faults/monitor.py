@@ -26,7 +26,7 @@ Built-in invariants:
 
 The extractors understand the repo's program shapes (Bellman-Ford's
 scalar ``d``, short-range's ``(d, l)``, the k-source dict, Algorithm 1's
-``best`` map) and look through :class:`~repro.faults.resilient.ResilientProgram`
+flag-d* holders) and look through :class:`~repro.faults.resilient.ResilientProgram`
 wrappers; unknown programs are skipped, so a monitor can be attached to
 any network without opt-in from the program.
 """
@@ -71,9 +71,11 @@ def distance_map(program: Any) -> Optional[Dict[Any, float]]:
     """Best-known distance per source for any recognised program shape;
     ``None`` when the program exposes no distance state."""
     program = _unwrap(program)
-    best = getattr(program, "best", None)
-    if isinstance(best, dict):  # Algorithm 1: {source: SourceBest}
-        return {x: b.d for x, b in best.items()}
+    list_v = getattr(program, "list_v", None)
+    if list_v is not None:  # Algorithm 1: each source's flag-d* holder
+        flagged = list_v.flagged
+        return {x: flagged[x][1] if x in flagged else INF
+                for x in program.sources}
     d = getattr(program, "d", None)
     if isinstance(d, dict):     # k-source short-range: {source: d}
         return dict(d)

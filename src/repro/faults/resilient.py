@@ -361,8 +361,7 @@ def run_resilient(graph: Any, program_factory: Callable[[int], Program],
     :class:`~repro.congest.network.Network` (notably ``fault_plan`` and
     ``monitor``), plus ``backend`` to select the simulator backend
     (``None`` = ambient default, see :mod:`repro.perf.backends`).
-    Returns ``(outputs, metrics, network)`` like
-    :func:`~repro.congest.network.run_program`, with
+    Returns ``(outputs, metrics, network)``, with
     ``metrics.retransmissions`` / ``metrics.ack_messages`` filled in.
 
     ``unreachable_after="auto"`` (the default) enables the

@@ -10,8 +10,8 @@ build -- without per-message Python objects on the delivery path.
 What is bulk and what is not
 ----------------------------
 The kernel owns no copy of ``list_v``: it works on the programs' own
-:class:`~repro.core.node_list.NodeList` objects and ``SourceBest``
-maps, and keeps only the bulk work around them.
+:class:`~repro.core.node_list.NodeList` objects, whose flag-d* holders
+are each node's bests, and keeps only the bulk work around them.
 
 * **Step 1 (send rule)** ``ceil(kappa + pos) == r`` runs as rank
   arithmetic on each sorted entry list (an entry is the tuple
@@ -35,7 +35,7 @@ maps, and keeps only the bulk work around them.
   Invariant 1 on every insert.
 
 A round touches a program only to fire its entry and to fold its kept
-arrivals: a program's whole state is its list, its bests and its last
+arrivals: a program's whole state is its list and its last
 output-relevant promotion round, and those two steps are what change
 them.
 
@@ -51,13 +51,14 @@ Reject-first rounds
 Most arrivals change nothing: on dense APSP instances ~85% are neither
 a flag-d* promotion nor admitted by the Step 13 quota.  Each round
 therefore runs one vectorized *reject pass* before the fold.
-It reads a per-(node, source) snapshot -- the best ``(d, l, parent)``,
-the per-source entry count and the largest per-source key
-``(kappa, d)``, one float64 row per cell -- and drops every delivery
-that is not a promotion against the snapshot best, whose ``nu`` is at
-most the count, and whose key is at or above the largest key: the
-fold would reject it anyway (the comment in :meth:`_round`
-proves why a snapshot from any earlier moment of the run is safe).
+It reads a per-(node, source) snapshot -- the flag-d* holder's
+``(d, l, parent)``, the per-source entry count and the largest
+per-source key ``(kappa, d)``, one float64 row per cell -- and drops
+every delivery that is not a promotion against the snapshot best,
+whose ``nu`` is at most the count, and whose key is at or above the
+largest key: the fold would reject it anyway (the comment in
+:meth:`_gather` proves why a snapshot from any earlier moment of the
+run is safe).
 The fold runs over what the pass keeps, and the rows of the cells a
 round changed are rewritten afterwards.  Accounting is taken before
 the pass, on every delivery.
@@ -130,7 +131,7 @@ from . import columnar as _cmod
 _PAYLOAD_WORDS = 5
 
 #: Reject-pass snapshot row of a (node, source) cell without entries:
-#: an unset best, so every delivery to it is kept (each one promotes).
+#: no holder, so every delivery to it is kept (each one promotes).
 _EMPTY_ROW = (_INF, _INF, -1.0, 0.0, -_INF, -_INF)
 
 _DESTINATION = itemgetter(0)
@@ -267,13 +268,15 @@ class _PipelinedKernel:
     def _snap_row(self, cell: int) -> Tuple[float, ...]:
         """Cell ``v * k + xi``'s snapshot row ``(best d, best l, best
         parent or -1, entry count, largest key kappa, largest key d)``,
-        all read at one moment."""
+        all read at one moment; the bests are the flag-d* holder's, which
+        every source with entries has."""
         v, xi = divmod(cell, self.k)
         x = self.sources[xi]
-        b = self._programs[v].best[x]
-        own = self._lists[v]._src[x]
+        nl = self._lists[v]
+        _kappa, d, _x, l, parent = nl.flagged[x]
+        own = nl._src[x]
         top = own[-1]
-        return (b.d, b.l, -1 if b.parent is None else b.parent, len(own),
+        return (d, l, -1 if parent is None else parent, len(own),
                 top[0], top[1])
 
     # -- the round loop ----------------------------------------------------

@@ -49,8 +49,10 @@ from ..congest.message import Envelope
 from ..congest.metrics import RunMetrics
 
 #: Bump on any incompatible change to the serialized layout; ``load``
-#: refuses a mismatched version instead of misreading it.
-CHECKPOINT_VERSION = 2
+#: refuses a mismatched version instead of misreading it.  Version 3:
+#: pipelined snapshots carry no best map (the flagged rows are the
+#: bests).
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(ValueError):

@@ -59,6 +59,7 @@ from differential import (
     post_mortem_summary,
     program_states,
 )
+from repro.bounds import theorem11_hk_ssp
 from repro.congest import (
     Envelope,
     Network,
@@ -76,7 +77,7 @@ from repro.core import (
 )
 from repro.core.bellman_ford import BellmanFordProgram, run_bellman_ford
 from repro.core.keys import gamma_for
-from repro.core.pipelined import PipelinedSSPProgram, theorem11_round_bound
+from repro.core.pipelined import PipelinedSSPProgram
 from repro.core.unweighted import UnweightedAPSPProgram
 from repro.faults import FaultPlan
 from repro.faults.monitor import oracle_monitor
@@ -165,16 +166,16 @@ def test_bellman_ford_hop_limited_differential(backend, data):
 
 
 def assert_pipelined_states_equivalent(g, sources, h, backend):
-    """Every program's ``snapshot_state()`` -- list entries, bests and
-    ``last_sp_round`` -- equals the reference's after an Algorithm 1
-    run, built as :func:`run_hk_ssp` builds it (same Delta, gamma and
-    cutoff round) but at network level, where every program can be
-    read."""
+    """Every program's ``snapshot_state()`` -- list entries with their
+    flag-d* holders, and ``last_sp_round`` -- equals the reference's
+    after an Algorithm 1 run, built as :func:`run_hk_ssp` builds it
+    (same Delta, gamma and cutoff round) but at network level, where
+    every program can be read."""
     sources = tuple(sources)
     k = len(sources)
     delta = weak_delta_bound(g, sources, h)
     gamma = gamma_for(h, k, delta)
-    cutoff = theorem11_round_bound(h, k, delta)
+    cutoff = theorem11_hk_ssp(h, k, delta)
     return assert_networks_equivalent(
         g, lambda v: PipelinedSSPProgram(v, sources, h, gamma,
                                          cutoff_round=cutoff),
@@ -698,6 +699,25 @@ def _list_sizes(p):
     return len(nl), [nl.count_for_source(x) for x in p.sources]
 
 
+def _holder_fields(e):
+    """An entry's ``(d, l, parent)``, the order Step 9 ranks holders
+    in (a ``None`` parent, the source's own entry's, read as -1)."""
+    return e[1], e[3], -1 if e[4] is None else e[4]
+
+
+def _assert_holders(p):
+    """Each source with entries has a flag-d* holder (the kernel's
+    ``_snap_row`` reads it), the holder is on its source's list, and
+    its ``(d, l, parent)`` is the smallest there."""
+    nl = p.list_v
+    assert nl.flagged.keys() == nl._src.keys(), (p.v, nl.flagged, nl._src)
+    for x, z in nl.flagged.items():
+        own = nl._src[x]
+        assert any(e is z for e in own), (p.v, x, z)
+        assert _holder_fields(z) == min(map(_holder_fields, own)), \
+            (p.v, x, z, own)
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_pipelined_lists_never_shrink(data):
@@ -706,7 +726,12 @@ def test_pipelined_lists_never_shrink(data):
     because no ``fold`` call lowers a list's length or any source's
     entry count -- on the reference and on both of the kernel's round
     paths, under both eviction policies -- so both fields equal the
-    largest sizes any list reached during the run."""
+    largest sizes any list reached during the run.
+
+    The same spy checks that the flag-d* holders are Step 9's whole
+    state: after ``on_start`` and after every ``fold`` they satisfy
+    :func:`_assert_holders`, and after the run ``output()`` is the
+    holders with at most ``h`` hops."""
     g = data.draw(small_graphs)
     n = g.n
     sources = sorted(data.draw(st.sets(st.integers(0, n - 1),
@@ -720,6 +745,7 @@ def test_pipelined_lists_never_shrink(data):
         ln, counts = _list_sizes(p)
         seen[0] = max(seen[0], ln)
         seen[1] = max([seen[1]] + counts)
+        _assert_holders(p)
 
     def start_spy(self, ctx):
         on_start(self, ctx)
@@ -753,6 +779,11 @@ def test_pipelined_lists_never_shrink(data):
                              for p in programs))
                 assert (res.max_list_len, res.max_entries_per_source) \
                     == final == tuple(seen), (eviction, backend, path)
+                for p in programs:
+                    assert p.output(None) == {
+                        x: (z[1], z[3], z[4])
+                        for x, z in p.list_v.flagged.items() if z[3] <= h
+                    }, (eviction, backend, path, p.v)
 
 
 def test_columnar_pipelined_state_two_node_cycle():

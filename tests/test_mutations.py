@@ -10,9 +10,10 @@ corresponding invariant check has gone soft and this suite fails.
 
 import random
 
+from repro.bounds import theorem11_hk_ssp
 from repro.congest import Network
 from repro.core.keys import gamma_for
-from repro.core.pipelined import PipelinedSSPProgram, theorem11_round_bound
+from repro.core.pipelined import PipelinedSSPProgram
 from repro.graphs import random_graph
 from repro.graphs.reference import weak_delta_bound
 from repro.graphs.validation import ValidationError, assert_weak_h_hop_contract
@@ -28,7 +29,7 @@ def run_variant(cls, seed, *, cutoff=True):
     srcs = tuple(rng.sample(range(n), rng.randint(2, n)))
     delta = weak_delta_bound(g, srcs, h)
     gamma = gamma_for(h, len(srcs), delta)
-    bound = theorem11_round_bound(h, len(srcs), delta)
+    bound = theorem11_hk_ssp(h, len(srcs), delta)
     net = Network(g, lambda v: cls(v, srcs, h, gamma,
                                    cutoff_round=bound if cutoff else None))
     net.run(max_rounds=100000)
@@ -82,17 +83,19 @@ class EvictsSP(PipelinedSSPProgram):
                 continue
             d_in, l_in, x, _flag, nu_in = env.payload
             d, l = d_in + w, l_in + 1
-            b = self.best[x]
+            old = self.list_v.flagged.get(x)
+            # Step 9 against the flag-d* holder (no arrival ties the
+            # source's own (0, 0) entry, the only one without a parent).
+            beats = old is None or (d, l, y) < (old[1], old[3], old[4])
             # sabotage: refuse improvements that beat the current best
             # by more than nothing -- i.e. drop every SP improvement
             # after the first.
-            if b.beats(d, l, y) and b.d != INF:
+            if beats and old is not None:
                 continue
             from repro.core.keys import key_of
             kappa = key_of(d, l, self.gamma)
             z = (kappa, d, x, l, y)
-            if b.beats(d, l, y):
-                b.d, b.l, b.parent = d, l, y
+            if beats:
                 self.list_v.insert_sp(z)
                 if l <= self.h:
                     self.last_sp_update_round = r

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
+from repro.bounds import theorem11_hk_ssp
 from repro.congest import TraceRecorder
 from repro.core import (
     max_entries_per_source,
     run_apsp,
     run_hk_ssp,
     run_k_ssp,
-    theorem11_round_bound,
 )
 from repro.graphs import (
     FIGURE1_HOP_BOUND,
@@ -126,7 +126,7 @@ class TestRoundBounds:
         h = rng.randint(1, n)
         srcs = rng.sample(range(n), rng.randint(1, n))
         res = run_hk_ssp(g, srcs, h)
-        assert res.round_bound == theorem11_round_bound(h, res.k, res.delta)
+        assert res.round_bound == theorem11_hk_ssp(h, res.k, res.delta)
         assert res.last_sp_update_round <= res.round_bound
         assert res.metrics.rounds <= res.round_bound  # cutoff enforces it
 

@@ -159,7 +159,8 @@ class TestCaptureState:
 
     def test_identity_sharing_survives(self):
         # One deepcopy memo: attributes referencing the same object must
-        # still do so after restore (the pipelined best<->entry link).
+        # still do so after restore (every program without the
+        # snapshot_state protocol is captured this way).
         p = BellmanFordProgram(0, source=0)
         shared = [1]
         p.a, p.b = shared, {"ref": shared}
@@ -226,8 +227,9 @@ class TestRunCheckpoint:
         ckpt = _suspend(net, at_round=2)
         data = json.loads(ckpt.to_json())
         # 99: a future layout; 1: the layout whose pipelined rows carried
-        # a send log and whose snapshots carried list-size statistics.
-        for version in (99, 1):
+        # a send log and whose snapshots carried list-size statistics;
+        # 2: the layout whose pipelined snapshots carried a best map.
+        for version in (99, 1, 2):
             data["version"] = version
             with pytest.raises(CheckpointError, match="version"):
                 RunCheckpoint.from_json(json.dumps(data))

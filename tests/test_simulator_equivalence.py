@@ -11,9 +11,10 @@ import random
 
 import pytest
 
+from repro.bounds import theorem11_hk_ssp
 from repro.congest import Network
 from repro.core.keys import gamma_for
-from repro.core.pipelined import PipelinedSSPProgram, theorem11_round_bound
+from repro.core.pipelined import PipelinedSSPProgram
 from repro.graphs import random_graph
 from repro.graphs.reference import weak_delta_bound
 
@@ -37,7 +38,7 @@ def test_fast_forward_equivalence(seed):
     srcs = tuple(rng.sample(range(n), rng.randint(1, n)))
     delta = weak_delta_bound(g, srcs, h)
     gamma = gamma_for(h, len(srcs), delta)
-    bound = theorem11_round_bound(h, len(srcs), delta)
+    bound = theorem11_hk_ssp(h, len(srcs), delta)
 
     def run(cls):
         net = Network(g, lambda v: cls(v, srcs, h, gamma, cutoff_round=bound))
