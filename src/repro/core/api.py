@@ -30,15 +30,20 @@ APSPResult = Union[HKSSPResult, KSSPResult, BellmanFordKSSPResult]
 
 def _estimate_bounds(graph: WeightedDigraph, k: int) -> Dict[str, float]:
     """Coarse a-priori round estimates used by method='auto' (only the
-    edge-weight bound W is assumed known, as in Theorem I.2)."""
+    edge-weight bound W is assumed known, as in Theorem I.2).  Algorithm
+    3 is left out on a disconnected communication network, which it
+    refuses."""
     n = graph.n
     w = max(1, graph.max_weight)
     delta_est = (n - 1) * w  # worst-case Delta without an oracle
-    return {
+    est = {
         "pipelined": bounds_mod.theorem11_k_ssp(n, k, delta_est),
         "blocker": bounds_mod.theorem12_kssp(n, k, w),
         "bellman-ford": float(bounds_mod.bellman_ford_apsp_bound(k, n)),
     }
+    if not graph.is_comm_connected():
+        del est["blocker"]
+    return est
 
 
 def apsp(graph: WeightedDigraph, *, method: str = "auto",

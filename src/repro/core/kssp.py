@@ -109,6 +109,12 @@ def run_kssp_blocker(graph: WeightedDigraph, sources: Sequence[int],
     srcs = tuple(dict.fromkeys(sources))
     if not srcs:
         raise ValueError("need at least one source")
+    if not graph.is_comm_connected():
+        # Steps 2 and 4 coordinate over one BFS tree rooted at node 0;
+        # nodes outside its component would never hear of a blocker.
+        raise ValueError(
+            "Algorithm 3 needs a connected communication network: its "
+            "blocker set and broadcasts run over one BFS spanning tree")
     n = graph.n
     k = len(srcs)
     if h is None:

@@ -16,8 +16,13 @@ then executed twice:
   Dijkstra lower bound.
 
 After every batch, both tables are checked against a fresh Dijkstra run
-on the updated graph; :func:`run_chaos_campaign` additionally executes
-each case on both simulator backends and requires bit-identical
+on the updated graph, and the pipelined run's parent rows must pass
+:meth:`~repro.core.RoutingTable.validate`: they are the shortest-path
+trees its support-loss rule reads (:mod:`repro.recovery.dynamic`).  The
+crash-during-update run's parent rows are left out, because a
+checkpoint rollback can leave them cycling over zero-weight arcs.
+:func:`run_chaos_campaign` additionally executes each case on both
+simulator backends and requires bit-identical
 :meth:`~repro.recovery.DynamicRun.digest` values.  The fault plans stay
 inside the recovery layer's contract -- no drops or corruption (those
 need the ack/retransmit layer, which must NOT be composed with
@@ -34,6 +39,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.routing import RoutingTable
 from ..faults.monitor import (
     DistanceLowerBound,
     DistanceMonotonicity,
@@ -214,6 +220,9 @@ def run_chaos_case(case: ChaosCase, *,
         clean.apply(*batch)
         mismatches += len(faulty.oracle_check())
         mismatches += len(clean.oracle_check())
+        mismatches += len(RoutingTable(clean.graph, clean.table,
+                                       clean.parents).validate(
+                                           raise_on_violation=False))
 
     return ChaosOutcome(
         case=case, backend=backend or "ambient",

@@ -6,26 +6,35 @@ updates -- edge-weight changes, edge insertions/deletions, node
 leave/join -- by recomputing only the **affected sources** after each
 batch instead of re-running every source from scratch.
 
-Affected-source rules (conservative supersets, never misses)
-------------------------------------------------------------
+Affected-source rules (never misses)
+------------------------------------
 For a directed arc ``u -> v`` changing from ``w_old`` to ``w_new``, with
-the current table ``dist``:
+the current table ``dist`` and parent rows ``parents``:
 
 * **improvement** (``w_new`` present): source ``s`` is affected iff
   ``dist[s][u] + w_new < dist[s][v]`` -- the new arc creates a shorter
   path through ``u``;
 * **support loss** (``w_old`` present and the arc got worse or
-  vanished): ``s`` is affected iff ``dist[s][u] + w_old == dist[s][v]``
-  (finite) -- some shortest path to ``v`` may run through the changed
-  arc (the equality test is exact because weights are integers);
+  vanished): ``s`` is affected iff ``parents[s][v] == u`` -- the arc is
+  in the shortest-path tree the served rows route along.  On a
+  ``fault_plan`` run the rule is ``dist[s][u] + w_old == dist[s][v]``
+  (finite; exact because weights are integers) -- *some* shortest path
+  to ``v`` may run through the arc -- because a checkpoint rollback can
+  leave its parent rows cycling over zero-weight arcs;
 * **node leave**: every source with a finite distance to the leaving
   node (plus the node itself if it is a source);
 * **node join**: the improvement rule per added arc, plus the joining
   node if it is a source.
 
-Unaffected sources provably keep their exact distance vectors, so
-re-running only the affected ones through the existing k-source pipeline
-yields the same table as a from-scratch recompute -- the chaos campaign
+Every fault-free compute leaves parent rows that form a shortest-path
+tree of the table.  For an unaffected source that tree survives the
+batch at the same weights, so no distance rises; and every arc of the
+new graph keeps ``dist[s][u] + w >= dist[s][v]``, so none falls.  Its
+tree stays a shortest-path tree of the new graph (Algorithm 1's parent,
+the smallest-id predecessor at ``(delta, minhop)``, loses at most an
+option it did not pick), and re-running only the affected sources
+through the existing k-source pipeline yields the same table as a
+from-scratch recompute -- the chaos campaign
 (:mod:`repro.recovery.chaos`) checks this against the Dijkstra oracle on
 every batch.  The repair cost is reported as
 ``RunMetrics.rounds_to_repair`` (and mirrored into the obs registry),
@@ -265,22 +274,24 @@ class DynamicRun:
     def _affected(self, events: Sequence[Event],
                   new_arcs: Dict[Tuple[int, int], int]) -> Tuple[int, ...]:
         affected = set()
-        dist = self.table
+        dist, parents = self.table, self.parents
+        # Only fault-free parent rows are trees (module docstring).
+        tree = self.fault_plan is None
 
         def arc_changed(a: int, b: int, w_old: Optional[int],
                         w_new: Optional[int]) -> None:
             if w_old == w_new:
                 return
+            worse = w_old is not None and (w_new is None or w_new > w_old)
             for s in self.sources:
                 if s in affected:
                     continue
                 du, dv = dist[s][a], dist[s][b]
                 if w_new is not None and du + w_new < dv:
                     affected.add(s)          # improvement through a -> b
-                elif (w_old is not None and du < INF
-                      and du + w_old == dv
-                      and (w_new is None or w_new > w_old)):
-                    affected.add(s)          # possible support loss
+                elif worse and (parents[s][b] == a if tree
+                                else du < INF and du + w_old == dv):
+                    affected.add(s)          # support loss
 
         for ev in events:
             if isinstance(ev, EdgeUpdate):

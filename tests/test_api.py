@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import apsp, approximate_apsp, h_hop_ssp, k_ssp
 from repro.core.api import _estimate_bounds
-from repro.graphs import dijkstra, random_graph
+from repro.graphs import WeightedDigraph, dijkstra, random_graph
 
 
 class TestAPSP:
@@ -63,3 +63,29 @@ class TestAutoEstimates:
         est = _estimate_bounds(g, g.n)
         assert set(est) == {"pipelined", "blocker", "bellman-ford"}
         assert all(v > 0 for v in est.values())
+
+
+class TestDisconnectedNetwork:
+    """Algorithm 3 coordinates over one BFS tree rooted at node 0, so it
+    refuses a disconnected communication network and ``auto`` picks
+    another method there.  On this graph (node 0 isolated) it used to
+    report 2 -> 3 and 3 -> 2 unreachable instead of 2."""
+
+    def _graph(self):
+        return WeightedDigraph.from_edges(
+            6, [(1, 2, 0), (1, 4, 2), (1, 5, 1), (2, 5, 5), (3, 4, 2),
+                (3, 5, 1)], directed=False)
+
+    def test_blocker_refuses(self):
+        g = self._graph()
+        with pytest.raises(ValueError, match="connected"):
+            apsp(g, method="blocker")
+        with pytest.raises(ValueError, match="connected"):
+            k_ssp(g, [2, 3], method="blocker")
+
+    def test_auto_stays_exact(self):
+        g = self._graph()
+        assert "blocker" not in _estimate_bounds(g, g.n)
+        for res in (apsp(g, method="auto"), k_ssp(g, [2, 3], method="auto")):
+            for x in res.dist:
+                assert res.dist[x] == dijkstra(g, x)[0]

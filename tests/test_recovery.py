@@ -27,12 +27,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from differential import ENGINES, engine
 from repro.congest import Network, RoundLimitExceeded
+from repro.core import RoutingTable
+from repro.core.api import k_ssp
 from repro.core.bellman_ford import BellmanFordProgram
 from repro.faults import CrashWindow, FaultPlan
-from repro.graphs import random_graph
+from repro.graphs import WeightedDigraph, random_graph
 from repro.graphs.reference import dijkstra
 from repro.perf.backends import make_network
 from repro.recovery import (
@@ -55,7 +59,7 @@ from repro.recovery import (
     resume_from_checkpoint,
     run_recoverable,
 )
-from repro.recovery.chaos import ChaosCase, run_chaos_case
+from repro.recovery.chaos import ChaosCase, build_case, run_chaos_case
 
 INF = float("inf")
 
@@ -506,6 +510,15 @@ class TestDynamicRun:
         assert run.oracle_check() == []
         assert any(run.table[s][5] < INF for s in (0, 3))
 
+    def test_auto_repair_after_node_0_leaves(self):
+        """A leave isolates its node, and node 0 roots Algorithm 3's BFS
+        tree: ``auto`` must not repair with Algorithm 3 (which left 39
+        pairs wrong here)."""
+        g = random_graph(20, p=0.2, w_max=6, zero_fraction=0.2, seed=0)
+        run = DynamicRun(g)
+        run.apply(NodeLeave(0))
+        assert run.oracle_check() == []
+
     def test_affected_sources_are_a_superset_of_changed_rows(self):
         g = self._graph(seed=7)
         run = DynamicRun(g, list(range(g.n)), method="bellman-ford")
@@ -518,15 +531,17 @@ class TestDynamicRun:
     def test_unaffected_update_repairs_for_free(self):
         g = self._graph(seed=5)
         run = DynamicRun(g, [0], method="bellman-ford", compare_full=True)
-        # Raising a non-tree edge far above its current weight cannot
-        # change any distance from source 0.
-        u, v, w = max(g.edges(), key=lambda e: e[2])
+        # A shortest path to v runs through u -> v, but source 0's stored
+        # tree does not: raising the arc changes no distance from 0, so
+        # nothing re-runs.
+        dist, parent = run.table[0], run.parents[0]
+        u, v, w = max((a, b, w) for a, b, w in g.edges()
+                      if parent[b] != a and dist[a] + w == dist[b])
         rec = run.apply(EdgeUpdate(u, v, w + 50))
-        if rec.affected:  # support-loss rule may still trigger a re-run
-            assert run.oracle_check() == []
-        else:
-            assert rec.rounds_to_repair == 0
-            assert rec.full_rounds > 0
+        assert rec.affected == ()
+        assert rec.rounds_to_repair == 0
+        assert rec.full_rounds > 0
+        assert run.oracle_check() == []
 
     def test_rounds_to_repair_strictly_cheaper_when_affected_subset(self):
         g = self._graph(seed=1, n=14)
@@ -593,6 +608,128 @@ class TestDynamicRun:
             sweep_recovery(seeds=(0,), sizes=(10,))
 
 
+@st.composite
+def edge_streams(draw, decreases):
+    """``(graph, batches)``: a random graph with many zero-weight arcs
+    and a stream of edge-update batches on its live edges.  Every event
+    raises or deletes an edge; with ``decreases`` it may also lower
+    one or insert a new one."""
+    seed = draw(st.integers(min_value=0, max_value=10 ** 6))
+    n = draw(st.integers(min_value=3, max_value=9))
+    directed = draw(st.booleans())
+    g = random_graph(n, p=0.4, w_max=5, zero_fraction=0.4,
+                     directed=directed, seed=seed)
+    live = {(u, v): w for u, v, w in g.edges() if directed or u < v}
+    kinds = ["raise", "delete"] + (["lower", "insert"] if decreases else [])
+    batches = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        batch = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            kind = draw(st.sampled_from(kinds))
+            if kind == "insert":
+                u, v = draw(st.permutations(range(n)))[:2]
+                if not directed:
+                    u, v = min(u, v), max(u, v)
+                if (u, v) in live:
+                    continue
+                w = draw(st.integers(min_value=0, max_value=5))
+            elif not live:
+                continue
+            else:
+                u, v = draw(st.sampled_from(sorted(live)))
+                w = None
+                if kind != "delete":
+                    step = draw(st.integers(min_value=1, max_value=4))
+                    w = (live[u, v] + step if kind == "raise"
+                         else max(0, live[u, v] - step))
+            batch.append(EdgeUpdate(u, v, w))
+            if w is None:
+                del live[u, v]
+            else:
+                live[u, v] = w
+        if batch:
+            batches.append(batch)
+    return g, batches
+
+
+def updated(graph, batch):
+    """*graph* after the edge updates of *batch*."""
+    arcs = {(u, v): w for u, v, w in graph.edges()}
+    for ev in batch:
+        for key in ([(ev.u, ev.v)] if graph.directed
+                    else [(ev.u, ev.v), (ev.v, ev.u)]):
+            if ev.weight is None:
+                arcs.pop(key, None)
+            else:
+                arcs[key] = ev.weight
+    return WeightedDigraph.from_edges(
+        graph.n, [(u, v, w) for (u, v), w in arcs.items()],
+        directed=graph.directed)
+
+
+def support_loss(run, batch):
+    """The sources some shortest path of which may use an arc the batch
+    raises or deletes: ``dist[s][a] + w_old == dist[s][b]``."""
+    lost = set()
+    for ev in batch:
+        arcs = [(ev.u, ev.v)] if run.directed else [(ev.u, ev.v),
+                                                     (ev.v, ev.u)]
+        for a, b in arcs:
+            w = run.graph.weight(a, b)
+            for s in run.sources:
+                row = run.table[s]
+                if w is not None and row[a] < INF and row[a] + w == row[b]:
+                    lost.add(s)
+    return lost
+
+
+class TestTreeRule:
+    """A raised or deleted arc re-runs only the sources whose stored
+    tree uses it; every other source keeps rows that a from-scratch run
+    reproduces."""
+
+    @pytest.mark.parametrize("backend", ["reference", "columnar"])
+    @pytest.mark.parametrize("method", ["pipelined", "bellman-ford"])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(stream=edge_streams(decreases=False))
+    def test_worsening_streams_match_from_scratch(self, method, backend,
+                                                  stream):
+        g, batches = stream
+        run = DynamicRun(g, method=method, backend=backend)
+        for batch in batches:
+            lost = support_loss(run, batch)
+            rec = run.apply(*batch)
+            assert set(rec.affected) <= lost
+            full = k_ssp(run.graph, list(run.sources), method=method,
+                         backend=backend)
+            assert run.table == {s: full.dist[s] for s in run.sources}
+            assert run.parents == {s: full.parent[s] for s in run.sources}
+
+    @pytest.mark.parametrize("method", ["pipelined", "bellman-ford",
+                                        "blocker", "auto"])
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(stream=edge_streams(decreases=True))
+    def test_mixed_streams_keep_trees(self, method, stream):
+        """With decreases the stored trees stay shortest-path trees, but
+        not always a from-scratch run's: a lowered arc that only ties a
+        distance changes no row."""
+        g, batches = stream
+        run = DynamicRun(g, method=method)
+        for batch in batches:
+            if (method == "blocker"
+                    and not updated(run.graph, batch).is_comm_connected()):
+                with pytest.raises(ValueError, match="connected"):
+                    run.apply(*batch)
+                assert run.oracle_check() == []   # the run kept its rows
+                return
+            run.apply(*batch)
+            assert run.oracle_check() == []
+            assert RoutingTable(run.graph, run.table, run.parents).validate(
+                raise_on_violation=False) == []
+
+
 class TestCrashDuringUpdate:
     """The issue's acceptance test: a dynamic run with a crash window in
     the middle of an update batch converges to oracle-correct distances
@@ -615,6 +752,24 @@ class TestCrashDuringUpdate:
             assert run.metrics.rounds_to_repair > 0
             digests[backend] = run.digest()
         assert digests["reference"] == digests["columnar"]
+
+    def test_crash_path_names_every_source_a_raised_arc_changes(self):
+        """Chaos seed 13's crash path leaves source 4's parent row
+        cycling (0 -> 1 -> 0 over zero-weight arcs), so its rows are no
+        tree to read a support loss from.  Its rule reads distances: a
+        raised arc still re-runs every source whose true row moves."""
+        g, sources, plan, batches = build_case(ChaosCase(seed=13))
+        run = DynamicRun(g, sources, fault_plan=plan, checkpoint_every=4)
+        run.apply(*batches[0])
+        for u, v, w in run.graph.edges():
+            if not run.directed and u > v:
+                continue
+            raised = copy.deepcopy(run)
+            rec = raised.apply(EdgeUpdate(u, v, w + 1))
+            changed = {s for s in sources
+                       if dijkstra(raised.graph, s)[0] != run.table[s]}
+            assert changed <= set(rec.affected), f"raised ({u},{v})"
+            assert raised.oracle_check() == []
 
 
 class TestChaos:
