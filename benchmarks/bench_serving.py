@@ -10,11 +10,10 @@ the batched answers always asserted identical to the naive ones.  A
 columnar engine's per-message loop vs its pipelined bulk kernel, with
 the served-table digests asserted bit-equal.  Alongside the timed rows
 it exercises an incremental refresh (minimum-weight edge deleted; only
-affected sources recomputed, a new table view published, only their
-route rows dropped; post-refresh distances and paths Dijkstra-checked,
-the paths read from the view's route rows) and pins
-the served-table digests bit-identical across both simulator
-backends.
+affected sources recomputed, a new table view published with their
+route rows patched; post-refresh distances and paths Dijkstra-checked,
+the paths read from the view's route rows) and pins the served-table
+digests bit-identical across both simulator backends.
 
 The pytest-benchmark test below pins only the direction.  The CI gate
 -- batched+cached >= 5x naive at the largest size, and every refresh

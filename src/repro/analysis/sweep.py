@@ -656,7 +656,7 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
     * ``row=refresh`` -- an :class:`~repro.recovery.EdgeUpdate` deleting
       a minimum-weight edge; ``measured`` is
       ``rounds_to_repair`` (deterministic), with the affected-source /
-      dropped-route-row (``invalidated``) counts alongside, and the
+      replaced-route (``invalidated``) counts alongside, and the
       post-refresh distances and paths re-checked against Dijkstra
       (:meth:`DistanceOracle.oracle_check`), the paths read from the
       view's route rows (``correct``).

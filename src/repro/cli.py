@@ -479,8 +479,8 @@ def cmd_serve(args, out) -> int:
             rec = oracle.refresh(*events)
             out.write(f"refresh: epoch {rec.epoch}, "
                       f"{len(rec.affected_sources)} affected source(s), "
-                      f"{rec.invalidated_entries} route row(s) "
-                      f"dropped, {rec.rounds_to_repair} repair "
+                      f"{rec.invalidated_entries} route(s) "
+                      f"replaced, {rec.rounds_to_repair} repair "
                       f"rounds\n")
             for u, v in pairs:
                 r = oracle.path(u, v)

@@ -111,7 +111,9 @@ class RoutingTable:
         return Route(source=x, target=v, distance=self.dist[x][v],
                      path=tuple(path))
 
-    def routes(self, x: int) -> List[Optional[Route]]:
+    def routes(self, x: int,
+               prev: Optional[Sequence[Optional[Route]]] = None
+               ) -> List[Optional[Route]]:
         """Every route from *x*, indexed by target: entry ``v`` equals
         :meth:`route` ``(x, v)``.
 
@@ -120,13 +122,25 @@ class RoutingTable:
         walked twice.  A broken chain raises the :class:`ValueError`
         :meth:`route` raises for the first target (in index order) it
         breaks.
+
+        *prev*, an earlier row of *x* (this method's output for an
+        earlier table), makes the pass a patch.  An old route describes
+        its node's old tree position: ``path[-2]`` is the old parent.
+        A node whose parent is unchanged and whose parent's path was
+        kept keeps its old path tuple, so a path is kept exactly where
+        the whole chain to *x* is unchanged.  Where the distance is
+        unchanged too, the old :class:`Route` object itself is the
+        entry.  Every other entry is built as without *prev*, so the
+        row equals ``routes(x)`` entry for entry.
         """
         if x not in self.dist:
             raise KeyError(f"{x} is not a routed source")
         dist, parent = self.dist[x], self.parent[x]
         n = self.graph.n
+        old = prev or [None] * n
         paths: List[Optional[Tuple[int, ...]]] = [None] * n
-        paths[x] = (x,)
+        root = old[x]
+        paths[x] = (x,) if root is None else root.path
         out: List[Optional[Route]] = [None] * n
         for v in range(n):
             d = dist[v]
@@ -146,9 +160,19 @@ class RoutingTable:
                             f"broken parent chain routing {x} -> {v}")
                     path = paths[cur]
                 for node in reversed(stack):
-                    path += (node,)
+                    # Kept: same parent, and the parent's path is its
+                    # old tuple (identity; a built tuple is new).
+                    r, up = old[node], old[cur]
+                    if (r is not None and up is not None
+                            and path is up.path and r.path[-2] == cur):
+                        path = r.path
+                    else:
+                        path += (node,)
                     paths[node] = path
-            out[v] = Route(x, v, d, path)
+                    cur = node
+            r = old[v]
+            out[v] = r if r is not None and r.path is path \
+                and r.distance == d else Route(x, v, d, path)
         return out
 
     def next_hop(self, x: int, v: int) -> Optional[int]:

@@ -6,18 +6,21 @@ yields every route from it.  Each epoch's
 :class:`~repro.serve.TableView` keeps that pass's result: one *route
 row* per source, a list of ``n`` answers indexed by target -- a
 :class:`~repro.core.routing.Route`, or ``None`` where the target is
-unreachable -- built by the view's first path query from the source.
-A path answer is then one read of ``row[v]``.
+unreachable -- built by the first path query from the source and
+carried into each later epoch.  A path answer is then one read of
+``row[v]``.
 
 :class:`RouteCache` holds no rows; it counts what the views' rows do.
 Distance queries never touch route rows:
 :meth:`repro.serve.DistanceOracle.query_batch` answers them with one
 read of the epoch's distance row, so the hit/miss counters count path
 probes only (a hit when the query's source had a row when its batch
-read the view).  Invalidations count the rows a refresh did not carry
-into the new view: only the affected sources' table rows are
-recomputed (see :meth:`repro.serve.DistanceOracle.refresh`), so only
-their route rows can be stale.  The counters are mirrored into an
+read the view).  Invalidations count the routes a refresh replaced:
+only the affected sources' table rows are recomputed, and their route
+rows are patched into the new view (see
+:meth:`repro.serve.DistanceOracle.refresh`), so an invalidation is an
+entry of such a row that is a new object, or changed to or from
+``None``.  The counters are mirrored into an
 :class:`repro.obs.MetricsRegistry` when one is attached
 (``serve.cache_hits`` etc.), the same registry the simulator publishes
 round metrics into, so one dashboard snapshot covers both the build
@@ -63,7 +66,7 @@ class RouteCache:
                     self._counters["misses"].inc(misses)
 
     def count_invalidations(self, n: int) -> None:
-        """Add *n* route rows a refresh did not carry over."""
+        """Add *n* routes a refresh replaced."""
         with self._lock:
             self.invalidations += n
             if self._counters is not None and n:

@@ -9,8 +9,8 @@ k-source pipeline over every served source (the initial compute of its
 distance answer is one read of the epoch's ``dist[u][v]`` (the exact
 distance Theorem I.1 leaves at every node), and a path answer one read
 of its source's *route row*: every route from that source, built in
-one pass over its parent row the first time the epoch is asked for
-one.
+one pass over its parent row by the source's first path query and
+carried from epoch to epoch.
 
 Epoch-versioned tables
 ----------------------
@@ -27,10 +27,13 @@ Incremental refresh
 -------------------
 Edge/node churn goes through the oracle's
 :class:`~repro.recovery.DynamicRun`: only the sources the update can
-affect are recomputed by the k-source pipeline, the run's rows are
-wrapped in the next epoch's table, and the next view starts with the
-old view's route rows minus the affected sources' -- rows of
-unaffected sources carry over, still exact.
+affect are recomputed by the k-source pipeline, and the run's rows are
+wrapped in the next epoch's table.  The next view starts with every
+route row of the old one.  An unaffected source's row carries over as
+it is, still exact.  An affected source's row is patched against the
+new table in one pass (:meth:`~repro.core.RoutingTable.routes` with
+the old row): a route whose distance and whole parent chain are
+unchanged is the old object, and only the rest are built.
 ``tests/test_serve_churn.py`` property-checks the end-to-end guarantee
 against the Dijkstra oracle.
 
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import threading
 import time
 from dataclasses import dataclass, field
@@ -67,10 +71,11 @@ class TableView:
 
     ``table`` holds every served source's distance and parent rows and
     is never mutated after the view is published.  ``routes`` maps a
-    source to its route row, built from ``table`` by the view's first
-    path query from that source.  A refresh publishes a whole new view;
-    readers that captured the old one keep a complete, consistent table
-    for the duration of their query.
+    source to its route row, equal to ``table.routes(source)``: carried
+    in by the refresh that published the view, or built by the view's
+    first path query from that source.  A refresh publishes a whole
+    new view; readers that captured the old one keep a complete,
+    consistent table for the duration of their query.
     """
 
     epoch: int
@@ -86,8 +91,9 @@ class RefreshRecord:
     epoch: int
     affected_sources: Tuple[int, ...]
     rounds_to_repair: int
-    #: Route rows not carried into the new view (one per affected
-    #: source that had one).
+    #: Routes the refresh replaced in the carried rows: an entry that
+    #: is a new object, or changed to or from ``None``.  A row dropped
+    #: for a broken parent chain counts each route it held.
     invalidated_entries: int
 
 
@@ -287,30 +293,46 @@ class DistanceOracle:
         ``NodeLeave``, ``NodeJoin``) and publish the repaired table.
 
         Only the affected sources are recomputed
-        (:class:`~repro.recovery.DynamicRun`), the new
+        (:class:`~repro.recovery.DynamicRun`), and the new
         :class:`TableView` is published atomically (in-flight queries
-        finish on the old epoch), and it starts with the old view's
-        route rows of the unaffected sources.  Concurrent refreshes run
-        one at a time.
+        finish on the old epoch).  It starts with every route row of the
+        old view: an unaffected source's as it is, an affected source's
+        patched against the new table.  A patch that meets a broken
+        parent chain drops that row instead, so the error surfaces at
+        the ``path()`` that reads it.  Concurrent refreshes run one at
+        a time.
         """
         t0 = time.perf_counter()
         with self._refresh_lock:
             record = self._dyn.apply(*events)
             old = self._view
+            table = self._table()
             # One step under the GIL, so a batch still filling the old
             # view cannot tear the copy; rows it adds later stay there.
             routes = old.routes.copy()
-            invalidated = 0
+            replaced = 0
             for s in record.affected:
-                if routes.pop(s, None) is not None:
-                    invalidated += 1
-            self.cache.count_invalidations(invalidated)
+                row = routes.get(s)
+                if row is None:
+                    continue
+                try:
+                    patched = table.routes(s, row)
+                except ValueError:
+                    # A broken parent chain stays a read-time error:
+                    # the row is dropped, and the source's next path
+                    # query raises it, naming the pair.
+                    del routes[s]
+                    replaced += len(row) - row.count(None)
+                    continue
+                replaced += sum(map(operator.is_not, row, patched))
+                routes[s] = patched
+            self.cache.count_invalidations(replaced)
             new_epoch = old.epoch + 1
             self.graph = self._dyn.graph
             # The swap: one reference assignment publishes the new view.
-            self._view = TableView(new_epoch, self._table(), routes)
+            self._view = TableView(new_epoch, table, routes)
             rec = RefreshRecord(new_epoch, tuple(record.affected),
-                                record.rounds_to_repair, invalidated)
+                                record.rounds_to_repair, replaced)
             self.refreshes.append(rec)
             if self.registry is not None:
                 self.registry.counter("serve.refreshes").inc()

@@ -275,6 +275,7 @@ class TestServeCommand:
                           "--query", "0,9", "--update", f"{u},{v},-")
         assert rc == 0
         assert "refresh: epoch 1" in out
+        assert "route(s) replaced" in out
         assert "RESULT: correct" in out
 
     def test_serve_demo_node_leave(self, graph_file):

@@ -1,9 +1,11 @@
 """Tests for the routing-table API."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import RoutingTable, run_apsp, run_bellman_ford_kssp, run_k_ssp
 from repro.graphs import WeightedDigraph, dijkstra, random_graph
+from repro.recovery import DynamicRun, EdgeUpdate, NodeLeave
 
 INF = float("inf")
 
@@ -262,3 +264,104 @@ class TestAllResultTypesRoutable:
                     assert (r is None) == (want[v] == INF)
                     if r is not None:
                         assert r.distance == want[v]
+
+
+@st.composite
+def churned_graphs(draw):
+    """(graph, batches): a small graph with zero-weight arcs, nodes some
+    sources cannot reach and (half the time) undirected edges, and one
+    to three batches of raises, lowers, deletions, insertions and node
+    leaves."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    edges = draw(st.lists(
+        st.tuples(pair, st.integers(0, 3)).map(lambda e: (*e[0], e[1])),
+        max_size=2 * n))
+    if draw(st.booleans()):
+        g = WeightedDigraph.undirected_from_edges(n, edges)
+    else:
+        g = WeightedDigraph.from_edges(n, edges)
+    arcs = sorted(g.edges())
+
+    def event():
+        kind = draw(st.sampled_from(
+            ["raise", "lower", "delete", "insert", "leave"]))
+        if kind == "leave":
+            return NodeLeave(draw(st.integers(0, n - 1)))
+        if kind == "insert" or not arcs:
+            u, v = draw(pair)
+            return EdgeUpdate(u, v, draw(st.integers(0, 3)))
+        u, v, w = draw(st.sampled_from(arcs))
+        if kind == "raise":
+            return EdgeUpdate(u, v, w + draw(st.integers(1, 3)))
+        if kind == "lower":
+            return EdgeUpdate(u, v, draw(st.integers(0, w)))
+        return EdgeUpdate(u, v, None)
+
+    batches = [[event() for _ in range(draw(st.integers(1, 3)))]
+               for _ in range(draw(st.integers(1, 3)))]
+    return g, batches
+
+
+class TestPatchedRows:
+    """``routes(x, prev)`` patches an earlier row of x: it must equal
+    ``routes(x)`` entry for entry and hold the old ``Route`` object
+    exactly where the target's distance and whole chain to x are
+    unchanged."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=churned_graphs())
+    def test_patch_equals_rebuild_and_keeps_unchanged_routes(self, case):
+        g, batches = case
+        run = DynamicRun(g, method="pipelined")
+        table = RoutingTable(run.graph, run.table, run.parents)
+        rows = {s: table.routes(s) for s in run.sources}
+        for batch in batches:
+            run.apply(*batch)
+            table = RoutingTable(run.graph, run.table, run.parents)
+            for s, old in rows.items():
+                want = table.routes(s)
+                got = table.routes(s, old)
+                assert got == want
+                for v, r in enumerate(old):
+                    if r is not None:
+                        # Route equality is distance and path equality.
+                        assert (got[v] is r) == (r == want[v]), (s, v)
+                rows[s] = got
+
+    def test_ancestor_tie_reparent_rebuilds_its_subtree(self):
+        # 0 -> 1 -> 3 -> 4 and 0 -> 2 -> 3, unit weights: node 3 is at
+        # distance 2 through 1 or 2.  It re-parents from 1 to 2 on that
+        # tie; target 4 keeps its parent (3) and distance (3), but its
+        # path is new.
+        g = WeightedDigraph.from_edges(
+            5, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1), (3, 4, 1)])
+        dist = {0: [0, 1, 1, 2, 3]}
+        old = RoutingTable(g, dist, {0: [None, 0, 0, 1, 3]}).routes(0)
+        table = RoutingTable(g, dist, {0: [None, 0, 0, 2, 3]})
+        row = table.routes(0, old)
+        assert row == table.routes(0)
+        assert row[4].path == (0, 2, 3, 4)
+        assert [row[v] is old[v] for v in range(5)] == [
+            True, True, True, False, False]
+
+    def test_changed_distance_keeps_the_path_tuple(self):
+        # Raising 0 -> 1 moves 1's and 2's distances, not their chains:
+        # new routes, the old path tuples.
+        g = WeightedDigraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        old = RoutingTable(g, {0: [0, 1, 2]}, {0: [None, 0, 1]}).routes(0)
+        table = RoutingTable(g, {0: [0, 4, 5]}, {0: [None, 0, 1]})
+        row = table.routes(0, old)
+        assert row == table.routes(0)
+        assert row[0] is old[0]
+        for v in (1, 2):
+            assert row[v] is not old[v] and row[v].path is old[v].path
+
+    def test_broken_chain_raises_as_without_the_old_row(self):
+        g = WeightedDigraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        old = RoutingTable(g, {0: [0, 1, 2]}, {0: [None, 0, 1]}).routes(0)
+        table = RoutingTable(g, {0: [0, 1, 2]}, {0: [None, 0, None]})
+        for prev in (None, old):
+            with pytest.raises(ValueError, match="routing 0 -> 2"):
+                table.routes(0, prev)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graphs import WeightedDigraph, dijkstra, random_graph
 from repro.obs import MetricsRegistry
-from repro.recovery import EdgeUpdate, NodeJoin, NodeLeave
+from repro.recovery import DynamicRun, EdgeUpdate, NodeJoin, NodeLeave
 from repro.serve import (
     AsyncFrontend,
     DistanceOracle,
@@ -130,8 +130,10 @@ class TestRouteCache:
         assert (o.cache.hits, o.cache.misses) == (1, 1)
 
     def test_invalidate_sources_selective(self):
-        # A refresh carries every row of an unaffected source into the
-        # new view, by identity, and drops exactly the affected rows.
+        # A refresh carries every row into the new view: an unaffected
+        # source's by identity, an affected source's patched.  Only the
+        # routes over the raised arc 2 -> 3 are replaced, one from 0,
+        # two from 1 and three from 2; the rest are the old objects.
         g = WeightedDigraph.from_edges(
             4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
         o = DistanceOracle(g, method="bellman-ford")
@@ -139,9 +141,16 @@ class TestRouteCache:
         old = dict(o.view.routes)
         rec = o.refresh(EdgeUpdate(2, 3, 5))
         assert set(rec.affected_sources) == {0, 1, 2}
-        assert rec.invalidated_entries == 3 == o.cache.invalidations
-        assert list(o.view.routes) == [3]
-        assert o.view.routes[3] is old[3]
+        assert rec.invalidated_entries == 6 == o.cache.invalidations
+        rows = o.view.routes
+        assert sorted(rows) == [0, 1, 2, 3]
+        assert rows[3] is old[3]
+        for s in (0, 1, 2):
+            assert rows[s] is not old[s]
+            assert rows[s] == o.view.table.routes(s)
+            over = {v for v in range(4) if 3 in old[s][v].path[1:]}
+            for v in range(4):
+                assert (rows[s][v] is old[s][v]) == (v not in over)
 
     def test_registry_mirroring(self):
         reg = MetricsRegistry()
@@ -203,6 +212,35 @@ class TestRouteRows:
         with pytest.raises(ValueError, match="routing 0 -> 3"):
             o.path(0, 4)  # the row is built whole
 
+    def test_broken_chain_in_a_patched_row_stays_a_read_error(
+            self, monkeypatch):
+        # The repair leaves source 0 a broken chain to 3.  Patching its
+        # row raises, so the refresh drops the row and still publishes
+        # the epoch: DynamicRun.apply has already moved the run's rows.
+        apply = DynamicRun.apply
+
+        def apply_breaking_a_row(self, *events):
+            record = apply(self, *events)
+            s = record.affected[0]
+            parent = list(self.parents[s])
+            parent[3] = None
+            self.parents[s] = parent
+            return record
+
+        monkeypatch.setattr(DynamicRun, "apply", apply_breaking_a_row)
+        g = WeightedDigraph.from_edges(
+            5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 4, 1)])
+        o = DistanceOracle(g, method="bellman-ford")
+        o.path(0, 3)
+        rec = o.refresh(EdgeUpdate(1, 2, 5))
+        assert rec.affected_sources[0] == 0
+        assert o.epoch == rec.epoch == 1
+        assert 0 not in o.view.routes
+        # The dropped row held 5 routes.
+        assert rec.invalidated_entries == 5
+        with pytest.raises(ValueError, match="routing 0 -> 3"):
+            o.path(0, 3)
+
     def test_every_pair_twice_second_pass_never_misses(self):
         # 65 * 65 = 4225 routes, more than the 4096 a pair-keyed LRU
         # held: served in order, such a store missed every query of
@@ -221,12 +259,19 @@ class TestRouteRows:
         rec = o.refresh(EdgeUpdate(u, v, w + 5))
         affected = set(rec.affected_sources)
         assert 0 < len(affected) < g.n
-        assert rec.invalidated_entries == len(affected)
-        assert len(o.view.routes) == g.n - rec.invalidated_entries
-        # Only the affected sources' rows are rebuilt.
-        assert o.serve(every) == o.serve_naive(every)
+        # Every row is carried: the affected sources' patched, the
+        # others as they were.  A patch keeps the unchanged routes.
+        table = o.view.table
+        assert len(o.view.routes) == g.n
         for s, row in o.view.routes.items():
             assert (row is rows[s]) == (s not in affected)
+            if s in affected:
+                assert row == table.routes(s)
+        assert 0 < rec.invalidated_entries < len(affected) * g.n
+        # ...so the second pass after the refresh misses nothing.
+        misses = o.cache.misses
+        assert o.serve(every) == o.serve_naive(every)
+        assert o.cache.misses == misses
 
 
 class TestOracleQueries:
@@ -406,16 +451,22 @@ class TestRefresh:
             assert (old.table.dist[s], old.table.parent[s]) == before[s]
         assert o.oracle_check() == [] and o.validate() == []
 
-    def test_only_affected_cache_entries_dropped(self, graph):
+    def test_only_affected_rows_patched(self, graph):
         o = DistanceOracle(graph, method="bellman-ford")
         o.serve(generate_workload(graph.n, 1000, seed=6))
-        size_before = len(o.view.routes)
+        before = dict(o.view.routes)
         u, v, w = sorted(graph.edges())[0]
         rec = o.refresh(EdgeUpdate(u, v, w + 2))
-        unaffected = set(range(graph.n)) - set(rec.affected_sources)
-        assert len(o.view.routes) == size_before - rec.invalidated_entries
-        # surviving rows all belong to unaffected sources
-        assert set(o.view.routes) <= unaffected
+        affected = set(rec.affected_sources) & set(before)
+        assert affected
+        rows = o.view.routes
+        assert rows.keys() == before.keys()
+        for s, row in rows.items():
+            if s in affected:
+                assert row is not before[s]
+                assert row == o.view.table.routes(s)
+            else:
+                assert row is before[s]
 
     def test_node_leave_and_join(self, graph):
         o = DistanceOracle(graph, method="bellman-ford")

@@ -101,7 +101,18 @@ def test_served_distances_match_dijkstra_after_any_update_stream(scenario):
     warm_cache()
     assert_all_served_match_dijkstra(oracle)
     for batch in batches:
+        old = dict(oracle.view.routes)
         oracle.refresh(*batch)
+        # Every carried row is the one the new table builds, and holds
+        # the old route object wherever that route is still exact.
+        table = oracle.view.table
+        assert oracle.view.routes.keys() == old.keys()
+        for u, row in oracle.view.routes.items():
+            want = table.routes(u)
+            assert row == want, f"stale route row of {u}"
+            for v, r in enumerate(old[u]):
+                if r is not None:
+                    assert (row[v] is r) == (r == want[v]), (u, v)
         # The whole point: answers *after* the refresh read the rows
         # the new view carried over from the pre-refresh queries.
         assert_all_served_match_dijkstra(oracle)
