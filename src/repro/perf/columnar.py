@@ -38,11 +38,13 @@ instead of ~messages x method calls:
   scatter-min over the argmin set;
 * **budget evictions** -- consumed schedule slots are retired wholesale
   (the wavefront array is *replaced*, not edited per node) and message
-  / word / per-channel accounting accumulates in flat per-edge counters
-  flushed to :class:`~repro.congest.metrics.RunMetrics` once per run.
+  / word / per-channel accounting is one send count per node, flushed
+  to :class:`~repro.congest.metrics.RunMetrics` once per run: every
+  send is a broadcast on all of the sender's out-arcs, so each out-arc
+  carried exactly its tail's send count.
 
 The pipelined kernel shares the CSR gather, the vectorized candidate
-computation and the per-edge accounting, but keeps no columns of
+computation and the send-count accounting, but keeps no columns of
 program state: it schedules sends on each node's own list and hands
 every arrival its vectorized reject pass keeps to the program's own
 receive step -- or, in a round with few deliveries, every arrival,
@@ -74,9 +76,8 @@ re-entries and resumptions -- while the cheap *dynamic* conditions
 mode) are re-checked at every entry.
 
 Both bulk kernels run on numpy, a declared dependency: the CSR
-gathers, candidate computation, scatter-mins and per-edge tallies are
-vector operations, and Python loops remain only where a fold is
-inherently sequential.
+gathers, candidate computation and scatter-mins are vector operations,
+and Python loops remain only where a fold is inherently sequential.
 """
 
 from __future__ import annotations
@@ -125,6 +126,10 @@ CORRUPTION_MODES = (
     # nu <= count + 1 instead of nu <= count, dropping arrivals the
     # Step 13 quota would admit, as an off-by-one in the filter would:
     "reject-filter-off-by-one",
+    # pipelined kernel (reject pass, second-largest key): reject
+    # deliveries at or above that key with nu <= count instead of
+    # nu <= count - 1, as an off-by-one in the rank would:
+    "reject-second-key-off-by-one",
 )
 
 
@@ -168,23 +173,24 @@ def edges_bulk_safe(net) -> bool:
 
 def _flush(kernel, metrics, msg_count: int, payload_words: int) -> None:
     """A bulk kernel's accumulated accounting -> *metrics* (idempotent:
-    the per-edge tallies are zeroed as they are drained).  Both kernels
-    keep the same CSR tally columns and differ only in words per
-    payload."""
+    the per-run send counts are zeroed as they are drained).  Every
+    send is a broadcast on all of the sender's out-arcs, so each
+    out-arc is credited with its tail's send count, in CSR order.  Both
+    kernels keep the same send counts and CSR lists and differ only in
+    words per payload."""
     if msg_count:
         metrics.messages += msg_count
         metrics.words += payload_words * msg_count
         if metrics.max_message_words < payload_words:
             metrics.max_message_words = payload_words
-    counts = kernel._np_edge_msgs
-    (nz,) = np.nonzero(counts)
-    if len(nz):
-        heads = kernel._heads
-        chmsg = metrics.channel_messages
-        srcs = np.searchsorted(kernel._np_indptr, nz, side="right") - 1
-        for e, u, c in zip(nz.tolist(), srcs.tolist(), counts[nz].tolist()):
-            chmsg[(u, heads[e])] += c
-        counts[nz] = 0
+    sends = kernel._sends
+    indptr, heads = kernel._indptr, kernel._heads
+    chmsg = metrics.channel_messages
+    for u, c in enumerate(sends):
+        if c:
+            for e in range(indptr[u], indptr[u + 1]):
+                chmsg[(u, heads[e])] += c
+            sends[u] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +278,9 @@ class _RelaxationKernel:
         self._np_indptr = np.asarray(indptr, dtype=np.int64)
         self._np_heads = np.asarray(heads, dtype=np.int64)
         self._np_weights = np.asarray(weights, dtype=np.float64)
-        #: Per-CSR-edge message tallies, flushed to the RunMetrics
-        #: Counter once per run (bulk accounting, not per-message).
-        self._np_edge_msgs = np.zeros(len(heads), dtype=np.int64)
+        #: Per-node send counts of the current run, flushed to the
+        #: RunMetrics channel Counter once per run (see _flush).
+        self._sends = [0] * self.n
 
     # -- load / store ------------------------------------------------------
 
@@ -331,6 +337,7 @@ class _RelaxationKernel:
 
         d, hops, parent, wave, wave_round = self._load(net.programs)
         node_sends = metrics.node_sends
+        sends = self._sends
         indptr = self._indptr
         hops_cap = self.max_hops
         prev_r = net._round
@@ -375,6 +382,7 @@ class _RelaxationKernel:
                             for v in wave:
                                 if indptr[v + 1] > indptr[v]:
                                     node_sends[v] += 1
+                                    sends[v] += 1
                     wave = improved
                     wave_round = r + 1 if improved else None
 
@@ -412,7 +420,6 @@ class _RelaxationKernel:
         srcs = np.repeat(senders, counts)
         dsts = self._np_heads[edges]
         cand = d[srcs] + self._np_weights[edges]
-        self._np_edge_msgs[edges] += 1
         # Scatter-min relaxation.  The reference fold (ascending-src
         # inbox, strict improvement) leaves the parent slot at the
         # *first* sender that reached the final minimum, i.e. the

@@ -24,8 +24,9 @@ are each node's bests, and keeps only the bulk work around them.
   bidirectional channels, Section I-B): one flat
   ``(src, dst, w)`` edge batch per round, candidate ``d' = d + w``,
   ``l' = l + 1`` and ``kappa' = d' * gamma + l'`` computed for the
-  whole batch as numpy vector ops, per-edge message tallies
-  accumulated in flat counters -- no Envelope, payload tuple, or
+  whole batch as numpy vector ops, and one send count per sender
+  (a broadcast puts the same count on each of its out-arcs, which the
+  flush credits once per run) -- no Envelope, payload tuple, or
   Counter update per message;
 * **Steps 8-13 (flag-d* promotion, the Step 13 quota, Insert's
   eviction)** are not reimplemented here: every arrival the reject
@@ -52,11 +53,13 @@ Most arrivals change nothing: on dense APSP instances ~85% are neither
 a flag-d* promotion nor admitted by the Step 13 quota.  Each round
 therefore runs one vectorized *reject pass* before the fold.
 It reads a per-(node, source) snapshot -- the flag-d* holder's
-``(d, l, parent)``, the per-source entry count and the largest
-per-source key ``(kappa, d)``, one float64 row per cell -- and drops
-every delivery that is not a promotion against the snapshot best,
-whose ``nu`` is at most the count, and whose key is at or above the
-largest key: the fold would reject it anyway (the comment in
+``(d, l, parent)``, the per-source entry count and the largest and
+second-largest per-source keys ``(kappa, d)``, one float64 row of
+eight values per cell (:func:`_snap_row`) -- and drops every delivery
+that is not a promotion against the snapshot best and either has a
+``nu`` of at most the count and a key at or above the largest key, or
+a ``nu`` of at most the count minus one and a key at or above the
+second-largest: the fold would reject it anyway (the comment in
 :meth:`_gather` proves why a snapshot from any earlier moment of the
 run is safe).
 The fold runs over what the pass keeps, and the rows of the cells a
@@ -71,9 +74,9 @@ per round, whatever the round carries.  A round with fewer than
 senders' out-degrees as it collects them -- instead expands its
 deliveries from the Python CSR lists and folds every one
 (:meth:`_PipelinedKernel._gather_small`); it skips the reject pass,
-which only drops arrivals the fold rejects anyway.  The tallies, the
-fold, the snapshot refresh and the rescheduling are the same code on
-both paths.
+which only drops arrivals the fold rejects anyway.  The send counts,
+the fold, the snapshot refresh and the rescheduling are the same code
+on both paths.
 
 Scheduling touches only what moved
 ----------------------------------
@@ -102,7 +105,8 @@ read exactly what the per-message backends would have left behind.
 ``tests/backend_conformance.py`` pins the equality differentially
 (including per-program state and deliberate-corruption runs via the
 ``send-rank-off-by-one`` / ``nu-off-by-one`` /
-``reject-filter-off-by-one`` modes this module honors).
+``reject-filter-off-by-one`` / ``reject-second-key-off-by-one`` modes
+this module honors).
 
 Keys are recomputed as the same single multiply-add on ``(d, l)`` as
 the scalar path -- a float64 vector op, bit-identical for the integer
@@ -132,13 +136,31 @@ _PAYLOAD_WORDS = 5
 
 #: Reject-pass snapshot row of a (node, source) cell without entries:
 #: no holder, so every delivery to it is kept (each one promotes).
-_EMPTY_ROW = (_INF, _INF, -1.0, 0.0, -_INF, -_INF)
+_EMPTY_ROW = (_INF, _INF, -1.0, 0.0, -_INF, -_INF, _INF, _INF)
+
+#: The second-largest key ``(kappa, d)`` of a cell with one entry.
+_NO_KEY = (_INF, _INF)
 
 _DESTINATION = itemgetter(0)
 
 #: Below this many deliveries a round takes the small path (module
 #: docstring); the measured crossover is in docs/PERFORMANCE.md.
 SMALL_ROUND_DELIVERIES = 32
+
+
+def _snap_row(nl, x: int) -> Tuple[float, ...]:
+    """The reject pass's snapshot row of source *x* on list *nl*,
+    which holds entries for it: ``(best d, best l, best parent or -1,
+    entry count, largest key kappa, largest key d, second-largest key
+    kappa, second-largest key d)``, all read at one moment, the second
+    key ``(inf, inf)`` below two entries.  The bests are the flag-d*
+    holder's, which every source with entries has."""
+    _kappa, d, _x, l, parent = nl.flagged[x]
+    own = nl._src[x]
+    top = own[-1]
+    second = own[-2] if len(own) > 1 else _NO_KEY
+    return (d, l, -1 if parent is None else parent, len(own),
+            top[0], top[1], second[0], second[1])
 
 
 def _resume_index(nl, first: int, r: int, pos_offset: int) -> int:
@@ -218,12 +240,12 @@ class _PipelinedKernel:
         p0 = net.programs[0]
         self.gamma: float = p0.gamma
         self.cutoff: Optional[int] = p0.cutoff_round
-        #: Served sources and each one's column in the snapshot rows
-        #: (cell ``v * k + xi``; -1 for non-sources, never a payload x).
-        self.sources: Tuple[int, ...] = tuple(dict.fromkeys(p0.sources))
-        self.k = len(self.sources)
+        #: Each served source's column in the snapshot rows (cell
+        #: ``v * k + xi``; -1 for non-sources, never a payload x).
+        sources = tuple(dict.fromkeys(p0.sources))
+        self.k = len(sources)
         self._xi = [-1] * self.n
-        for xi, x in enumerate(self.sources):
+        for xi, x in enumerate(sources):
             self._xi[x] = xi
         # CSR of the out-arcs every send is broadcast over, node ranges
         # in increasing node order.  Python lists where a Python loop
@@ -243,41 +265,31 @@ class _PipelinedKernel:
         self._np_heads = np.asarray(heads, dtype=np.int64)
         self._np_weights = np.asarray(weights, dtype=np.int64)
         self._np_xi = np.asarray(self._xi, dtype=np.int64)
-        #: Per-CSR-edge message tallies, flushed to the RunMetrics
-        #: Counter once per run.
-        self._np_edge_msgs = np.zeros(len(heads), dtype=np.int64)
+        #: Per-node send counts of the current run, flushed to the
+        #: RunMetrics channel Counter once per run (columnar._flush).
+        self._sends = [0] * self.n
 
     # -- per-run state -----------------------------------------------------
 
     def _load(self, programs) -> None:
-        """Bind the programs' lists for the run and build the reject
-        pass's snapshot rows (one per (node, source) cell, see
-        :meth:`_snap_row`)."""
-        self._programs = programs
-        self._lists = [p.list_v for p in programs]
-        for nl in self._lists:
+        """Bind the programs' lists and ``fold`` methods for the run and
+        build the reject pass's snapshot rows (one per (node, source)
+        cell ``v * k + xi``, see :func:`_snap_row`)."""
+        self._folds = [p.fold for p in programs]
+        self._lists = lists = [p.list_v for p in programs]
+        k, xi = self.k, self._xi
+        cells = []
+        rows = []
+        for v, nl in enumerate(lists):
             nl.low_water = UNTOUCHED
-        snap = np.empty((self.n * self.k, 6))
+            for x in nl._src:
+                cells.append(v * k + xi[x])
+                rows.append(_snap_row(nl, x))
+        snap = np.empty((self.n * k, len(_EMPTY_ROW)))
         snap[:] = _EMPTY_ROW
-        cells = [v * self.k + self._xi[x]
-                 for v, nl in enumerate(self._lists) for x in nl._src]
         if cells:
-            snap[cells] = [self._snap_row(c) for c in cells]
+            snap[cells] = rows
         self._snap = snap
-
-    def _snap_row(self, cell: int) -> Tuple[float, ...]:
-        """Cell ``v * k + xi``'s snapshot row ``(best d, best l, best
-        parent or -1, entry count, largest key kappa, largest key d)``,
-        all read at one moment; the bests are the flag-d* holder's, which
-        every source with entries has."""
-        v, xi = divmod(cell, self.k)
-        x = self.sources[xi]
-        nl = self._lists[v]
-        _kappa, d, _x, l, parent = nl.flagged[x]
-        own = nl._src[x]
-        top = own[-1]
-        return (d, l, -1 if parent is None else parent, len(own),
-                top[0], top[1])
 
     # -- the round loop ----------------------------------------------------
 
@@ -298,6 +310,7 @@ class _PipelinedKernel:
         n = self.n
         lists = self._lists
         node_sends = metrics.node_sends
+        sends = self._sends
         indptr = self._indptr
         small = SMALL_ROUND_DELIVERIES
         nu_pad = 1 if _cmod._CORRUPTION == "nu-off-by-one" else 0
@@ -378,6 +391,7 @@ class _PipelinedKernel:
                     if degree:
                         total += degree
                         node_sends[v] += 1
+                        sends[v] += 1
 
                 # Steps 2-13: deliver and fold per-destination arrivals
                 # in ascending-source order.
@@ -436,17 +450,19 @@ class _PipelinedKernel:
         Returns the receivers whose lists changed, ascending, as a
         dict."""
         gather = self._gather_small if small else self._gather
-        programs = self._programs
+        folds = self._folds
         changed: Dict[int, None] = {}
-        changed_cells = set()
+        # The changed cells' (node, source) pairs, keyed by cell.
+        moved: Dict[int, Tuple[int, int]] = {}
         for u, y, d, l, kap, x, nu, c in gather(
                 senders, send_d, send_l, send_x, send_nu):
-            if programs[u].fold(r, y, d, l, kap, x, nu):
+            if folds[u](r, y, d, l, kap, x, nu):
                 changed[u] = None
-                changed_cells.add(c)
-        if changed_cells:
-            idx = list(changed_cells)
-            self._snap[idx] = [self._snap_row(c) for c in idx]
+                moved[c] = (u, x)
+        if moved:
+            lists = self._lists
+            self._snap[list(moved)] = [_snap_row(lists[u], x)
+                                       for u, x in moved.values()]
         return changed
 
     def _gather(self, senders, send_d, send_l, send_x, send_nu):
@@ -461,8 +477,6 @@ class _PipelinedKernel:
             ([0], np.cumsum(counts)[:-1])), counts)
         edges = np.arange(int(counts.sum()), dtype=np.int64) + offs
         dsts = self._np_heads[edges]
-        # Accounting first: every delivery is counted, kept or not.
-        self._np_edge_msgs[edges] += 1
         # Per-message sender-slot index (into the send_* columns).
         slots = np.repeat(np.arange(len(senders), dtype=np.int64), counts)
         ys = sv[slots]
@@ -486,17 +500,24 @@ class _PipelinedKernel:
         # So a delivery that is no promotion against a snapshot best is
         # no promotion now; and if its key is at or above the snapshot's
         # largest key, at least `count` entries sit at or below it now,
-        # so nu <= count fails the Step 13 quota now.  Any snapshot from
+        # so nu <= count fails the Step 13 quota now.  The second rule
+        # holds at every rank: at or above the snapshot's second-largest
+        # key, at least `count - 1` entries sit at or below it now, so
+        # nu <= count - 1 fails the quota too.  Any snapshot from
         # earlier in the same run therefore never drops a delivery the
         # fold would keep; refresh frequency only changes how much is
         # dropped.  A row's values must come from one moment, so rows
         # are only ever written whole (_snap_row).
-        bd, bl, bp, cnt, kk, kd = self._snap[cells].T
+        bd, bl, bp, cnt, kk, kd, k2, d2 = self._snap[cells].T
         reject = (cand_d > bd) | ((cand_d == bd) & (
             (cand_l > bl) | ((cand_l == bl) & (ys >= bp))))
+        at_top = (kappa > kk) | ((kappa == kk) & (cand_d >= kd))
+        at_second = (kappa > k2) | ((kappa == k2) & (cand_d >= d2))
         pad = _cmod._CORRUPTION == "reject-filter-off-by-one"
-        reject &= nus <= cnt + pad
-        reject &= (kappa > kk) | ((kappa == kk) & (cand_d >= kd))
+        pad2 = _cmod._CORRUPTION == "reject-second-key-off-by-one"
+        # nu is an integer, so nu < count is nu <= count - 1.
+        reject &= ((nus <= cnt + pad) & at_top) | (
+            (nus < cnt + pad2) & at_second)
         (kept,) = np.nonzero(~reject)
         kept = kept[np.argsort(dsts[kept], kind="stable")]
         return zip(dsts[kept].tolist(), ys[kept].tolist(),
@@ -506,10 +527,9 @@ class _PipelinedKernel:
 
     def _gather_small(self, senders, send_d, send_l, send_x, send_nu):
         """:meth:`_gather` for a round too small to repay numpy's fixed
-        cost: the same tallies and arrival rows from the Python CSR
-        lists, and no reject pass."""
+        cost: the same arrival rows from the Python CSR lists, and no
+        reject pass."""
         indptr, heads, weights = self._indptr, self._heads, self._weights
-        tally = self._np_edge_msgs
         gamma, k, xi = self.gamma, self.k, self._xi
         rows = []
         for y, d_in, l_in, x, nu in zip(senders, send_d, send_l, send_x,
@@ -517,7 +537,6 @@ class _PipelinedKernel:
             l = l_in + 1
             c = xi[x]
             for e in range(indptr[y], indptr[y + 1]):
-                tally[e] += 1
                 u = heads[e]
                 d = d_in + weights[e]
                 rows.append((u, y, d, l, d * gamma + l, x, nu, u * k + c))

@@ -693,6 +693,27 @@ def test_columnar_pipelined_kernel_folds_through_the_program(monkeypatch):
             (want.dist, want.hops, want.parent, want.metrics.rounds), path
 
 
+def test_columnar_pipelined_reject_pass_reads_two_keys(monkeypatch):
+    """The reject pass drops a non-promotion at or above a cell's
+    largest key whose nu is at most the cell's entry count, and one at
+    or above its second-largest key whose nu is at most the count minus
+    one.  On an n = 128 APSP solve of 680,488 deliveries, the largest
+    key alone left 177,297 arrivals for ``fold``; both keys leave
+    112,732."""
+    calls = [0]
+    fold = PipelinedSSPProgram.fold
+
+    def spy(self, *args):
+        calls[0] += 1
+        return fold(self, *args)
+
+    monkeypatch.setattr(PipelinedSSPProgram, "fold", spy)
+    res = run_apsp(random_graph(128, p=0.05, w_max=10, seed=7),
+                   backend="columnar")
+    assert (res.metrics.rounds, res.metrics.messages) == (1424, 680488)
+    assert calls[0] < 120_000
+
+
 def _list_sizes(p):
     """A program's list length and each of its sources' entry counts."""
     nl = p.list_v
@@ -898,7 +919,11 @@ def test_columnar_network_freed_by_refcount():
 #: silently go mutation-untested).
 _BF_CORRUPTION_MODES = ("evict-off-by-one", "stale-count")
 _PIPELINED_CORRUPTION_MODES = ("send-rank-off-by-one", "nu-off-by-one",
-                               "reject-filter-off-by-one")
+                               "reject-filter-off-by-one",
+                               "reject-second-key-off-by-one")
+#: The modes that corrupt only the reject pass (see the test below).
+_REJECT_PASS_MODES = ("reject-filter-off-by-one",
+                      "reject-second-key-off-by-one")
 
 
 class TestConformanceCatchesCorruption:
@@ -950,10 +975,12 @@ class TestConformanceCatchesCorruption:
         paths.
 
         A corrupted reject pass (dropping deliveries whose nu is one
-        above the count, which the quota admits) exists only on the
-        numpy path, and drops only non-promotions, which the
-        single-source path graph never receives -- so it must be caught
-        on every multi-source instance.  What it drops is padding, so
+        above the count, at or above the largest key, or equal to the
+        count, at or above the second-largest key -- both of which the
+        quota admits) exists only on the numpy path, and drops only
+        non-promotions, which the single-source path graph never
+        receives -- so it must be caught on every multi-source
+        instance.  What it drops is padding, so
         the corrupted run either diverges or trips the kernel's inline
         Invariant 1 check on an insert the padding would have pushed
         later; the reference run of each instance is clean (see the
@@ -961,7 +988,7 @@ class TestConformanceCatchesCorruption:
         corpus = self._pipelined_corpus()
         caught = "columnar backend diverged"
         paths = list(ROUND_PATHS)
-        if mode == "reject-filter-off-by-one":
+        if mode in _REJECT_PASS_MODES:
             corpus = [c for c in corpus if len(c[1]) > 1]
             caught += "|Invariant 1 violated"
             paths = ["numpy"]

@@ -29,7 +29,8 @@ from repro.core import (
     verify_approx_ratio,
     verify_blocker_coverage,
 )
-from repro.graphs import dijkstra, hop_limited_sssp
+from repro.graphs import dijkstra, hop_limited_sssp, random_graph
+from repro.graphs.reference import dijkstra_min_hops
 from repro.graphs.validation import (
     assert_triangle_inequality,
     assert_weak_h_hop_contract,
@@ -152,15 +153,44 @@ def test_oracle_hop_monotone_and_convergent(gi, pick):
     assert prev == dijkstra(g, s)[0]
 
 
-@settings(max_examples=30, **COMMON)
-@given(hk_instances())
-def test_parent_pointers_are_real_edges(instance):
-    g, sources, h = instance
-    res = run_hk_ssp(g, sources, h)
+def assert_parents_are_real_edges(g, res, h):
+    """Every reported parent p of v is an arc p -> v.  Where a shortest
+    x -> v path has at most h hops (a guaranteed pair, DESIGN.md sec.
+    6), p is v's predecessor on one, so ``dist[x][p] + w(p, v)`` is
+    ``dist[x][v]``.  Any other reported pair is a real walk from x of at
+    most h hops ending with the arc p -> v, so its weight less
+    ``w(p, v)`` is at least p's (h - 1)-hop optimum; p itself may read
+    inf there."""
     for x in res.sources:
+        _d, minhop, _p = dijkstra_min_hops(g, x)
+        dp, _ = hop_limited_sssp(g, x, h - 1)
         for v in range(g.n):
             p = res.parent[x][v]
             if p is not None:
                 w = g.weight(p, v)
                 assert w is not None
-                assert res.dist[x][p] + w == res.dist[x][v]
+                if minhop[v] <= h:
+                    assert res.dist[x][p] + w == res.dist[x][v]
+                else:
+                    assert res.dist[x][v] - w >= dp[p]
+
+
+@settings(max_examples=30, **COMMON)
+@given(hk_instances())
+def test_parent_pointers_are_real_edges(instance):
+    g, sources, h = instance
+    assert_parents_are_real_edges(g, run_hk_ssp(g, sources, h), h)
+
+
+def test_parent_pointer_of_an_optional_pair():
+    """An optional pair's parent can read inf: node 7 (minhop 6 from
+    source 5) reports the 2-hop walk 5 -> 0 -> 7 of weight 1 with
+    parent 0, while node 0 (minhop 5) reports nothing."""
+    g = random_graph(10, p=0.35, w_max=1, zero_fraction=0.3,
+                     directed=False, seed=2497)
+    for backend in ("reference", "columnar"):
+        res = run_hk_ssp(g, [5], 2, backend=backend)
+        assert (res.dist[5][7], res.hops[5][7], res.parent[5][7]) == \
+            (1, 2, 0)
+        assert res.dist[5][0] == math.inf
+        assert_parents_are_real_edges(g, res, 2)
